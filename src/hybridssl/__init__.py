@@ -12,22 +12,19 @@ training, prediction, sweeps, corpus synthesis, and prior curve export.
 from .errors import (BoundsError, ConfigError, DomainError, HybridSslError,
                      NumericError, OracleError, ParseError, QueryError)
 from .expfam import (beta_prior_log_density, beta_prior_mode, beta_prior_moments,
-                     beta_prior_natural_log_density, beta_prior_variance,
-                     coupling_alpha, digamma, log_partition, log_partition_deriv,
-                     logit, matched_normal_log_density, matched_normal_params,
-                     natural_from_mean, sigmoid)
+                     beta_prior_variance, digamma, log_partition, logit,
+                     matched_normal_params, natural_from_mean, sigmoid)
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     GenerativeParams, Instance, LogJointBlocks, SparseBinaryVector,
                     dump_model, load_model, loads_model, log_joint, log_joint_blocks,
-                    lr_posterior, lr_scores, lr_scores_matrix, nb_class_scores,
-                    nb_posterior, nb_scores_matrix, predict, save_model,
-                    uniform_generative_params)
+                    lr_scores, lr_scores_matrix, nb_class_scores, nb_posterior,
+                    nb_scores_matrix, save_model, uniform_generative_params)
 from .trainer import (EndpointMode, TrainConfig, TrainReport, coupling_gradient_w,
                       discriminative_gradient, generative_update_beta,
                       generative_update_gauss, lambda_to_gamma, train, train_logreg,
                       train_nb_em)
-from .data import (SplitSpec, generate_synthetic, load_corpus, load_vocabulary,
-                   sample_split, synthetic_true_params, write_corpus)
+from .data import (SplitSpec, generate_synthetic, load_corpus, sample_split,
+                   synthetic_true_params, write_corpus)
 from .harness import (AggregateRow, ResultRow, SweepSpec, SyntheticSpec, aggregate,
                       best_lambda, cell_seed, export_prior_curves, prior_curve_rows,
                       run_sweep, write_aggregate_csv, write_results_csv)
@@ -43,17 +40,14 @@ __all__ = [
     "SparseBinaryVector", "SplitMix64", "SplitSpec", "SweepSpec", "SyntheticSpec",
     "TrainConfig", "TrainReport", "aggregate", "best_lambda",
     "beta_prior_log_density", "beta_prior_mode", "beta_prior_moments",
-    "beta_prior_natural_log_density", "beta_prior_variance", "cell_seed",
-    "coupling_alpha", "coupling_gradient_w", "derive_seed", "digamma",
-    "discriminative_gradient", "dump_model", "export_prior_curves",
+    "beta_prior_variance", "cell_seed", "coupling_gradient_w", "derive_seed",
+    "digamma", "discriminative_gradient", "dump_model", "export_prior_curves",
     "generate_synthetic", "generative_update_beta", "generative_update_gauss",
-    "lambda_to_gamma", "load_corpus", "load_model", "load_vocabulary",
-    "loads_model", "log_joint", "log_joint_blocks", "log_partition",
-    "log_partition_deriv", "logit", "lr_posterior", "lr_scores",
-    "lr_scores_matrix", "matched_normal_log_density", "matched_normal_params",
-    "natural_from_mean", "nb_class_scores", "nb_posterior", "nb_scores_matrix",
-    "predict", "prior_curve_rows", "run_sweep", "sample_split", "save_model",
-    "sigmoid", "synthetic_true_params", "train", "train_logreg", "train_nb_em",
-    "uniform_generative_params", "write_aggregate_csv", "write_corpus",
-    "write_results_csv",
+    "lambda_to_gamma", "load_corpus", "load_model", "loads_model", "log_joint",
+    "log_joint_blocks", "log_partition", "logit", "lr_scores", "lr_scores_matrix",
+    "matched_normal_params", "natural_from_mean", "nb_class_scores", "nb_posterior",
+    "nb_scores_matrix", "prior_curve_rows", "run_sweep", "sample_split",
+    "save_model", "sigmoid", "synthetic_true_params", "train", "train_logreg",
+    "train_nb_em", "uniform_generative_params", "write_aggregate_csv",
+    "write_corpus", "write_results_csv",
 ]

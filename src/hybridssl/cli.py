@@ -25,7 +25,8 @@ from .errors import ConfigError, NumericError, ParseError, QueryError
 from .harness import (DEFAULT_CURVE_GAMMAS, SweepSpec, SyntheticSpec, aggregate,
                       best_lambda, export_prior_curves, run_sweep,
                       write_aggregate_csv, write_results_csv)
-from .model import CouplingConfig, CouplingKind, load_model, lr_scores_matrix, save_model
+from .model import (CouplingConfig, CouplingKind, _softmax, load_model, lr_scores_matrix,
+                    save_model)
 from .trainer import TrainConfig, train
 
 
@@ -130,8 +131,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"corpus declares K={corpus.num_classes} classes, model "
                           f"has K={disc.num_classes}")
     scores = lr_scores_matrix(disc, corpus)
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs = shifted / shifted.sum(axis=1, keepdims=True)
+    probs = _softmax(scores)
     preds = np.argmax(scores, axis=1)
     out = sys.stdout
     for i, (pred, row) in enumerate(zip(preds, probs)):

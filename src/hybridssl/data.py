@@ -2,50 +2,45 @@
 
 Corpus grammar (UTF-8, LF line endings):
 
-    # hybridssl-corpus v1 K=<int> M=<int>
+    # hybridssl-corpus v1 K=<digits> M=<digits>
     <label> <id>:1 <id>:1 ...
     * <id>:1 ...
 
 The first line is the mandatory header. A document line starts with a
 class label in [0, K) or ``*`` for unlabeled, followed by present-feature
-entries ``<id>:1`` with strictly increasing ids below M. Values other
-than 1 are rejected: the model is over binary presence, not counts.
-Later ``#``-prefixed lines are comments; blank lines are ignored. Parse
-errors name the 1-based line and column of the offending token.
-
-An optional sidecar vocabulary maps ids to tokens, one ``<id>\\t<token>``
-per line.
+entries ``<id>:1`` with strictly increasing ids below M. K, M, labels and
+ids are ASCII digits ``[0-9]+``; no sign, underscore or other script's
+digits. The value is the literal ``1``: the model is over binary
+presence, not counts. Later ``#``-prefixed lines are comments; blank
+lines are ignored. Parse errors name the 1-based line and column of the
+offending token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BoundsError, ConfigError, ParseError
-from .model import Dataset, Instance, SparseBinaryVector
+from .model import _DIGITS_RE, Dataset, Instance, SparseBinaryVector
 from .rng import SplitMix64, derive_seed
 
-_HEADER_RE = re.compile(r"^#\s+hybridssl-corpus\s+v1\s+K=(\d+)\s+M=(\d+)\s*$")
-_FEATURE_RE = re.compile(r"^(\d+):(\d+)$")
+_HEADER_RE = re.compile(r"^#\s+hybridssl-corpus\s+v1\s+K=([0-9]+)\s+M=([0-9]+)\s*$",
+                        re.ASCII)
+_FEATURE_RE = re.compile(r"([0-9]+):([0-9]+)")
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def load_corpus(path, m_override: Optional[int] = None) -> Dataset:
-    """Parse a corpus file into a Dataset.
-
-    m_override replaces the declared feature count, e.g. to widen a corpus
-    to a model's feature space; every feature id must stay below it.
-    """
+def load_corpus(path) -> Dataset:
+    """Parse a corpus file into a Dataset."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
 
     if not lines or _HEADER_RE.match(lines[0]) is None:
         raise ParseError(
-            "expected header '# hybridssl-corpus v1 K=<int> M=<int>'", line=1)
+            "expected header '# hybridssl-corpus v1 K=<digits> M=<digits>'", line=1)
     header = _HEADER_RE.match(lines[0])
     num_classes = int(header.group(1))
     num_features = int(header.group(2))
@@ -53,10 +48,6 @@ def load_corpus(path, m_override: Optional[int] = None) -> Dataset:
         raise ParseError(f"corpus declares K={num_classes}, need K >= 2", line=1)
     if num_features < 1:
         raise ParseError(f"corpus declares M={num_features}, need M >= 1", line=1)
-    if m_override is not None:
-        if m_override < 1:
-            raise ConfigError(f"M override must be >= 1, got {m_override}")
-        num_features = int(m_override)
 
     instances = []
     for lineno, text in enumerate(lines[1:], start=2):
@@ -68,11 +59,10 @@ def load_corpus(path, m_override: Optional[int] = None) -> Dataset:
         if label_tok.group() == "*":
             label = None
         else:
-            try:
-                label = int(label_tok.group())
-            except ValueError:
+            if _DIGITS_RE.fullmatch(label_tok.group()) is None:
                 raise ParseError(f"label must be an integer in [0, {num_classes}) or '*', "
-                                 f"got {label_tok.group()!r}", line=lineno, column=col) from None
+                                 f"got {label_tok.group()!r}", line=lineno, column=col)
+            label = int(label_tok.group())
             if not (0 <= label < num_classes):
                 raise BoundsError(f"label {label} outside [0, {num_classes})",
                                   line=lineno, column=col)
@@ -81,12 +71,12 @@ def load_corpus(path, m_override: Optional[int] = None) -> Dataset:
         prev = -1
         for tok in tokens[1:]:
             col = tok.start() + 1
-            m = _FEATURE_RE.match(tok.group())
+            m = _FEATURE_RE.fullmatch(tok.group())
             if m is None:
                 raise ParseError(f"expected '<id>:1', got {tok.group()!r}",
                                  line=lineno, column=col)
-            fid, value = int(m.group(1)), int(m.group(2))
-            if value != 1:
+            fid = int(m.group(1))
+            if m.group(2) != "1":
                 raise ParseError(f"feature values must be 1 (binary presence), got "
                                  f"{tok.group()!r}", line=lineno, column=col)
             if fid >= num_features:
@@ -113,51 +103,24 @@ def write_corpus(data: Dataset, path) -> None:
             fh.write(label + (" " + feats if feats else "") + "\n")
 
 
-def load_vocabulary(path) -> dict:
-    """Sidecar vocabulary: '<id>\\t<token>' per line -> {id: token}."""
-    vocab = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, text in enumerate(fh, start=1):
-            text = text.rstrip("\n")
-            if not text.strip():
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise ParseError("expected '<id>\\t<token>'", line=lineno)
-            try:
-                fid = int(parts[0])
-            except ValueError:
-                raise ParseError(f"vocabulary id must be an integer, got {parts[0]!r}",
-                                 line=lineno) from None
-            if fid in vocab:
-                raise ParseError(f"duplicate vocabulary id {fid}", line=lineno)
-            vocab[fid] = parts[1]
-    return vocab
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Protocol split: a few labeled docs per class, an unlabeled pool,
     and the rest of the labeled corpus as the test set.
 
     unlabeled_total must divide evenly across classes; the unlabeled pool
-    is balanced per hidden class and its labels are stripped. When
-    test_fraction is set, the test set is a seeded subsample of the
-    remaining labeled instances instead of all of them.
+    is balanced per hidden class and its labels are stripped.
     """
 
     labeled_per_class: int
     unlabeled_total: int
     seed: int
-    test_fraction: Optional[float] = None
 
     def __post_init__(self):
         if self.labeled_per_class < 1:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if self.unlabeled_total < 0:
             raise ConfigError(f"unlabeled_total must be >= 0, got {self.unlabeled_total}")
-        if self.test_fraction is not None and not (0.0 < self.test_fraction <= 1.0):
-            raise ConfigError(f"test_fraction must lie in (0, 1], got {self.test_fraction}")
 
 
 def sample_split(full: Dataset, spec: SplitSpec):
@@ -204,11 +167,6 @@ def sample_split(full: Dataset, spec: SplitSpec):
 
     remaining = [pos for pos in range(len(full))
                  if pos not in taken and full.instances[pos].label is not None]
-    if spec.test_fraction is not None and spec.test_fraction < 1.0:
-        order = list(remaining)
-        SplitMix64(derive_seed(spec.seed, k)).shuffle(order)
-        keep = max(1, round(spec.test_fraction * len(order)))
-        remaining = sorted(order[:keep])
     test_instances = [full.instances[p] for p in remaining]
 
     train = Dataset(tuple(train_instances), k, full.num_features)

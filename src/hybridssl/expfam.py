@@ -57,7 +57,7 @@ def sigmoid(x):
 def logit(p):
     """Inverse of sigmoid; p must lie strictly inside (0, 1)."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise DomainError(f"logit requires p in (0, 1), got {p}")
     return _match_input(p, np.log(p_arr) - np.log1p(-p_arr))
 
@@ -78,32 +78,24 @@ def log_partition(theta):
     return _match_input(theta, np.logaddexp(0.0, np.asarray(theta, dtype=float)))
 
 
-def log_partition_deriv(theta):
-    """A'(t) = sigmoid(t), the mean map."""
-    return sigmoid(theta)
-
-
 def digamma(x):
     """Digamma psi(x) for x > 0, accurate to about 1e-12.
 
-    Arguments below 6 are lifted with psi(x) = psi(x+1) - 1/x, then the
-    asymptotic series
+    Every argument is lifted by six with psi(x) = psi(x+6) - sum_{i<6} 1/(x+i),
+    then the asymptotic series
 
         psi(x) ~ ln x - 1/(2x) - u/12 + u^2/120 - u^3/252
                  + u^4/240 - u^5/132 + 691 u^6 / 32760,   u = 1/x^2,
 
-    is applied. Raises DomainError for x <= 0.
+    is applied at x + 6. Raises DomainError for x <= 0.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0) or np.any(~np.isfinite(x_arr)):
         raise DomainError(f"digamma requires x > 0, got {x}")
-    work = x_arr.copy().reshape(-1)
-    acc = np.zeros_like(work)
-    small = work < 6.0
-    while np.any(small):
-        acc[small] -= 1.0 / work[small]
-        work[small] += 1.0
-        small = work < 6.0
+    lift = -1.0 / x_arr
+    for i in range(1, 6):
+        lift -= 1.0 / (x_arr + i)
+    work = x_arr + 6.0
     u = 1.0 / (work * work)
     series = np.log(work) - 0.5 / work - u * (
         1.0 / 12.0
@@ -111,7 +103,7 @@ def digamma(x):
                - u * (1.0 / 252.0
                       - u * (1.0 / 240.0
                              - u * (1.0 / 132.0 - u * (691.0 / 32760.0))))))
-    return _match_input(x, (acc + series).reshape(x_arr.shape))
+    return _match_input(x, lift + series)
 
 
 def _check_gamma(gamma):
@@ -119,11 +111,6 @@ def _check_gamma(gamma):
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise DomainError(f"coupling concentration gamma must be finite and > 0, got {gamma}")
     return gamma
-
-
-def coupling_alpha(theta, gamma):
-    """alpha(r) = gamma * sigmoid(r), the prior's pseudo-count of successes."""
-    return gamma * sigmoid(theta)
 
 
 def beta_prior_log_density(theta_tilde, theta, gamma):
@@ -140,25 +127,6 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
             - _lgamma_vec(alpha + 1.0)
             - _lgamma_vec(gamma - alpha + 1.0))
     out = logm + tt * alpha - gamma * np.logaddexp(0.0, tt)
-    if np.isscalar(theta_tilde) and np.isscalar(theta):
-        return float(out)
-    return out
-
-
-def beta_prior_natural_log_density(theta_tilde, theta, gamma):
-    """Same kernel, normalized over the natural parameter instead.
-
-    exp of this integrates to 1 in d(theta_tilde) over the real line; the
-    normalizer is the Jacobian-corrected B(alpha, gamma-alpha). Used for
-    plotting on the natural axis. Differs from beta_prior_log_density by a
-    constant in theta_tilde.
-    """
-    gamma = _check_gamma(gamma)
-    tt = np.asarray(theta_tilde, dtype=float)
-    alpha = gamma * sigmoid(np.asarray(theta, dtype=float))
-    log_norm = (_lgamma_vec(alpha) + _lgamma_vec(gamma - alpha)
-                - _lgamma_vec(np.asarray(gamma, dtype=float)))
-    out = tt * alpha - gamma * np.logaddexp(0.0, tt) - log_norm
     if np.isscalar(theta_tilde) and np.isscalar(theta):
         return float(out)
     return out
@@ -244,10 +212,3 @@ def matched_normal_params(theta, gamma):
     """
     return float(theta), beta_prior_variance(theta, gamma)
 
-
-def matched_normal_log_density(theta_tilde, theta, gamma):
-    """Log density at theta_tilde of the moment-matched Normal."""
-    mean, var = matched_normal_params(theta, gamma)
-    tt = np.asarray(theta_tilde, dtype=float)
-    out = -0.5 * np.log(2.0 * np.pi * var) - (tt - mean) ** 2 / (2.0 * var)
-    return _match_input(theta_tilde, out)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -38,6 +39,11 @@ from . import expfam
 from .errors import ConfigError, DomainError, ParseError
 
 _PI_TOL = 1e-12
+# Above this many cells (N * M) a Dataset keeps X in compressed rows only.
+_DENSE_MAX_CELLS = 20_000_000
+# K, M, labels and feature ids in corpus and model files are ASCII digits;
+# int() alone would also take signs, underscores and non-ASCII digits.
+_DIGITS_RE = re.compile("[0-9]+")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +80,12 @@ class Instance:
 
 @dataclass(eq=False)
 class Dataset:
-    """An ordered collection of instances over a fixed (K, M) space."""
+    """An ordered collection of instances over a fixed (K, M) space.
+
+    Its 0/1 design matrix X (N, M) is read only through the two products
+    scores and counts, which choose its storage: a cached dense array when
+    N * M <= _DENSE_MAX_CELLS, compressed rows otherwise.
+    """
 
     instances: tuple
     num_classes: int
@@ -105,19 +116,37 @@ class Dataset:
     def index_arrays(self) -> tuple:
         return tuple(inst.features.indices for inst in self.instances)
 
-    @cached_property
-    def dense_matrix(self) -> Optional[np.ndarray]:
-        """0/1 design matrix (N, M), or None when it would be too large.
+    def _csr(self, rows=None):
+        """X[rows] as (row lengths, concatenated column indices)."""
+        arrays = self.index_arrays if rows is None else [self.index_arrays[r] for r in rows]
+        lengths = np.array([a.size for a in arrays], dtype=np.int64)
+        indices = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return lengths, indices
 
-        Purely an acceleration cache; sparse per-instance scoring stays the
-        source of truth and agrees with this path to float round-off.
-        """
-        if len(self.instances) * self.num_features > 20_000_000:
+    @cached_property
+    def _dense_matrix(self) -> Optional[np.ndarray]:
+        if len(self.instances) * self.num_features > _DENSE_MAX_CELLS:
             return None
+        lengths, indices = self._csr()
         x = np.zeros((len(self.instances), self.num_features))
-        for i, idx in enumerate(self.index_arrays):
-            x[i, idx] = 1.0
+        x[np.repeat(np.arange(len(lengths)), lengths), indices] = 1.0
         return x
+
+    def scores(self, t: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """X[rows] @ t.T: each document (default: all) summed over the
+        columns of t at its present features, shape (len(rows), t.shape[0])."""
+        x = self._dense_matrix
+        if x is not None:
+            return (x if rows is None else x[rows]) @ t.T
+        return _csr_scores(*self._csr(rows), t)
+
+    def counts(self, r: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """r.T @ X[rows]: the column-wise mass of r over each feature, shape
+        (r.shape[1], M); r has one row per selected document."""
+        x = self._dense_matrix
+        if x is not None:
+            return r.T @ (x if rows is None else x[rows])
+        return _csr_counts(*self._csr(rows), r, self.num_features)
 
     @cached_property
     def labeled_positions(self) -> np.ndarray:
@@ -133,6 +162,29 @@ class Dataset:
     @property
     def n_labeled(self) -> int:
         return int(self.labeled_positions.size)
+
+
+def _csr_scores(lengths: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """X @ t.T for X in compressed rows: one bincount per row of t. Each
+    document's entries are added in feature order, as a per-document sum
+    would add them."""
+    n = len(lengths)
+    doc_of_entry = np.repeat(np.arange(n), lengths)
+    out = np.empty((n, t.shape[0]))
+    for k in range(t.shape[0]):
+        out[:, k] = np.bincount(doc_of_entry, weights=t[k, indices], minlength=n)
+    return out
+
+
+def _csr_counts(lengths: np.ndarray, indices: np.ndarray, r: np.ndarray,
+                num_features: int) -> np.ndarray:
+    """r.T @ X for X in compressed rows: one bincount per column of r,
+    accumulating documents in order."""
+    out = np.empty((r.shape[1], num_features))
+    for k in range(r.shape[1]):
+        out[k] = np.bincount(indices, weights=np.repeat(r[:, k], lengths),
+                             minlength=num_features)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +205,7 @@ class GenerativeParams:
         object.__setattr__(self, "theta_tilde", tt)
         if pi.ndim != 1 or tt.ndim != 2 or tt.shape[0] != pi.shape[0]:
             raise ConfigError(f"shape mismatch: pi {pi.shape}, theta_tilde {tt.shape}")
-        if np.any(pi <= 0.0) or abs(pi.sum() - 1.0) > _PI_TOL:
+        if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= _PI_TOL):
             raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
         if not np.all(np.isfinite(tt)):
             raise ConfigError("theta_tilde must be finite")
@@ -280,17 +332,17 @@ def nb_class_scores(gen: GenerativeParams, x: SparseBinaryVector) -> np.ndarray:
     return gen.log_pi + gen.absence_base + gen.theta_tilde[:, x.indices].sum(axis=1)
 
 
-def nb_log_joint_class(gen: GenerativeParams, x: SparseBinaryVector, y: int) -> float:
-    """log p(y, x) under the naive Bayes half."""
-    if not (0 <= y < gen.num_classes):
-        raise DomainError(f"class {y} outside [0, {gen.num_classes})")
-    return float(nb_class_scores(gen, x)[y])
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Normalized exp along the last axis, safe for |scores| ~ 1e4."""
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
+    m = scores.max(axis=1)
+    return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
 
 
 def nb_posterior(gen: GenerativeParams, x: SparseBinaryVector) -> np.ndarray:
@@ -302,45 +354,21 @@ def lr_scores(disc: DiscriminativeParams, x: SparseBinaryVector) -> np.ndarray:
     return disc.b + disc.w[:, x.indices].sum(axis=1)
 
 
-def lr_posterior(disc: DiscriminativeParams, x: SparseBinaryVector) -> np.ndarray:
-    """p(y | x) from the logistic-regression half, safe for |scores| ~ 1e4."""
-    return _softmax(lr_scores(disc, x))
-
-
-def predict(disc: DiscriminativeParams, x: SparseBinaryVector) -> int:
-    """argmax-probability class; ties resolve to the lowest class index."""
-    return int(np.argmax(lr_scores(disc, x)))
-
-
 def nb_scores_matrix(gen: GenerativeParams, data: Dataset) -> np.ndarray:
     """log p(y, x) for every instance and class, shape (N, K)."""
-    base = gen.log_pi + gen.absence_base
-    x = data.dense_matrix
-    if x is not None:
-        return base[None, :] + x @ gen.theta_tilde.T
-    scores = np.empty((len(data), gen.num_classes))
-    for i, idx in enumerate(data.index_arrays):
-        scores[i] = base + gen.theta_tilde[:, idx].sum(axis=1)
-    return scores
+    return (gen.log_pi + gen.absence_base)[None, :] + data.scores(gen.theta_tilde)
 
 
 def lr_scores_matrix(disc: DiscriminativeParams, data: Dataset,
                      positions: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic scores for the given instance positions (default: all)."""
-    if positions is None:
-        positions = np.arange(len(data))
-    x = data.dense_matrix
-    if x is not None:
-        return disc.b[None, :] + x[positions] @ disc.w.T
-    scores = np.empty((len(positions), disc.num_classes))
-    for r, pos in enumerate(positions):
-        scores[r] = disc.b + disc.w[:, data.index_arrays[pos]].sum(axis=1)
-    return scores
+    return disc.b[None, :] + data.scores(disc.w, positions)
 
 
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=1)
-    return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+def _label_log_likelihood(scores: np.ndarray, labels: np.ndarray) -> float:
+    """sum_i log softmax(scores_i)[labels_i]: the discriminative data term."""
+    picked = scores[np.arange(len(labels)), labels]
+    return float((picked - _logsumexp_rows(scores)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +406,8 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
     """
     prior = float(-0.5 / coupling.disc_prior_sigma2 * np.sum(disc.w * disc.w))
 
-    if data.n_labeled:
-        scores = lr_scores_matrix(disc, data, data.labeled_positions)
-        picked = scores[np.arange(len(data.labels)), data.labels]
-        disc_block = float((picked - _logsumexp_rows(scores)).sum())
-    else:
-        disc_block = 0.0
+    disc_block = _label_log_likelihood(
+        lr_scores_matrix(disc, data, data.labeled_positions), data.labels)
 
     gen_block = float(_logsumexp_rows(nb_scores_matrix(gen, data)).sum())
 
@@ -445,12 +469,9 @@ def _parse_header(line: str):
             or not parts[2].startswith("K=") or not parts[3].startswith("M=")):
         raise ParseError(f"bad model header: expected "
                          f"'{_MODEL_MAGIC} {_MODEL_VERSION} K=<K> M=<M>'", line=1)
-    try:
-        k = int(parts[2][2:])
-        m = int(parts[3][2:])
-    except ValueError:
-        raise ParseError("model header K/M must be integers", line=1) from None
-    return k, m
+    if not (_DIGITS_RE.fullmatch(parts[2][2:]) and _DIGITS_RE.fullmatch(parts[3][2:])):
+        raise ParseError("model header K/M must be integers", line=1)
+    return int(parts[2][2:]), int(parts[3][2:])
 
 
 def loads_model(text: str):

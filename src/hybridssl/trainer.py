@@ -13,8 +13,9 @@ One outer iteration alternates two moves:
      labels never enter this step). Each coordinate's new value maximizes
      the separable surrogate (c + alpha) t - (N + gamma) A(t) exactly, so
      the surrogate never decreases. Under GAUSSIAN coupling no closed form
-     exists and the same surrogate with a quadratic coupling term is
-     maximized by gradient ascent with backtracking.
+     exists; the same surrogate with a quadratic coupling term is separable
+     and strictly concave, and each coordinate's stationary point is found
+     by Newton's method safeguarded by bisection.
 
   2. Discriminative step. A few epochs of per-example SGD on the labeled
      documents update (w, b) against the data term; once per epoch the
@@ -24,8 +25,8 @@ One outer iteration alternates two moves:
      1/sigma_c2 for GAUSSIAN); without the bound a strongly coupled run
      (gamma ~ 1e6) diverges on the first epoch.
 
-The interpolation knob lam maps to gamma = ((1-lam)/lam)^2. Values inside
-lambda_clamp of the endpoints short-circuit to the standalone trainers:
+The interpolation knob lam maps to gamma = ((1-lam)/lam)^2. Values within
+_LAMBDA_CLAMP of the endpoints short-circuit to the standalone trainers:
 naive Bayes EM at lam = 0 and plain SGD logistic regression at lam = 1.
 
 Determinism: SGD epoch order is drawn from the splitmix64 stream seeded by
@@ -44,9 +45,19 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    GenerativeParams, log_joint, lr_scores_matrix, nb_scores_matrix,
+                    GenerativeParams, _label_log_likelihood, _logsumexp_rows, _softmax,
+                    log_joint, lr_scores_matrix, nb_scores_matrix,
                     uniform_generative_params)
 from .rng import SplitMix64, derive_seed
+
+# lam within this distance of 0 or 1 trains the standalone endpoint model.
+_LAMBDA_CLAMP = 1e-3
+# Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
+_EM_SMOOTHING = 1e-2
+# The gaussian generative step stops once every coordinate's surrogate
+# gradient is at most _GAUSS_TOL, and fails after _GAUSS_MAX_STEPS steps.
+_GAUSS_TOL = 1e-6
+_GAUSS_MAX_STEPS = 100
 
 
 class EndpointMode(enum.Enum):
@@ -71,10 +82,6 @@ class TrainConfig:
     learning_rate0: float = 0.1
     lr_decay_steps: float = 1000.0
     seed: int = 0
-    lambda_clamp: float = 1e-3
-    gauss_inner_tol: float = 1e-6
-    gauss_max_steps: int = 500
-    em_smoothing: float = 1e-2
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -87,8 +94,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate0 must be > 0, got {self.learning_rate0}")
         if not (self.lr_decay_steps > 0.0):
             raise ConfigError(f"lr_decay_steps must be > 0, got {self.lr_decay_steps}")
-        if not (0.0 < self.lambda_clamp < 0.5):
-            raise ConfigError(f"lambda_clamp must lie in (0, 0.5), got {self.lambda_clamp}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -118,22 +123,12 @@ def _rel_change(prev: float, curr: float) -> float:
 
 def _responsibilities(gen: GenerativeParams, data: Dataset) -> np.ndarray:
     """p(y | x, theta_tilde) for every document, shape (N, K)."""
-    scores = nb_scores_matrix(gen, data)
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
+    return _softmax(nb_scores_matrix(gen, data))
 
 
 def _expected_counts(data: Dataset, resp: np.ndarray) -> np.ndarray:
     """c_yd = sum_x p(y | x) x_d, shape (K, M)."""
-    x = data.dense_matrix
-    if x is not None:
-        return resp.T @ x
-    counts = np.zeros((resp.shape[1], data.num_features))
-    for i, idx in enumerate(data.index_arrays):
-        counts[:, idx] += resp[i][:, None]
-    return counts
+    return data.counts(resp)
 
 
 _PI_FLOOR = 1e-12
@@ -178,16 +173,20 @@ def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
 
 def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
                             disc: DiscriminativeParams, sigma_c2: float,
-                            inner_tol: float = 1e-6, max_steps: int = 500,
                             resp: np.ndarray = None) -> GenerativeParams:
-    """Generative step under GAUSSIAN coupling, by backtracked gradient ascent.
+    """Generative step under GAUSSIAN coupling, by safeguarded Newton.
 
-    Maximizes the concave surrogate
+    Maximizes the separable, strictly concave surrogate
 
         G(t) = -||t - w||^2 / (2 sigma_c2) + sum_yd [c_yd t_yd - N A(t_yd)]
 
-    until the gradient infinity-norm falls below inner_tol. Raises
-    NumericError (with the last iterate attached) after max_steps.
+    one coordinate at a time, all coordinates at once. Each coordinate's
+    G'(t) = -(t - w)/sigma_c2 + c - N sigmoid(t) is strictly decreasing and
+    has its root in [w + sigma_c2 (c - N), w + sigma_c2 c]; a Newton step
+    that leaves the bracket, which shrinks around the root as the iterates
+    move, is replaced by bisection. Stops once the gradient infinity-norm is
+    at most _GAUSS_TOL; raises NumericError (with the last iterate
+    attached) after _GAUSS_MAX_STEPS steps.
     """
     if not (sigma_c2 > 0.0) or not math.isfinite(sigma_c2):
         raise DomainError(f"sigma_c2 must be finite and > 0, got {sigma_c2}")
@@ -196,38 +195,23 @@ def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
     n = len(data)
     counts = _expected_counts(data, resp)
     w = disc.w
-
-    def objective(t):
-        return (-0.5 / sigma_c2 * np.sum((t - w) ** 2)
-                + np.sum(counts * t) - n * np.sum(np.logaddexp(0.0, t)))
-
-    t = gen_old.theta_tilde.copy()
-    obj = objective(t)
-    step_size = 1.0
-    # A''(t) = sigmoid'(t) <= 1/4, so any ascent step no larger than 1/L is
-    # guaranteed not to decrease the concave objective even when the gain is
-    # too small to measure in floating point; backtracking stops there.
-    safe_step = 1.0 / (1.0 / sigma_c2 + 0.25 * n)
-    for _ in range(max_steps):
-        grad = -(t - w) / sigma_c2 + counts - n * expfam.sigmoid(t)
-        if np.abs(grad).max() <= inner_tol:
+    lo = w + sigma_c2 * (counts - n)
+    hi = w + sigma_c2 * counts
+    t = np.clip(gen_old.theta_tilde, lo, hi)
+    for _ in range(_GAUSS_MAX_STEPS):
+        s = expfam.sigmoid(t)
+        grad = counts - (t - w) / sigma_c2 - n * s
+        if np.abs(grad).max() <= _GAUSS_TOL:
             return GenerativeParams(pi=_mixing_weights(resp.sum(axis=0)), theta_tilde=t)
-        g2 = np.sum(grad * grad)
-        step_size = min(step_size * 2.0, 1e8)
-        while True:
-            cand = t + step_size * grad
-            cand_obj = objective(cand)
-            # demanding half the linearized gain rejects overshooting steps
-            # that ascend but oscillate, instead of crawling at ~2/L
-            if cand_obj >= obj + 0.5 * step_size * g2 or step_size <= safe_step:
-                break
-            step_size *= 0.5
-        t, obj = cand, cand_obj
+        np.copyto(lo, t, where=grad > 0.0)
+        np.copyto(hi, t, where=grad < 0.0)
+        t = t + grad / (1.0 / sigma_c2 + n * s * (1.0 - s))
+        outside = ~((t >= lo) & (t <= hi))
+        t[outside] = 0.5 * (lo[outside] + hi[outside])
     raise NumericError(
-        f"gaussian generative step did not reach tolerance {inner_tol} "
-        f"within {max_steps} ascent steps",
-        snapshot={"theta_tilde": t, "objective": obj,
-                  "grad_inf_norm": float(np.abs(grad).max())})
+        f"gaussian generative step did not reach tolerance {_GAUSS_TOL} "
+        f"within {_GAUSS_MAX_STEPS} Newton steps",
+        snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max())})
 
 
 def _coupling_grad_w(theta_tilde: np.ndarray, w: np.ndarray,
@@ -267,18 +251,10 @@ def discriminative_gradient(data: Dataset, gen: GenerativeParams,
     data term sum_x x_d (1{t=y} - p(y | x, w, b)).
     """
     grad_w = -disc.w / coupling.disc_prior_sigma2 + coupling_gradient_w(gen, disc, coupling)
-    grad_b = np.zeros_like(disc.b)
-    if data.n_labeled:
-        scores = lr_scores_matrix(disc, data, data.labeled_positions)
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        resid = -scores
-        resid[np.arange(len(data.labels)), data.labels] += 1.0
-        grad_b += resid.sum(axis=0)
-        for r, pos in enumerate(data.labeled_positions):
-            grad_w[:, data.index_arrays[pos]] += resid[r][:, None]
-    return grad_w, grad_b
+    resid = -_softmax(lr_scores_matrix(disc, data, data.labeled_positions))
+    resid[np.arange(len(data.labels)), data.labels] += 1.0
+    grad_w += data.counts(resid, data.labeled_positions)
+    return grad_w, resid.sum(axis=0)
 
 
 def _coupling_stiffness(coupling: CouplingConfig) -> float:
@@ -352,27 +328,13 @@ def _check_finite(value, it, mode, **state):
                            snapshot=snapshot)
 
 
-def _lr_label_log_probs(b, w, data):
-    """Row-wise log p(label | x) over the labeled instances, from raw arrays."""
-    x = data.dense_matrix
-    if x is not None:
-        scores = b[None, :] + x[data.labeled_positions] @ w.T
-    else:
-        scores = np.empty((data.n_labeled, b.shape[0]))
-        for r, pos in enumerate(data.labeled_positions):
-            scores[r] = b + w[:, data.index_arrays[pos]].sum(axis=1)
-    row_max = scores.max(axis=1)
-    lse = row_max + np.log(np.exp(scores - row_max[:, None]).sum(axis=1))
-    return scores[np.arange(len(data.labels)), data.labels] - lse
-
-
 def train_nb_em(data: Dataset, cfg: TrainConfig):
     """Standalone semi-supervised naive Bayes EM (the lam = 0 endpoint).
 
     Labeled documents contribute hard (one-hot) responsibilities, unlabeled
     ones their posterior. The M-step is the smoothed count ratio
 
-        v_yd = (c_yd + eps) / (n_y + 2 eps),  eps = cfg.em_smoothing,
+        v_yd = (c_yd + eps) / (n_y + 2 eps),  eps = _EM_SMOOTHING,
 
     and the trace records sum over labeled docs of log p(x, t) plus sum
     over unlabeled docs of log sum_y p(x, y).
@@ -388,8 +350,7 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
     converged = False
     for it in range(cfg.max_outer_iters):
         scores = nb_scores_matrix(gen, data)
-        row_max = scores.max(axis=1)
-        lse = row_max + np.log(np.exp(scores - row_max[:, None]).sum(axis=1))
+        lse = _logsumexp_rows(scores)
         objective = float(scores[data.labeled_positions, data.labels].sum()
                           + lse[~labeled_mask].sum())
 
@@ -397,8 +358,7 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
         resp[data.labeled_positions] = hard
         class_mass = resp.sum(axis=0)
         counts = _expected_counts(data, resp)
-        eps = cfg.em_smoothing
-        v = (counts + eps) / (class_mass[:, None] + 2.0 * eps)
+        v = (counts + _EM_SMOOTHING) / (class_mass[:, None] + 2.0 * _EM_SMOOTHING)
         gen = GenerativeParams(pi=_mixing_weights(class_mass),
                                theta_tilde=expfam.natural_from_mean(v))
 
@@ -425,7 +385,10 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     step = 0
     for it in range(cfg.max_outer_iters):
         step = _sgd_epochs(data, None, prior_only, b, w, cfg, it, step)
-        objective = float(_lr_label_log_probs(b, w, data).sum()
+        # scored from the raw arrays: after a blowup (b, w) are not valid
+        # DiscriminativeParams, and _check_finite is what reports it
+        scores = b[None, :] + data.scores(w, data.labeled_positions)
+        objective = float(_label_log_likelihood(scores, data.labels)
                           - 0.5 / disc_prior_sigma2 * np.sum(w * w))
         _check_finite(objective, it, EndpointMode.PURE_DISCRIMINATIVE, b=b, w=w)
         trace.append(objective)
@@ -439,7 +402,7 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
 def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     """Train the coupled pair; returns (gen, disc, report).
 
-    lam within cfg.lambda_clamp of 0 or 1 dispatches to the standalone
+    lam within _LAMBDA_CLAMP of 0 or 1 dispatches to the standalone
     endpoint trainers. The lam = 0 endpoint exposes its naive Bayes fit
     through the discriminative slot in linear form (w = theta_tilde,
     b = log pi + per-class absence mass) so that prediction is always a
@@ -448,15 +411,15 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
 
-    if coupling.lam <= cfg.lambda_clamp:
+    if coupling.lam <= _LAMBDA_CLAMP:
         gen, report = train_nb_em(data, cfg)
         # The linear form of the naive Bayes decision rule: w = theta_tilde
         # and b absorbing both the class prior and the per-class absence
-        # mass, so predict() reproduces the generative argmax exactly.
+        # mass, so `hybridssl predict` reproduces the generative argmax exactly.
         disc = DiscriminativeParams(b=gen.log_pi + gen.absence_base,
                                     w=gen.theta_tilde.copy())
         return gen, disc, report
-    if coupling.lam >= 1.0 - cfg.lambda_clamp:
+    if coupling.lam >= 1.0 - _LAMBDA_CLAMP:
         disc, report = train_logreg(data, cfg, coupling.disc_prior_sigma2)
         gen = uniform_generative_params(data.num_classes, data.num_features)
         return gen, disc, report
@@ -480,9 +443,7 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         if coupling.kind is CouplingKind.BETA:
             gen = generative_update_beta(data, gen, disc, coupling.gamma, resp=resp)
         elif coupling.kind is CouplingKind.GAUSSIAN:
-            gen = generative_update_gauss(data, gen, disc, coupling.sigma_c2,
-                                          inner_tol=cfg.gauss_inner_tol,
-                                          max_steps=cfg.gauss_max_steps, resp=resp)
+            gen = generative_update_gauss(data, gen, disc, coupling.sigma_c2, resp=resp)
         else:
             gen = _coupled_generative_step(data, resp, w, 0.0)
 

@@ -2,10 +2,15 @@
 codes, exercised in-process through main(argv)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridssl
 from hybridssl import cli
 from hybridssl.data import load_corpus
 from hybridssl.errors import NumericError
@@ -216,6 +221,19 @@ def test_predict_shape_mismatches_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_predict_non_finite_prior_model_exits_2(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, capsys)
+    model_path = tmp_path / "nan.model"
+    save_model(uniform_generative_params(2, 10),
+               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10))), model_path)
+    lines = model_path.read_text().splitlines()
+    lines[lines.index("pi") + 1] = "nan nan"
+    model_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "predict", "--model", str(model_path),
+                         "--corpus", str(corpus))
+    assert code == 2 and out == "" and "pi must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -333,13 +351,27 @@ def test_prior_curves_export(tmp_path, capsys):
 
 
 def test_prior_curves_bad_theta_mean_exits_2(tmp_path, capsys):
-    code, _, err = run(capsys, "prior-curves", "--theta-mean", "1.5",
-                       "--out", str(tmp_path / "c.csv"))
-    assert code == 2
+    for bad in ("1.5", "nan"):
+        code, _, err = run(capsys, "prior-curves", "--theta-mean", bad,
+                           "--out", str(tmp_path / "c.csv"))
+        assert code == 2 and "logit requires p in (0, 1)" in err
 
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+def test_import_does_not_load_scipy():
+    """numpy is the only runtime dependency; importing scipy would also add
+    about 0.2 s to every CLI start."""
+    src = str(Path(hybridssl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, hybridssl, hybridssl.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
 
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, "frobnicate")

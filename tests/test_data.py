@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridssl import expfam
+from hybridssl import cli, expfam
 from hybridssl.data import (SplitSpec, generate_synthetic, load_corpus,
-                            load_vocabulary, sample_split,
-                            synthetic_true_params, write_corpus)
+                            sample_split, synthetic_true_params, write_corpus)
 from hybridssl.errors import BoundsError, ConfigError, ParseError
-from hybridssl.model import (Dataset, GenerativeParams, Instance,
-                             SparseBinaryVector, nb_posterior)
+from hybridssl.model import (Dataset, DiscriminativeParams, GenerativeParams,
+                             Instance, SparseBinaryVector, loads_model, nb_posterior,
+                             save_model, uniform_generative_params)
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -116,29 +116,35 @@ def test_bad_feature_token_location(tmp_path):
     assert exc.value.line == 2 and exc.value.column == 7
 
 
-def test_m_override(tmp_path):
-    path = write(tmp_path, "# hybridssl-corpus v1 K=2 M=3\n0 2:1\n")
-    widened = load_corpus(path, m_override=10)
-    assert widened.num_features == 10
-    with pytest.raises(BoundsError):
-        load_corpus(path, m_override=2)
-    with pytest.raises(ConfigError):
-        load_corpus(path, m_override=0)
-
-
-def test_load_vocabulary(tmp_path):
-    path = write(tmp_path, "0\tthe\n1\tcat\n\n7\tmat\n", name="vocab.tsv")
-    vocab = load_vocabulary(path)
-    assert vocab == {0: "the", 1: "cat", 7: "mat"}
-
+@pytest.mark.parametrize("kind, text, line, column", [
+    ("corpus", "# hybridssl-corpus v1 K=2 M=3\n+1 0:1\n", 2, 1),
+    ("corpus", "# hybridssl-corpus v1 K=20 M=3\n1_0 0:1\n", 2, 1),
+    ("corpus", "# hybridssl-corpus v1 K=2 M=3\n0 \u0661:1\n", 2, 3),
+    ("corpus", "# hybridssl-corpus v1 K=2 M=3\n0 0:01\n", 2, 3),
+    ("corpus", "# hybridssl-corpus v1 K=\u0662 M=3\n0 0:1\n", 1, None),
+    ("model", "hybridssl-model v1 K=+2 M=3\n", 1, None),
+    ("model", "hybridssl-model v1 K=2 M=\u0663\n", 1, None),
+])
+def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line, column):
+    """Signs, underscores, other scripts' digits and values other than the
+    literal 1 are parse errors with their location, and exit 2."""
+    bad = write(tmp_path, text, name="bad.txt")
+    good_model = tmp_path / "good.model"
+    save_model(uniform_generative_params(2, 3),
+               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))), good_model)
+    good_corpus = write(tmp_path, "# hybridssl-corpus v1 K=2 M=3\n0 0:1\n")
     with pytest.raises(ParseError) as exc:
-        load_vocabulary(write(tmp_path, "0 the\n", name="v2.tsv"))
-    assert exc.value.line == 1
-    with pytest.raises(ParseError) as exc:
-        load_vocabulary(write(tmp_path, "0\ta\n0\tb\n", name="v3.tsv"))
-    assert exc.value.line == 2
-    with pytest.raises(ParseError):
-        load_vocabulary(write(tmp_path, "x\ta\n", name="v4.tsv"))
+        if kind == "corpus":
+            load_corpus(bad)
+        else:
+            loads_model(bad.read_text(encoding="utf-8"))
+    assert (exc.value.line, exc.value.column) == (line, column)
+    if kind == "corpus":
+        argv = ["--model", str(good_model), "--corpus", str(bad)]
+    else:
+        argv = ["--model", str(bad), "--corpus", str(good_corpus)]
+    assert cli.main(["predict"] + argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +155,6 @@ def test_split_spec_validation():
         SplitSpec(labeled_per_class=0, unlabeled_total=0, seed=1)
     with pytest.raises(ConfigError):
         SplitSpec(labeled_per_class=1, unlabeled_total=-1, seed=1)
-    with pytest.raises(ConfigError):
-        SplitSpec(labeled_per_class=1, unlabeled_total=0, seed=1, test_fraction=0.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(labeled_per_class=1, unlabeled_total=0, seed=1, test_fraction=1.5)
 
 
 def test_split_structure_and_balance():
@@ -212,22 +214,6 @@ def test_split_divisibility_error():
     with pytest.raises(ConfigError) as exc:
         sample_split(full, SplitSpec(labeled_per_class=5, unlabeled_total=7, seed=3))
     assert "divisible" in str(exc.value)
-
-
-def test_split_test_fraction_subsamples():
-    full = generate_synthetic(2, 8, 50, 0.5, seed=6)
-    spec_full = SplitSpec(labeled_per_class=10, unlabeled_total=20, seed=3)
-    _, test_all = sample_split(full, spec_full)
-    spec_half = SplitSpec(labeled_per_class=10, unlabeled_total=20, seed=3,
-                          test_fraction=0.5)
-    _, test_half = sample_split(full, spec_half)
-    assert len(test_half) == round(0.5 * len(test_all))
-    # the subsample is drawn from the full test pool
-    pool = {id(inst.features) for inst in test_all}
-    assert all(id(inst.features) in pool for inst in test_half)
-    # determinism
-    _, test_half2 = sample_split(full, spec_half)
-    assert [id(a.features) for a in test_half] == [id(a.features) for a in test_half2]
 
 
 def test_split_ignores_preexisting_unlabeled():

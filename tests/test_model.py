@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridssl import model
+from hybridssl import cli, model
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, GenerativeParams, Instance,
                              SparseBinaryVector, dump_model, loads_model,
-                             log_joint, log_joint_blocks, lr_posterior,
-                             lr_scores, nb_class_scores, nb_log_joint_class,
-                             nb_posterior, nb_scores_matrix, predict,
-                             uniform_generative_params)
+                             log_joint, log_joint_blocks, lr_scores,
+                             nb_class_scores, nb_posterior, nb_scores_matrix,
+                             save_model, uniform_generative_params)
 
 
 def vec(indices, m):
@@ -78,6 +77,9 @@ def test_generative_params_validation():
                          theta_tilde=np.array([[0.0, np.inf], [0.0, 0.0]]))
     with pytest.raises(ConfigError):
         GenerativeParams(pi=np.array([0.5, 0.5]), theta_tilde=np.zeros((3, 2)))
+    for pi in ([np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.5]):
+        with pytest.raises(ConfigError):
+            GenerativeParams(pi=np.array(pi), theta_tilde=np.zeros((2, 2)))
 
 
 def test_discriminative_params_validation():
@@ -121,8 +123,8 @@ def test_coupling_from_lambda_strength_map():
 def test_nb_log_joint_uniform_hand_value():
     gen = uniform_generative_params(2, 1)
     # pi = 1/2, success probability 1/2: p(y, x={0}) = 0.25
-    assert_allclose(nb_log_joint_class(gen, vec([0], 1), 0), math.log(0.25), rtol=1e-15)
-    assert_allclose(nb_log_joint_class(gen, vec([], 1), 1), math.log(0.25), rtol=1e-15)
+    assert_allclose(nb_class_scores(gen, vec([0], 1))[0], math.log(0.25), rtol=1e-15)
+    assert_allclose(nb_class_scores(gen, vec([], 1))[1], math.log(0.25), rtol=1e-15)
 
 
 def test_nb_log_joint_hand_value_skewed():
@@ -130,12 +132,10 @@ def test_nb_log_joint_hand_value_skewed():
     gen = GenerativeParams(pi=np.array([0.5, 0.5]),
                            theta_tilde=np.array([[logit(0.8)], [logit(0.2)]]))
     # p(y=0, x={0}) = 0.5 * 0.8 = 0.4, p(y=1, x={0}) = 0.5 * 0.2 = 0.1
-    assert_allclose(nb_log_joint_class(gen, vec([0], 1), 0), math.log(0.4), rtol=1e-12)
-    assert_allclose(nb_log_joint_class(gen, vec([0], 1), 1), math.log(0.1), rtol=1e-12)
+    assert_allclose(nb_class_scores(gen, vec([0], 1)), [math.log(0.4), math.log(0.1)],
+                    rtol=1e-12)
     post = nb_posterior(gen, vec([0], 1))
     assert_allclose(post, [0.8, 0.2], rtol=1e-12)
-    with pytest.raises(DomainError):
-        nb_log_joint_class(gen, vec([0], 1), 2)
 
 
 def test_nb_posterior_uniform_is_one_over_k():
@@ -169,28 +169,50 @@ def test_nb_scores_matrix_matches_per_document_scoring():
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(3)),
                            theta_tilde=rng.normal(0.0, 2.0, (3, m)))
     dense = nb_scores_matrix(gen, data)
-    assert data.dense_matrix is not None
+    assert data._dense_matrix is not None
     for i, inst in enumerate(data):
         assert_allclose(dense[i], nb_class_scores(gen, inst.features), atol=1e-10)
 
 
 def test_nb_scores_matrix_sparse_fallback_agrees():
+    """The dense and the compressed-row products both equal per-document
+    sums; the compressed-row ones add in the same order, so bit for bit."""
     rng = np.random.default_rng(10)
-    m = 5
-    instances = tuple(Instance(vec(np.flatnonzero(rng.random(m) < 0.4), m), None)
-                      for _ in range(8))
-    data = Dataset(instances=instances, num_classes=2, num_features=m)
-    gen = GenerativeParams(pi=np.array([0.3, 0.7]),
-                           theta_tilde=rng.normal(0.0, 1.0, (2, m)))
-    dense = nb_scores_matrix(gen, data)
-    # force the sparse path on an identical dataset
-    sparse_data = Dataset(instances=instances, num_classes=2, num_features=m)
-    sparse_data.__dict__["dense_matrix"] = None
-    assert_allclose(nb_scores_matrix(gen, sparse_data), dense, atol=1e-10)
+    m, k = 5, 3
+    ids = [np.flatnonzero(rng.random(m) < 0.4) for _ in range(8)] + [np.array([], int)]
+    data = Dataset(tuple(Instance(vec(i, m)) for i in ids), num_classes=k, num_features=m)
+    t = rng.normal(0.0, 1.0, (k, m))
+    r = rng.random((len(ids), k))
+    want_scores = np.array([t[:, i].sum(axis=1) for i in ids])
+    want_counts = np.zeros((k, m))
+    for i, row in zip(ids, r):
+        want_counts[:, i] += row[:, None]
+    assert data._dense_matrix is not None
+    csr = data._csr()
+    assert_allclose(data.scores(t), want_scores, atol=1e-12)
+    assert_allclose(data.counts(r), want_counts, atol=1e-12)
+    assert np.array_equal(model._csr_scores(*csr, t), want_scores)
+    assert np.array_equal(model._csr_counts(*csr, r, m), want_counts)
+
+    rows = np.array([8, 2, 5])
+    sub = data._csr(rows)
+    assert_allclose(data.scores(t, rows), want_scores[rows], atol=1e-12)
+    assert np.array_equal(model._csr_scores(*sub, t), want_scores[rows])
+    sub_counts = np.zeros((k, m))
+    for pos in rows:
+        sub_counts[:, ids[pos]] += r[pos][:, None]
+    assert_allclose(data.counts(r[rows], rows), sub_counts, atol=1e-12)
+    assert np.array_equal(model._csr_counts(*sub, r[rows], m), sub_counts)
 
 
 # ---------------------------------------------------------------------------
 # discriminative scoring
+
+def lr_posterior(disc, x):
+    """p(y | x) as `hybridssl predict` reports it: the shared softmax of the
+    logistic scores."""
+    return model._softmax(lr_scores(disc, x))
+
 
 def test_lr_posterior_hand_value():
     disc = DiscriminativeParams(b=np.array([1.0, 0.0]), w=np.zeros((2, 3)))
@@ -218,16 +240,21 @@ def test_lr_posterior_large_scores_stay_normalized():
     assert abs(post.sum() - 1.0) < 1e-12
 
 
-def test_predict_ties_and_argmax():
-    disc = DiscriminativeParams(b=np.array([0.1, 0.0]), w=np.zeros((2, 3)))
-    assert predict(disc, vec([], 3)) == 0
-    tie = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3)))
-    assert predict(tie, vec([0], 3)) == 0  # exact tie -> lowest index
-    rng = np.random.default_rng(7)
-    disc = DiscriminativeParams(b=rng.normal(size=4), w=rng.normal(size=(4, 6)))
-    for _ in range(1000):
-        x = vec(np.flatnonzero(rng.random(6) < 0.5), 6)
-        assert predict(disc, x) == int(np.argmax(lr_posterior(disc, x)))
+def test_predict_ties_and_argmax(tmp_path, capsys):
+    """`hybridssl predict` picks the argmax class, the lowest index on a tie."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# hybridssl-corpus v1 K=2 M=3\n0\n1 0:1\n", encoding="utf-8")
+    for b, w0, want in (([0.1, 0.0], [0.0, 0.0], ["0", "0"]),
+                        ([0.0, 0.0], [0.0, 0.0], ["0", "0"]),
+                        ([0.1, 0.0], [-1.0, 0.0], ["0", "1"])):
+        w = np.zeros((2, 3))
+        w[:, 0] = w0
+        save_model(uniform_generative_params(2, 3),
+                   DiscriminativeParams(b=np.array(b), w=w), tmp_path / "m.model")
+        assert cli.main(["predict", "--model", str(tmp_path / "m.model"),
+                         "--corpus", str(corpus)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines] == want
 
 
 # ---------------------------------------------------------------------------

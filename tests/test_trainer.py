@@ -1,5 +1,5 @@
-"""Training loops: closed-form coupled generative steps, gradient-ascent
-fallback, SGD discriminative updates, endpoint dispatch, and determinism."""
+"""Training loops: closed-form coupled generative steps, the Newton
+gaussian step, SGD discriminative updates, endpoint dispatch, and determinism."""
 
 import math
 
@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hybridssl import expfam, testkit
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
+from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, GenerativeParams, Instance,
                              SparseBinaryVector, log_joint, lr_scores,
@@ -41,8 +42,6 @@ def test_train_config_validation():
         TrainConfig(max_outer_iters=0)
     with pytest.raises(ConfigError):
         TrainConfig(tol=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lambda_clamp=0.5)
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
@@ -139,7 +138,7 @@ def test_generative_update_gauss_extremes():
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
 
     # near-rigid coupling pins the generative means to the weights
-    tight = generative_update_gauss(train_set, gen0, disc, 1e-8, inner_tol=1e-2)
+    tight = generative_update_gauss(train_set, gen0, disc, 1e-8)
     assert np.abs(expfam.sigmoid(tight.theta_tilde)
                   - expfam.sigmoid(disc.w)).max() < 1e-3
 
@@ -167,13 +166,44 @@ def test_generative_update_gauss_reaches_stationarity():
 
 
 def test_generative_update_gauss_step_budget_error():
+    # with sigma_c2 = 1e-300 the bracket around w = 1 has no float inside
+    # it, and there the gradient stays at counts - N sigmoid(1), far above
+    # the tolerance: the step budget runs out
     train_set, _ = small_corpus()
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
     with pytest.raises(NumericError) as exc:
-        generative_update_gauss(train_set, gen0, disc, 0.5, max_steps=1)
+        generative_update_gauss(train_set, gen0, disc, 1e-300)
     snap = exc.value.snapshot
     assert snap is not None and "theta_tilde" in snap and "grad_inf_norm" in snap
+
+
+def test_generative_update_gauss_matches_brute_force_maximizer():
+    train_set, _ = small_corpus()
+    gen0 = uniform_generative_params(2, 10)
+    rng = np.random.default_rng(4)
+    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 2.0, (2, 10)))
+    sigma_c2 = 9.0
+    gen1 = generative_update_gauss(train_set, gen0, disc, sigma_c2)
+    counts = _expected_counts(train_set, _responsibilities(gen0, train_set))
+    n = len(train_set)
+    for y, d in [(0, 0), (1, 4), (1, 9)]:
+        def surrogate(t):
+            return (-(t - disc.w[y, d]) ** 2 / (2.0 * sigma_c2) + counts[y, d] * t
+                    - n * math.log1p(math.exp(t)))
+        best = testkit.brute_force_theta_tilde(surrogate, -23.0, 23.0)
+        assert abs(best - gen1.theta_tilde[y, d]) < 1e-6
+
+
+def test_gauss_sweep_cell_reaches_the_step_tolerance():
+    """A weakly coupled gaussian cell (sigma_c2 = 9, N = 520), where plain
+    gradient ascent needs over a thousand steps to reach the tolerance.
+    Cell seeds depend on the grid position, so the grid is kept whole."""
+    rows = run_sweep(SweepSpec(
+        lambdas=(0.25, 0.5, 0.75), unlabeled_counts=(0, 500), labeled_per_class=10,
+        seeds=(20,), coupling_kind=CouplingKind.GAUSSIAN,
+        synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=3)))
+    assert [r.error for r in rows if r.failed] == []
 
 
 # ---------------------------------------------------------------------------
