@@ -180,7 +180,7 @@ def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
 
         G(t) = -||t - w||^2 / (2 sigma_c2) + sum_yd [c_yd t_yd - N A(t_yd)]
 
-    one coordinate at a time, all coordinates at once. Each coordinate's
+    coordinate by coordinate, vectorized over all of them. Each coordinate's
     G'(t) = -(t - w)/sigma_c2 + c - N sigmoid(t) is strictly decreasing and
     has its root in [w + sigma_c2 (c - N), w + sigma_c2 c]; a Newton step
     that leaves the bracket, which shrinks around the root as the iterates
