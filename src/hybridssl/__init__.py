@@ -21,8 +21,7 @@ from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     nb_scores_matrix, save_model, uniform_generative_params)
 from .trainer import (EndpointMode, TrainConfig, TrainReport, coupling_gradient_w,
                       discriminative_gradient, generative_update_beta,
-                      generative_update_gauss, lambda_to_gamma, train, train_logreg,
-                      train_nb_em)
+                      generative_update_gauss, train, train_logreg, train_nb_em)
 from .data import (SplitSpec, generate_synthetic, load_corpus, sample_split,
                    synthetic_true_params, write_corpus)
 from .harness import (AggregateRow, ResultRow, SweepSpec, SyntheticSpec, aggregate,
@@ -43,7 +42,7 @@ __all__ = [
     "beta_prior_variance", "cell_seed", "coupling_gradient_w", "derive_seed",
     "digamma", "discriminative_gradient", "dump_model", "export_prior_curves",
     "generate_synthetic", "generative_update_beta", "generative_update_gauss",
-    "lambda_to_gamma", "load_corpus", "load_model", "loads_model", "log_joint",
+    "load_corpus", "load_model", "loads_model", "log_joint",
     "log_joint_blocks", "log_partition", "logit", "lr_scores", "lr_scores_matrix",
     "matched_normal_params", "natural_from_mean", "nb_class_scores", "nb_posterior",
     "nb_scores_matrix", "prior_curve_rows", "run_sweep", "sample_split",

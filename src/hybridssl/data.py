@@ -10,10 +10,15 @@ The first line is the mandatory header. A document line starts with a
 class label in [0, K) or ``*`` for unlabeled, followed by present-feature
 entries ``<id>:1`` with strictly increasing ids below M. K, M, labels and
 ids are ASCII digits ``[0-9]+``; no sign, underscore or other script's
-digits. The value is the literal ``1``: the model is over binary
-presence, not counts. Later ``#``-prefixed lines are comments; blank
-lines are ignored. Parse errors name the 1-based line and column of the
-offending token.
+digits; K and M lie below 10**18. The value is the literal ``1``: the
+model is over binary presence, not counts. Later ``#``-prefixed lines are
+comments; blank lines are ignored. Parse errors name the 1-based line and
+column of the offending token.
+
+The parser, the synthetic generator and the protocol split each write a
+Dataset's compressed-row arrays directly: ``indptr`` (N + 1 row offsets),
+``indices`` (the present ids of all rows, concatenated) and ``row_labels``
+(-1 for unlabeled), all int64.
 """
 
 from __future__ import annotations
@@ -23,18 +28,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, ParseError
-from .model import _DIGITS_RE, Dataset, Instance, SparseBinaryVector
+from .errors import BoundsError, ConfigError, DomainError, ParseError
+from .model import _DIGITS_RE, Dataset
 from .rng import SplitMix64, derive_seed
 
 _HEADER_RE = re.compile(r"^#\s+hybridssl-corpus\s+v1\s+K=([0-9]+)\s+M=([0-9]+)\s*$",
                         re.ASCII)
 _FEATURE_RE = re.compile(r"([0-9]+):([0-9]+)")
 _TOKEN_RE = re.compile(r"\S+")
+# A document line: blanks, a label and "<id>:1" tokens. K and M lie below
+# 10**18, so a valid label or id has at most 18 significant digits.
+_ROW_RE = re.compile(r"[ \t]*(\*|0*[0-9]{1,18})((?:[ \t]+0*[0-9]{1,18}:1)*)[ \t]*", re.ASCII)
 
 
 def load_corpus(path) -> Dataset:
-    """Parse a corpus file into a Dataset."""
+    """Parse a corpus file into a Dataset. If _read_rows rejects a line, the
+    lines are read again token by token to name the first bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
 
@@ -48,17 +57,20 @@ def load_corpus(path) -> Dataset:
         raise ParseError(f"corpus declares K={num_classes}, need K >= 2", line=1)
     if num_features < 1:
         raise ParseError(f"corpus declares M={num_features}, need M >= 1", line=1)
+    if max(num_classes, num_features) >= 10 ** 18:
+        raise ParseError(f"corpus declares K={num_classes} M={num_features}, "
+                         f"need both below 10**18", line=1)
 
-    instances = []
+    data = _read_rows(lines[1:], num_classes, num_features)
+    if data is not None:
+        return data
     for lineno, text in enumerate(lines[1:], start=2):
         if not text.strip() or text.lstrip().startswith("#"):
             continue
         tokens = list(_TOKEN_RE.finditer(text))
         label_tok = tokens[0]
         col = label_tok.start() + 1
-        if label_tok.group() == "*":
-            label = None
-        else:
+        if label_tok.group() != "*":
             if _DIGITS_RE.fullmatch(label_tok.group()) is None:
                 raise ParseError(f"label must be an integer in [0, {num_classes}) or '*', "
                                  f"got {label_tok.group()!r}", line=lineno, column=col)
@@ -67,7 +79,6 @@ def load_corpus(path) -> Dataset:
                 raise BoundsError(f"label {label} outside [0, {num_classes})",
                                   line=lineno, column=col)
 
-        indices = []
         prev = -1
         for tok in tokens[1:]:
             col = tok.start() + 1
@@ -85,22 +96,44 @@ def load_corpus(path) -> Dataset:
             if fid <= prev:
                 raise ParseError(f"feature ids must be strictly increasing, "
                                  f"{fid} follows {prev}", line=lineno, column=col)
-            indices.append(fid)
             prev = fid
-        instances.append(Instance(
-            SparseBinaryVector(np.array(indices, dtype=np.int64), num_features), label))
+    raise AssertionError("a corpus line was rejected but no token is bad")
 
-    return Dataset(tuple(instances), num_classes=num_classes, num_features=num_features)
+
+def _read_rows(lines, num_classes, num_features):
+    """The Dataset of the document lines, or None if one breaks the grammar:
+    one match of _ROW_RE per line (whitespace normalized if the raw line
+    fails), all labels and ids read as int64 at once, and Dataset checking
+    bounds and the strict increase of each row's ids."""
+    labels, bodies = [], []
+    for text in lines:
+        match = _ROW_RE.fullmatch(text)
+        if match is None:
+            text = " ".join(text.split())
+            if not text or text.startswith("#"):
+                continue
+            match = _ROW_RE.fullmatch(text)
+            if match is None:
+                return None
+        labels.append(match[1])
+        bodies.append(match[2])
+    indptr = np.concatenate(([0], np.cumsum([b.count(":") for b in bodies], dtype=np.int64)))
+    indices = np.fromstring("".join(bodies), dtype=np.int64, sep=":1")
+    row_labels = np.fromstring(" ".join(labels).replace("*", "-1"), dtype=np.int64, sep=" ")
+    try:
+        return Dataset(indptr, indices, row_labels, num_classes, num_features)
+    except (ConfigError, DomainError):
+        return None
 
 
 def write_corpus(data: Dataset, path) -> None:
     """Serialize a Dataset in the corpus grammar; inverse of load_corpus."""
+    rows = np.split(data.indices, data.indptr[1:-1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# hybridssl-corpus v1 K={data.num_classes} M={data.num_features}\n")
-        for inst in data:
-            label = "*" if inst.label is None else str(inst.label)
-            feats = " ".join(f"{int(i)}:1" for i in inst.features.indices)
-            fh.write(label + (" " + feats if feats else "") + "\n")
+        for ids, label in zip(rows, data.row_labels.tolist()):
+            feats = " ".join(f"{v}:1" for v in ids.tolist())
+            fh.write(("*" if label < 0 else str(label)) + (" " + feats if feats else "") + "\n")
 
 
 @dataclass(frozen=True)
@@ -140,38 +173,26 @@ def sample_split(full: Dataset, spec: SplitSpec):
                           f"K={k} classes")
     per_class_unlabeled = spec.unlabeled_total // k
 
-    pools = [[] for _ in range(k)]
-    for pos, inst in enumerate(full):
-        if inst.label is not None:
-            pools[inst.label].append(pos)
-
     need = spec.labeled_per_class + per_class_unlabeled
-    taken = set()
     labeled_blocks, unlabeled_blocks = [], []
     for c in range(k):
-        if len(pools[c]) < need:
+        order = np.flatnonzero(full.row_labels == c).tolist()
+        if len(order) < need:
             raise ConfigError(
-                f"class {c} has {len(pools[c])} labeled instances, protocol needs "
+                f"class {c} has {len(order)} labeled instances, protocol needs "
                 f"{need} ({spec.labeled_per_class} labeled + {per_class_unlabeled} unlabeled)")
-        order = list(pools[c])
         SplitMix64(derive_seed(spec.seed, c)).shuffle(order)
         labeled_blocks.append(order[:spec.labeled_per_class])
         unlabeled_blocks.append(order[spec.labeled_per_class:need])
-        taken.update(order[:need])
 
-    train_instances = []
-    for block in labeled_blocks:
-        train_instances.extend(full.instances[p] for p in block)
-    for block in unlabeled_blocks:
-        train_instances.extend(Instance(full.instances[p].features, None) for p in block)
-
-    remaining = [pos for pos in range(len(full))
-                 if pos not in taken and full.instances[pos].label is not None]
-    test_instances = [full.instances[p] for p in remaining]
-
-    train = Dataset(tuple(train_instances), k, full.num_features)
-    test = Dataset(tuple(test_instances), k, full.num_features)
-    return train, test
+    train_rows = np.concatenate(labeled_blocks + unlabeled_blocks).astype(np.int64)
+    train_labels = full.row_labels[train_rows]
+    train_labels[k * spec.labeled_per_class:] = -1
+    rest = full.row_labels >= 0
+    rest[train_rows] = False
+    test_rows = np.flatnonzero(rest)
+    return (Dataset(*full._take(train_rows), train_labels, k, full.num_features),
+            Dataset(*full._take(test_rows), full.row_labels[test_rows], k, full.num_features))
 
 
 def synthetic_true_params(num_classes: int, num_features: int, class_separation: float):
@@ -210,10 +231,8 @@ def generate_synthetic(num_classes: int, num_features: int, docs_per_class: int,
         raise ConfigError(f"docs_per_class must be >= 1, got {docs_per_class}")
     _, probs = synthetic_true_params(num_classes, num_features, class_separation)
     rng = np.random.default_rng(seed)
-    instances = []
-    for c in range(num_classes):
-        draws = rng.random((docs_per_class, num_features)) < probs[c]
-        for row in draws:
-            idx = np.flatnonzero(row).astype(np.int64)
-            instances.append(Instance(SparseBinaryVector(idx, num_features), c))
-    return Dataset(tuple(instances), num_classes, num_features)
+    draws = np.concatenate([rng.random((docs_per_class, num_features)) < probs[c]
+                            for c in range(num_classes)])
+    rows, ids = np.divmod(np.flatnonzero(draws), num_features)
+    return Dataset(np.searchsorted(rows, np.arange(len(draws) + 1)), ids,
+                   np.repeat(np.arange(num_classes), docs_per_class), num_classes, num_features)

@@ -33,8 +33,6 @@ from .errors import DomainError, NumericError
 # natural parameters to roughly [-23.03, 23.03].
 MEAN_FLOOR = 1e-10
 
-_lgamma_vec = np.vectorize(math.lgamma, otypes=[np.float64])
-
 
 def _match_input(x, value):
     """Return a python float when the input was scalar, else the array."""
@@ -106,6 +104,36 @@ def digamma(x):
     return _match_input(x, lift + series)
 
 
+def _lgamma(x):
+    """log Gamma(x) for an array x > 0, lifted by six as in digamma:
+
+        log Gamma(x) = log Gamma(x+6) - sum_{i<6} log(x+i),
+
+    then Stirling's series at z = x + 6,
+
+        log Gamma(z) ~ (z - 1/2) ln z - z + ln(2 pi)/2 + 1/(12 z) - 1/(360 z^3)
+                       + 1/(1260 z^5) - 1/(1680 z^7) + 1/(1188 z^9)
+                       - 691/(360360 z^11) + 1/(156 z^13).
+
+    The lift is a sum of logs, not the log of a product, so it stays finite
+    for any finite x.
+    """
+    lift = np.log(x)
+    for i in range(1, 6):
+        lift += np.log(x + i)
+    z = x + 6.0
+    r = 1.0 / z
+    u = r * r
+    series = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + r * (
+        1.0 / 12.0
+        - u * (1.0 / 360.0
+               - u * (1.0 / 1260.0
+                      - u * (1.0 / 1680.0
+                             - u * (1.0 / 1188.0
+                                    - u * (691.0 / 360360.0 - u / 156.0))))))
+    return series - lift
+
+
 def _check_gamma(gamma):
     gamma = float(gamma)
     if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -124,8 +152,8 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
     tt = np.asarray(theta_tilde, dtype=float)
     alpha = gamma * sigmoid(np.asarray(theta, dtype=float))
     logm = (math.lgamma(gamma + 2.0)
-            - _lgamma_vec(alpha + 1.0)
-            - _lgamma_vec(gamma - alpha + 1.0))
+            - _lgamma(alpha + 1.0)
+            - _lgamma(gamma - alpha + 1.0))
     out = logm + tt * alpha - gamma * np.logaddexp(0.0, tt)
     if np.isscalar(theta_tilde) and np.isscalar(theta):
         return float(out)

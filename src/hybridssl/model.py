@@ -44,6 +44,9 @@ _DENSE_MAX_CELLS = 20_000_000
 # K, M, labels and feature ids in corpus and model files are ASCII digits;
 # int() alone would also take signs, underscores and non-ASCII digits.
 _DIGITS_RE = re.compile("[0-9]+")
+# Bytes of a model file's value rows: ASCII decimals, exponents and blanks;
+# float() alone would also take "1_0", other scripts' digits, "nan", "inf".
+_NUMBER_BYTES = b"0123456789+-.eE \t"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,56 +83,87 @@ class Instance:
 
 @dataclass(eq=False)
 class Dataset:
-    """An ordered collection of instances over a fixed (K, M) space.
+    """N documents over a fixed (K, M) space, in compressed sparse rows.
 
-    Its 0/1 design matrix X (N, M) is read only through the two products
+    Document i holds the present-feature ids indices[indptr[i]:indptr[i+1]]
+    (int64, strictly increasing, all < M) and the label row_labels[i], -1
+    when unlabeled. These arrays are the whole dataset: the parser, the
+    generator and the protocol split write them, everything else slices
+    them, and iterating yields each row as an Instance view.
+
+    The 0/1 design matrix X (N, M) is read only through the two products
     scores and counts, which choose its storage: a cached dense array when
-    N * M <= _DENSE_MAX_CELLS, compressed rows otherwise.
+    N * M <= _DENSE_MAX_CELLS, the compressed rows otherwise.
     """
 
-    instances: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    row_labels: np.ndarray
     num_classes: int
     num_features: int
 
     def __post_init__(self):
-        self.instances = tuple(self.instances)
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.num_features < 1:
             raise ConfigError(f"need at least 1 feature, got {self.num_features}")
-        for i, inst in enumerate(self.instances):
-            if inst.features.num_features != self.num_features:
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.row_labels = np.asarray(self.row_labels, dtype=np.int64)
+        lengths = np.diff(self.indptr)
+        if (self.indptr.shape != (len(self) + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != self.indices.size or np.any(lengths < 0)):
+            raise ConfigError("indptr must rise from 0 to len(indices), one step per document")
+        bad = np.flatnonzero((self.row_labels < -1) | (self.row_labels >= self.num_classes))
+        if bad.size:
+            raise ConfigError(f"instance {bad[0]} has label {self.row_labels[bad[0]]} "
+                              f"outside [0, {self.num_classes})")
+        row_start = np.zeros(self.indices.size, dtype=bool)
+        row_start[self.indptr[:-1][lengths > 0]] = True
+        bad = (self.indices < 0) | (self.indices >= self.num_features)
+        bad[1:] |= (self.indices[1:] <= self.indices[:-1]) & ~row_start[1:]
+        if bad.any():
+            row = np.searchsorted(self.indptr, bad.argmax(), side="right") - 1
+            raise DomainError(f"instance {row} has feature ids outside "
+                              f"[0, {self.num_features}) or not strictly increasing")
+
+    @classmethod
+    def from_instances(cls, instances, num_classes: int, num_features: int) -> "Dataset":
+        """Stack Instance rows into the compressed-row arrays."""
+        instances = tuple(instances)
+        for i, inst in enumerate(instances):
+            if inst.features.num_features != num_features:
                 raise ConfigError(
                     f"instance {i} declares {inst.features.num_features} features, "
-                    f"dataset declares {self.num_features}")
-            if inst.label is not None and not (0 <= inst.label < self.num_classes):
-                raise ConfigError(
-                    f"instance {i} has label {inst.label} outside [0, {self.num_classes})")
+                    f"dataset declares {num_features}")
+        ids = [inst.features.indices for inst in instances]
+        return cls(np.concatenate(([0], np.cumsum([a.size for a in ids], dtype=np.int64))),
+                   np.concatenate([np.empty(0, np.int64)] + ids),
+                   [-1 if inst.label is None else inst.label for inst in instances],
+                   num_classes, num_features)
 
     def __len__(self):
-        return len(self.instances)
+        return self.row_labels.size
 
     def __iter__(self):
-        return iter(self.instances)
+        for ids, label in zip(np.split(self.indices, self.indptr[1:-1]), self.row_labels.tolist()):
+            yield Instance(SparseBinaryVector(ids, self.num_features), None if label < 0 else label)
 
-    @cached_property
-    def index_arrays(self) -> tuple:
-        return tuple(inst.features.indices for inst in self.instances)
-
-    def _csr(self, rows=None):
-        """X[rows] as (row lengths, concatenated column indices)."""
-        arrays = self.index_arrays if rows is None else [self.index_arrays[r] for r in rows]
-        lengths = np.array([a.size for a in arrays], dtype=np.int64)
-        indices = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-        return lengths, indices
+    def _take(self, rows=None) -> tuple:
+        """(indptr, indices) of the documents at positions rows (default: all)."""
+        if rows is None:
+            return self.indptr, self.indices
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        entries = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        return indptr, self.indices[entries]
 
     @cached_property
     def _dense_matrix(self) -> Optional[np.ndarray]:
-        if len(self.instances) * self.num_features > _DENSE_MAX_CELLS:
+        if len(self) * self.num_features > _DENSE_MAX_CELLS:
             return None
-        lengths, indices = self._csr()
-        x = np.zeros((len(self.instances), self.num_features))
-        x[np.repeat(np.arange(len(lengths)), lengths), indices] = 1.0
+        x = np.zeros((len(self), self.num_features))
+        x[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = 1.0
         return x
 
     def scores(self, t: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -138,7 +172,7 @@ class Dataset:
         x = self._dense_matrix
         if x is not None:
             return (x if rows is None else x[rows]) @ t.T
-        return _csr_scores(*self._csr(rows), t)
+        return _csr_scores(*self._take(rows), t)
 
     def counts(self, r: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """r.T @ X[rows]: the column-wise mass of r over each feature, shape
@@ -146,40 +180,39 @@ class Dataset:
         x = self._dense_matrix
         if x is not None:
             return r.T @ (x if rows is None else x[rows])
-        return _csr_counts(*self._csr(rows), r, self.num_features)
+        return _csr_counts(*self._take(rows), r, self.num_features)
 
     @cached_property
     def labeled_positions(self) -> np.ndarray:
-        return np.array([i for i, inst in enumerate(self.instances)
-                         if inst.label is not None], dtype=np.int64)
+        return np.flatnonzero(self.row_labels >= 0)
 
     @cached_property
     def labels(self) -> np.ndarray:
         """Labels of the labeled instances, aligned with labeled_positions."""
-        return np.array([self.instances[i].label for i in self.labeled_positions],
-                        dtype=np.int64)
+        return self.row_labels[self.labeled_positions]
 
     @property
     def n_labeled(self) -> int:
         return int(self.labeled_positions.size)
 
 
-def _csr_scores(lengths: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _csr_scores(indptr: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
     """X @ t.T for X in compressed rows: one bincount per row of t. Each
     document's entries are added in feature order, as a per-document sum
     would add them."""
-    n = len(lengths)
-    doc_of_entry = np.repeat(np.arange(n), lengths)
+    n = indptr.size - 1
+    doc_of_entry = np.repeat(np.arange(n), np.diff(indptr))
     out = np.empty((n, t.shape[0]))
     for k in range(t.shape[0]):
         out[:, k] = np.bincount(doc_of_entry, weights=t[k, indices], minlength=n)
     return out
 
 
-def _csr_counts(lengths: np.ndarray, indices: np.ndarray, r: np.ndarray,
+def _csr_counts(indptr: np.ndarray, indices: np.ndarray, r: np.ndarray,
                 num_features: int) -> np.ndarray:
     """r.T @ X for X in compressed rows: one bincount per column of r,
     accumulating documents in order."""
+    lengths = np.diff(indptr)
     out = np.empty((r.shape[1], num_features))
     for k in range(r.shape[1]):
         out[k] = np.bincount(indices, weights=np.repeat(r[:, k], lengths),
@@ -226,10 +259,6 @@ class GenerativeParams:
     def absence_base(self) -> np.ndarray:
         """Per-class sum_d log(1 - v_yd) = -sum_d A(t_yd), shape (K,)."""
         return -np.logaddexp(0.0, self.theta_tilde).sum(axis=1)
-
-    def mean(self) -> np.ndarray:
-        """Bernoulli means v = sigmoid(theta_tilde)."""
-        return expfam.sigmoid(self.theta_tilde)
 
 
 def uniform_generative_params(num_classes: int, num_features: int) -> GenerativeParams:
@@ -492,14 +521,17 @@ def loads_model(text: str):
         for r in range(rows):
             if cursor >= len(lines):
                 raise ParseError(f"section '{name}' truncated", line=cursor + 1)
-            tokens = lines[cursor].split()
+            row = lines[cursor]
+            tokens = row.split()
             if len(tokens) != cols:
                 raise ParseError(f"section '{name}' row has {len(tokens)} values, "
                                  f"expected {cols}", line=cursor + 1)
             try:
+                if not row.isascii() or row.encode().translate(None, _NUMBER_BYTES):
+                    raise ValueError(row)
                 block[r] = [float(t) for t in tokens]
             except ValueError:
-                raise ParseError(f"section '{name}' contains a non-numeric token",
+                raise ParseError(f"section '{name}' has a token that is not an ASCII decimal",
                                  line=cursor + 1) from None
             cursor += 1
         parsed[name] = block

@@ -153,13 +153,12 @@ def enumerate_data_log_likelihood(gen: GenerativeParams, data: Dataset) -> float
         raise DomainError(f"exhaustive scoring limited to M <= 12, got M={m}")
     probs = _success_probs(np.asarray(gen.theta_tilde, dtype=np.float64))
     total = 0.0
-    for inst in data:
-        present = set(int(i) for i in inst.features.indices)
+    for ids, y in zip(np.split(data.indices, data.indptr[1:-1]), data.row_labels.tolist()):
+        present = set(ids.tolist())
         bits = [1 if d in present else 0 for d in range(m)]
-        if inst.label is None:
+        if y < 0:
             total += math.log(_product_likelihood(gen.pi, probs, bits))
         else:
-            y = inst.label
             p = float(gen.pi[y])
             for d, bit in enumerate(bits):
                 p *= probs[y, d] if bit else (1.0 - probs[y, d])

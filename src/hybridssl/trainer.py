@@ -109,14 +109,6 @@ class TrainReport:
     endpoint_mode: EndpointMode
 
 
-def lambda_to_gamma(lam: float) -> float:
-    """gamma = ((1 - lam) / lam)^2 for lam strictly inside (0, 1)."""
-    lam = float(lam)
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"lambda_to_gamma requires lambda in (0, 1), got {lam}")
-    return ((1.0 - lam) / lam) ** 2
-
-
 def _rel_change(prev: float, curr: float) -> float:
     return abs(curr - prev) / max(1.0, abs(prev), abs(curr))
 
@@ -278,7 +270,7 @@ def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
     """
     positions = data.labeled_positions
     labels = data.labels
-    feats = [data.index_arrays[p] for p in positions]
+    feats = [data.indices[data.indptr[p]:data.indptr[p + 1]] for p in positions]
     order = list(range(len(positions)))
     stiffness = _coupling_stiffness(coupling)
     sigma2 = coupling.disc_prior_sigma2

@@ -43,7 +43,7 @@ def random_instance(seed):
         nnz = np.flatnonzero(rng.random(m) < 0.5)
         label = int(rng.integers(0, k)) if (i == 0 or rng.random() < 0.7) else None
         instances.append(Instance(vec(nnz, m), label))
-    data = Dataset(instances=tuple(instances), num_classes=k, num_features=m)
+    data = Dataset.from_instances(instances, num_classes=k, num_features=m)
     raw = rng.normal(0.0, 1.0, k)
     gen = GenerativeParams(pi=np.exp(raw) / np.exp(raw).sum(),
                            theta_tilde=rng.normal(0.0, 1.5, (k, m)))

@@ -179,7 +179,7 @@ def test_train_predict_round_trip(tmp_path, capsys):
         assert int(idx) == i
         assert int(pred) == want_preds[i]
         assert 0.0 < float(pmax) <= 1.0
-        if int(pred) == corpus_data.instances[i].label:
+        if int(pred) == corpus_data.row_labels[i]:
             correct += 1
 
     # the stderr accuracy line agrees with a recount from stdout
@@ -231,7 +231,9 @@ def test_predict_non_finite_prior_model_exits_2(tmp_path, capsys):
     model_path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
-    assert code == 2 and out == "" and "pi must be positive" in err
+    # "nan" is outside the ASCII decimal grammar of model values
+    assert code == 2 and out == ""
+    assert "section 'pi' has a token that is not an ASCII decimal (line 3)" in err
 
 
 # ---------------------------------------------------------------------------

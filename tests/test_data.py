@@ -37,13 +37,14 @@ def test_load_corpus_documented_example(tmp_path):
     assert data.num_classes == 2
     assert data.num_features == 20
     assert len(data) == 4
-    assert data.instances[0].label == 1
-    assert data.instances[0].features.indices.tolist() == [3, 17]
-    assert data.instances[1].label is None
-    assert data.instances[1].features.indices.tolist() == [2]
-    assert data.instances[2].label == 0
-    assert data.instances[2].features.indices.tolist() == []
-    assert data.instances[3].features.indices.tolist() == [0, 19]
+    assert data.indptr.tolist() == [0, 2, 3, 3, 5]
+    assert data.indices.tolist() == [3, 17, 2, 0, 19]
+    assert data.row_labels.tolist() == [1, -1, 0, 0]
+    rows = list(data)
+    assert rows[0].label == 1
+    assert rows[0].features.indices.tolist() == [3, 17]
+    assert rows[1].label is None
+    assert rows[2].features.indices.tolist() == []
 
 
 def test_corpus_round_trip(tmp_path):
@@ -53,7 +54,7 @@ def test_corpus_round_trip(tmp_path):
         nnz = np.flatnonzero(rng.random(12) < 0.3).astype(np.int64)
         label = int(rng.integers(0, 3)) if rng.random() < 0.7 else None
         instances.append(Instance(SparseBinaryVector(nnz, 12), label))
-    original = Dataset(tuple(instances), num_classes=3, num_features=12)
+    original = Dataset.from_instances(instances, num_classes=3, num_features=12)
     path = tmp_path / "roundtrip.txt"
     write_corpus(original, path)
     loaded = load_corpus(path)
@@ -79,6 +80,11 @@ def test_bad_header_rejected(tmp_path):
         load_corpus(write(tmp_path, "# hybridssl-corpus v1 K=1 M=3\n"))
     with pytest.raises(ParseError):
         load_corpus(write(tmp_path, "# hybridssl-corpus v1 K=2 M=0\n"))
+    # every label and id of a corpus must fit int64
+    for dims in ("K=2 M=1000000000000000000", "K=1000000000000000000 M=3"):
+        with pytest.raises(ParseError) as exc:
+            load_corpus(write(tmp_path, f"# hybridssl-corpus v1 {dims}\n0 0:1\n"))
+        assert exc.value.line == 1
 
 
 def test_bad_label_location(tmp_path):
@@ -116,6 +122,9 @@ def test_bad_feature_token_location(tmp_path):
     assert exc.value.line == 2 and exc.value.column == 7
 
 
+_MODEL_HEAD = "hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n"
+
+
 @pytest.mark.parametrize("kind, text, line, column", [
     ("corpus", "# hybridssl-corpus v1 K=2 M=3\n+1 0:1\n", 2, 1),
     ("corpus", "# hybridssl-corpus v1 K=20 M=3\n1_0 0:1\n", 2, 1),
@@ -124,6 +133,9 @@ def test_bad_feature_token_location(tmp_path):
     ("corpus", "# hybridssl-corpus v1 K=\u0662 M=3\n0 0:1\n", 1, None),
     ("model", "hybridssl-model v1 K=+2 M=3\n", 1, None),
     ("model", "hybridssl-model v1 K=2 M=\u0663\n", 1, None),
+    ("model", _MODEL_HEAD + "0 0\n0 0\nb\n0 0\nw\n1_0 \u0661.5\n0 0\n", 10, None),
+    ("model", _MODEL_HEAD + "0 0\n0 0\nb\n0 nan\nw\n0 0\n0 0\n", 8, None),
+    ("model", _MODEL_HEAD + "0 \uff11\n0 0\nb\n0 0\nw\n0 0\n0 0\n", 5, None),
 ])
 def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line, column):
     """Signs, underscores, other scripts' digits and values other than the
@@ -145,6 +157,13 @@ def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line
         argv = ["--model", str(bad), "--corpus", str(good_corpus)]
     assert cli.main(["predict"] + argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_model_values_accept_decimal_and_exponent_notation():
+    gen, disc = loads_model(_MODEL_HEAD + "-1.5e-3 +2.\n.25 1E+2\nb\n0 0\nw\n"
+                            "7 -0\n3e0 1e-300\n")
+    assert gen.theta_tilde.tolist() == [[-1.5e-3, 2.0], [0.25, 100.0]]
+    assert disc.w.tolist() == [[7.0, 0.0], [3.0, 1e-300]]
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +205,28 @@ def test_split_is_deterministic_and_seed_sensitive():
     spec = SplitSpec(labeled_per_class=5, unlabeled_total=30, seed=11)
     t1, s1 = sample_split(full, spec)
     t2, s2 = sample_split(full, spec)
-    assert [id(a.features) for a in t1] == [id(a.features) for a in t2]
-    assert [a.label for a in s1] == [a.label for a in s2]
+    for a, b in ((t1, t2), (s1, s2)):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.row_labels, b.row_labels)
 
     other = SplitSpec(labeled_per_class=5, unlabeled_total=30, seed=12)
     t3, _ = sample_split(full, other)
-    assert [id(a.features) for a in t1] != [id(a.features) for a in t3]
+    assert not np.array_equal(t1.indices, t3.indices)
 
 
 def test_split_train_test_disjoint():
-    full = generate_synthetic(2, 8, 25, 0.5, seed=6)
+    # 40 features make every document distinct, so rows are told apart by content
+    full = generate_synthetic(2, 40, 25, 0.5, seed=6)
+    docs = [tuple(inst.features.indices.tolist()) for inst in full]
+    assert len(set(docs)) == len(docs)
     train, test = sample_split(full, SplitSpec(labeled_per_class=5,
                                                unlabeled_total=20, seed=3))
-    train_feats = {id(inst.features) for inst in train}
-    assert all(id(inst.features) not in train_feats for inst in test)
+    train_docs = {tuple(inst.features.indices.tolist()) for inst in train}
+    test_docs = {tuple(inst.features.indices.tolist()) for inst in test}
+    assert len(train_docs) == len(train) and len(test_docs) == len(test)
+    assert not train_docs & test_docs
+    assert len(train_docs | test_docs) == len(full)
 
 
 def test_split_insufficiency_names_class():
@@ -218,8 +245,9 @@ def test_split_divisibility_error():
 
 def test_split_ignores_preexisting_unlabeled():
     base = generate_synthetic(2, 8, 10, 0.5, seed=1)
-    mixed = Dataset(base.instances + (Instance(base.instances[0].features, None),),
-                    num_classes=2, num_features=8)
+    first = next(iter(base))
+    mixed = Dataset.from_instances(tuple(base) + (Instance(first.features, None),),
+                                   num_classes=2, num_features=8)
     train, test = sample_split(mixed, SplitSpec(labeled_per_class=2,
                                                 unlabeled_total=0, seed=0))
     assert len(train) + len(test) == 20  # the unlabeled extra never appears

@@ -92,6 +92,20 @@ def test_digamma_domain_errors():
             expfam.digamma(bad)
 
 
+def test_lgamma_matches_math_lgamma():
+    """Over the prior's arguments, x >= 1: within 2e-14 of math.lgamma,
+    relative where |lgamma| > 1, absolute near its roots at 1 and 2."""
+    grid = np.concatenate([np.linspace(1.0, 3.0, 2001), np.geomspace(1.0, 1e12, 4001)])
+    want = np.array([math.lgamma(x) for x in grid])
+    got = expfam._lgamma(grid)
+    assert np.all(np.abs(got - want) <= 2e-14 * np.maximum(1.0, np.abs(want)))
+    huge = expfam._lgamma(np.array([1e200]))
+    assert np.isfinite(huge[0])
+    assert_allclose(huge[0], math.lgamma(1e200), rtol=1e-14)
+    assert np.all(np.isfinite(expfam.beta_prior_log_density(
+        np.array([-1.0, 0.0, 2.0]), np.array([0.5, 0.0, -3.0]), 1e200)))
+
+
 # ---------------------------------------------------------------------------
 # coupling prior density
 

@@ -23,8 +23,8 @@ def vec(indices, m):
 
 def tiny_dataset():
     """K=2, M=2, three documents: two labeled, one unlabeled."""
-    return Dataset(
-        instances=(
+    return Dataset.from_instances(
+        (
             Instance(vec([0], 2), label=0),
             Instance(vec([1], 2), label=1),
             Instance(vec([0, 1], 2), label=None),
@@ -52,11 +52,26 @@ def test_sparse_vector_rejects_bad_indices():
 
 def test_dataset_rejects_mismatched_instances():
     with pytest.raises(ConfigError):
-        Dataset(instances=(Instance(vec([0], 3), 0),), num_classes=2, num_features=2)
+        Dataset.from_instances((Instance(vec([0], 3), 0),), num_classes=2, num_features=2)
     with pytest.raises(ConfigError):
-        Dataset(instances=(Instance(vec([0], 2), 2),), num_classes=2, num_features=2)
+        Dataset.from_instances((Instance(vec([0], 2), 2),), num_classes=2, num_features=2)
     with pytest.raises(ConfigError):
-        Dataset(instances=(), num_classes=1, num_features=2)
+        Dataset.from_instances((), num_classes=1, num_features=2)
+
+
+def test_dataset_validates_compressed_rows():
+    ok = Dataset([0, 1, 1, 3], [4, 2, 4], [1, -1, 0], num_classes=2, num_features=5)
+    assert len(ok) == 3 and ok.labels.tolist() == [1, 0]
+    assert [inst.features.indices.tolist() for inst in ok] == [[4], [], [2, 4]]
+    for indptr in ([0, 1, 3], [1, 1, 2, 3], [0, 2, 1, 3], [0, 1, 1, 4]):
+        with pytest.raises(ConfigError):
+            Dataset(indptr, [4, 2, 4], [1, -1, 0], num_classes=2, num_features=5)
+    for labels in ([1, -2, 0], [1, -1, 2]):
+        with pytest.raises(ConfigError):
+            Dataset([0, 1, 1, 3], [4, 2, 4], labels, num_classes=2, num_features=5)
+    for ids in ([5, 2, 4], [-1, 2, 4], [4, 2, 2], [4, 4, 2]):
+        with pytest.raises(DomainError):
+            Dataset([0, 1, 1, 3], ids, [1, -1, 0], num_classes=2, num_features=5)
 
 
 def test_dataset_label_views():
@@ -165,7 +180,7 @@ def test_nb_scores_matrix_matches_per_document_scoring():
         nnz = np.flatnonzero(rng.random(m) < 0.4)
         label = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
         instances.append(Instance(vec(nnz, m), label))
-    data = Dataset(instances=tuple(instances), num_classes=3, num_features=m)
+    data = Dataset.from_instances(instances, num_classes=3, num_features=m)
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(3)),
                            theta_tilde=rng.normal(0.0, 2.0, (3, m)))
     dense = nb_scores_matrix(gen, data)
@@ -180,7 +195,8 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
     rng = np.random.default_rng(10)
     m, k = 5, 3
     ids = [np.flatnonzero(rng.random(m) < 0.4) for _ in range(8)] + [np.array([], int)]
-    data = Dataset(tuple(Instance(vec(i, m)) for i in ids), num_classes=k, num_features=m)
+    data = Dataset.from_instances((Instance(vec(i, m)) for i in ids), num_classes=k,
+                                  num_features=m)
     t = rng.normal(0.0, 1.0, (k, m))
     r = rng.random((len(ids), k))
     want_scores = np.array([t[:, i].sum(axis=1) for i in ids])
@@ -188,14 +204,13 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
     for i, row in zip(ids, r):
         want_counts[:, i] += row[:, None]
     assert data._dense_matrix is not None
-    csr = data._csr()
     assert_allclose(data.scores(t), want_scores, atol=1e-12)
     assert_allclose(data.counts(r), want_counts, atol=1e-12)
-    assert np.array_equal(model._csr_scores(*csr, t), want_scores)
-    assert np.array_equal(model._csr_counts(*csr, r, m), want_counts)
+    assert np.array_equal(model._csr_scores(data.indptr, data.indices, t), want_scores)
+    assert np.array_equal(model._csr_counts(data.indptr, data.indices, r, m), want_counts)
 
     rows = np.array([8, 2, 5])
-    sub = data._csr(rows)
+    sub = data._take(rows)
     assert_allclose(data.scores(t, rows), want_scores[rows], atol=1e-12)
     assert np.array_equal(model._csr_scores(*sub, t), want_scores[rows])
     sub_counts = np.zeros((k, m))
@@ -338,7 +353,7 @@ def test_log_joint_gaussian_coupling_peaks_at_equality():
 
 def test_unlabeled_instance_touches_only_generative_block():
     base = tiny_dataset()
-    extra = Dataset(instances=base.instances + (Instance(vec([0], 2), None),),
+    extra = Dataset.from_instances(tuple(base) + (Instance(vec([0], 2), None),),
                     num_classes=2, num_features=2)
     gen = GenerativeParams(pi=np.array([0.4, 0.6]),
                            theta_tilde=np.array([[0.3, -0.5], [-1.0, 0.8]]))

@@ -122,8 +122,8 @@ def test_enumerate_posterior_flags_degenerate_mass():
 
 def test_enumerate_data_log_likelihood_matches_production():
     gen = random_params(2, 6, 3)
-    data = Dataset(
-        instances=(
+    data = Dataset.from_instances(
+        (
             Instance(vec([0, 2], 6), label=0),
             Instance(vec([1], 6), label=1),
             Instance(vec([3, 4, 5], 6), label=None),

@@ -18,8 +18,7 @@ from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
 from hybridssl.trainer import (EndpointMode, TrainConfig,
                                discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
-                               lambda_to_gamma, train, train_logreg,
-                               train_nb_em)
+                               train, train_logreg, train_nb_em)
 from hybridssl.trainer import _mixing_weights, _responsibilities, _expected_counts
 
 
@@ -55,13 +54,15 @@ def test_learning_rate_decay():
     assert_allclose(cfg.learning_rate(3000), 0.025, rtol=1e-15)
 
 
-def test_lambda_to_gamma_frozen_values():
-    assert lambda_to_gamma(0.1) == 81.0
-    assert_allclose(lambda_to_gamma(0.9), 0.012345679012345679, rtol=1e-15)
-    assert lambda_to_gamma(0.5) == 1.0
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            lambda_to_gamma(bad)
+def test_from_lambda_gamma_frozen_values():
+    assert CouplingConfig.from_lambda(0.1).gamma == 81.0
+    assert_allclose(CouplingConfig.from_lambda(0.9).gamma, 0.012345679012345679, rtol=1e-15)
+    assert CouplingConfig.from_lambda(0.5).gamma == 1.0
+    for endpoint in (0.0, 1.0):
+        assert CouplingConfig.from_lambda(endpoint).gamma is None
+    for bad in (-0.1, 1.1):
+        with pytest.raises(ConfigError):
+            CouplingConfig.from_lambda(bad)
 
 
 def test_mixing_weights_floor_only_in_degenerate_case():
@@ -81,8 +82,8 @@ def test_generative_update_beta_worked_example():
     # both responsibilities exactly 1/2, so the expected count is 0.5 per
     # class. With gamma=2 and w=0 the pseudo-count is 1, and
     # v = (0.5 + 1) / (2 + 2) = 0.375 for every (class, feature).
-    toy = Dataset(instances=(Instance(vec([0], 1), None), Instance(vec([], 1), None)),
-                  num_classes=2, num_features=1)
+    toy = Dataset.from_instances((Instance(vec([0], 1), None), Instance(vec([], 1), None)),
+                                 num_classes=2, num_features=1)
     gen0 = uniform_generative_params(2, 1)
     disc0 = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 1)))
     gen1 = generative_update_beta(toy, gen0, disc0, 2.0)
@@ -240,7 +241,7 @@ def make_fd_instance(seed):
         nnz = np.flatnonzero(rng.random(m) < 0.6)
         label = int(rng.integers(0, 2)) if i < 3 else None
         instances.append(Instance(vec(nnz, m), label))
-    data = Dataset(instances=tuple(instances), num_classes=2, num_features=m)
+    data = Dataset.from_instances(instances, num_classes=2, num_features=m)
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(2)),
                            theta_tilde=rng.normal(0.0, 1.0, (2, m)))
     disc = DiscriminativeParams(b=rng.normal(size=2), w=rng.normal(size=(2, m)))
@@ -274,7 +275,7 @@ def test_decoupled_flat_prior_approaches_pure_data_gradient():
     ref_w = np.zeros_like(disc.w)
     ref_b = np.zeros_like(disc.b)
     for pos, label in zip(data.labeled_positions, data.labels):
-        idx = data.index_arrays[pos]
+        idx = data.indices[data.indptr[pos]:data.indptr[pos + 1]]
         scores = disc.b + disc.w[:, idx].sum(axis=1)
         p = np.exp(scores - scores.max())
         p /= p.sum()
@@ -309,8 +310,8 @@ def test_logreg_endpoint_fits_separable_data():
 
 
 def test_train_requires_labeled_data():
-    unlabeled = Dataset(
-        instances=tuple(Instance(vec([0], 2), None) for _ in range(4)),
+    unlabeled = Dataset.from_instances(
+        (Instance(vec([0], 2), None) for _ in range(4)),
         num_classes=2, num_features=2)
     with pytest.raises(ConfigError):
         train(unlabeled, CouplingConfig.from_lambda(0.5), TrainConfig())
