@@ -34,6 +34,26 @@ from .errors import DomainError, NumericError
 MEAN_FLOOR = 1e-10
 
 
+# Elements per block of the elementwise K x M pipelines: 1 << 16 float64
+# values are 512 KB, so the few temporaries a pipeline makes for one block
+# stay in L2 cache instead of each being a fresh K x M array.
+_BLOCK = 1 << 16
+
+
+def _blockwise(fn, *arrays):
+    """fn applied to aligned flat slices of _BLOCK elements of the equally
+    shaped arrays, each slice's result written into one new array of their
+    shape. fn must act elementwise; every value is then bit-identical to
+    fn applied to the whole arrays."""
+    flat = [np.ravel(a) for a in arrays]
+    out = np.empty(np.shape(arrays[0]))
+    out_flat = out.reshape(-1)
+    for start in range(0, out_flat.size, _BLOCK):
+        stop = start + _BLOCK
+        out_flat[start:stop] = fn(*(a[start:stop] for a in flat))
+    return out
+
+
 def _match_input(x, value):
     """Return a python float when the input was scalar, else the array."""
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):

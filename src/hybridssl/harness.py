@@ -171,8 +171,18 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
                          converged=False, wall_ms=0.0, failed=True, error=str(exc))
 
 
-def _run_cell_args(args) -> ResultRow:
-    return _run_cell(*args)
+# The corpus of a sweep worker process, set once by the pool initializer so
+# that it is not pickled into every cell's task.
+_worker_corpus: Optional[Dataset] = None
+
+
+def _set_worker_corpus(corpus: Dataset) -> None:
+    global _worker_corpus
+    _worker_corpus = corpus
+
+
+def _run_worker_cell(cell) -> ResultRow:
+    return _run_cell(_worker_corpus, *cell)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> list:
@@ -182,14 +192,15 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> lis
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     corpus = spec.load_corpus()
-    tasks = [(corpus, spec, li, ci, seed, measure_time)
+    cells = [(spec, li, ci, seed, measure_time)
              for li in range(len(spec.lambdas))
              for ci in range(len(spec.unlabeled_counts))
              for seed in sorted(spec.seeds)]
-    if jobs == 1 or len(tasks) == 1:
-        return [_run_cell_args(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell_args, tasks))
+    if jobs == 1 or len(cells) == 1:
+        return [_run_cell(corpus, *cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_corpus,
+                             initargs=(corpus,)) as pool:
+        return list(pool.map(_run_worker_cell, cells))
 
 
 def aggregate(rows) -> list:

@@ -421,8 +421,10 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
     if coupling.kind is CouplingKind.GAUSSIAN:
         diff = gen.theta_tilde - disc.w
         return float(-0.5 / coupling.sigma_c2 * np.sum(diff * diff))
-    return float(np.sum(expfam.beta_prior_log_density(
-        gen.theta_tilde, disc.w, coupling.gamma)))
+    # summed once over the whole array, so the sum's order is unblocked
+    return float(np.sum(expfam._blockwise(
+        lambda tt, w: expfam.beta_prior_log_density(tt, w, coupling.gamma),
+        gen.theta_tilde, disc.w)))
 
 
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
@@ -459,8 +461,17 @@ _MODEL_MAGIC = "hybridssl-model"
 _MODEL_VERSION = "v1"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_model(gen: GenerativeParams, disc: DiscriminativeParams, out) -> None:
+    """Write the model file to the text stream out, one row per write."""
+    if gen.num_classes != disc.num_classes or gen.num_features != disc.num_features:
+        raise ConfigError("generative and discriminative shapes disagree")
+    out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={gen.num_classes} M={gen.num_features}\n")
+    for name, block in (("pi", gen.pi[None]), ("theta_tilde", gen.theta_tilde),
+                        ("b", disc.b[None]), ("w", disc.w)):
+        out.write(name + "\n")
+        row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
+        for row in block:
+            out.write(row_format % tuple(row.tolist()))
 
 
 def dump_model(gen: GenerativeParams, disc: DiscriminativeParams) -> str:
@@ -470,26 +481,15 @@ def dump_model(gen: GenerativeParams, disc: DiscriminativeParams) -> str:
     sections pi, theta_tilde, b, w in that order. Matrix sections are
     row-major, one class per line. All values carry 17 significant digits.
     """
-    if gen.num_classes != disc.num_classes or gen.num_features != disc.num_features:
-        raise ConfigError("generative and discriminative shapes disagree")
     out = io.StringIO()
-    out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={gen.num_classes} M={gen.num_features}\n")
-    out.write("pi\n")
-    out.write(" ".join(_fmt(v) for v in gen.pi) + "\n")
-    out.write("theta_tilde\n")
-    for row in gen.theta_tilde:
-        out.write(" ".join(_fmt(v) for v in row) + "\n")
-    out.write("b\n")
-    out.write(" ".join(_fmt(v) for v in disc.b) + "\n")
-    out.write("w\n")
-    for row in disc.w:
-        out.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write_model(gen, disc, out)
     return out.getvalue()
 
 
 def save_model(gen: GenerativeParams, disc: DiscriminativeParams, path) -> None:
+    """Write dump_model's text to path row by row, never holding the whole file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_model(gen, disc))
+        _write_model(gen, disc, fh)
 
 
 def _parse_header(line: str):
@@ -503,37 +503,45 @@ def _parse_header(line: str):
     return int(parts[2][2:]), int(parts[3][2:])
 
 
-def loads_model(text: str):
-    """Parse dump_model output back into a (gen, disc) pair."""
-    lines = text.splitlines()
-    if not lines:
+def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
+    """The cols values of one row of section name; row is None past the end.
+    A function of its own, so a row's token strings are freed before the
+    next line is read."""
+    if row is None:
+        raise ParseError(f"section '{name}' truncated", line=lineno)
+    ascii_decimals = row.isascii() and not row.encode().translate(None, _NUMBER_BYTES)
+    tokens = row.split()
+    if len(tokens) != cols:
+        raise ParseError(f"section '{name}' row has {len(tokens)} values, "
+                         f"expected {cols}", line=lineno)
+    try:
+        if not ascii_decimals:
+            raise ValueError(row)
+        return np.fromiter(map(float, tokens), float, cols)
+    except ValueError:
+        raise ParseError(f"section '{name}' has a token that is not an ASCII decimal",
+                         line=lineno) from None
+
+
+def _parse_model(lines):
+    """Parse an iterator over the lines of a model file, without their ends."""
+    header = next(lines, None)
+    if header is None:
         raise ParseError("empty model file", line=1)
-    k, m = _parse_header(lines[0])
+    k, m = _parse_header(header)
 
     sections = {"pi": (1, k), "theta_tilde": (k, m), "b": (1, k), "w": (k, m)}
-    cursor = 1
+    lineno = 1
     parsed = {}
     for name, (rows, cols) in sections.items():
-        if cursor >= len(lines) or lines[cursor].strip() != name:
-            raise ParseError(f"expected section '{name}'", line=cursor + 1)
-        cursor += 1
+        lineno += 1
+        line = next(lines, None)
+        if line is None or line.strip() != name:
+            raise ParseError(f"expected section '{name}'", line=lineno)
         block = np.empty((rows, cols))
         for r in range(rows):
-            if cursor >= len(lines):
-                raise ParseError(f"section '{name}' truncated", line=cursor + 1)
-            row = lines[cursor]
-            tokens = row.split()
-            if len(tokens) != cols:
-                raise ParseError(f"section '{name}' row has {len(tokens)} values, "
-                                 f"expected {cols}", line=cursor + 1)
-            try:
-                if not row.isascii() or row.encode().translate(None, _NUMBER_BYTES):
-                    raise ValueError(row)
-                block[r] = [float(t) for t in tokens]
-            except ValueError:
-                raise ParseError(f"section '{name}' has a token that is not an ASCII decimal",
-                                 line=cursor + 1) from None
-            cursor += 1
+            lineno += 1
+            block[r] = _parse_row(next(lines, None), name, cols, lineno)
         parsed[name] = block
 
     gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
@@ -541,6 +549,12 @@ def loads_model(text: str):
     return gen, disc
 
 
+def loads_model(text: str):
+    """Parse dump_model output back into a (gen, disc) pair."""
+    return _parse_model(iter(text.splitlines()))
+
+
 def load_model(path):
+    """Load a model file row by row; lines end where str.splitlines() ends them."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
+        return _parse_model(piece for line in fh for piece in line.splitlines())

@@ -141,11 +141,14 @@ def _mixing_weights(class_mass: np.ndarray) -> np.ndarray:
 def _coupled_generative_step(data, resp, w, gamma):
     """Shared closed form; gamma = 0 gives the decoupled count update."""
     n = len(data)
-    counts = _expected_counts(data, resp)
-    pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
-    v = (counts + pseudo) / (n + gamma)
-    return GenerativeParams(pi=_mixing_weights(resp.sum(axis=0)),
-                            theta_tilde=expfam.natural_from_mean(v))
+
+    def theta_tilde(c, w):
+        pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
+        return expfam.natural_from_mean((c + pseudo) / (n + gamma))
+
+    return GenerativeParams(
+        pi=_mixing_weights(resp.sum(axis=0)),
+        theta_tilde=expfam._blockwise(theta_tilde, _expected_counts(data, resp), w))
 
 
 def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
@@ -213,10 +216,14 @@ def _coupling_grad_w(theta_tilde: np.ndarray, w: np.ndarray,
     if coupling.kind is CouplingKind.GAUSSIAN:
         return (theta_tilde - w) / coupling.sigma_c2
     gamma = coupling.gamma
-    s = expfam.sigmoid(w)
-    alpha = gamma * s
-    psi_diff = expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)
-    return gamma * s * (1.0 - s) * (theta_tilde - psi_diff)
+
+    def grad(tt, w):
+        s = expfam.sigmoid(w)
+        alpha = gamma * s
+        psi_diff = expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)
+        return gamma * s * (1.0 - s) * (tt - psi_diff)
+
+    return expfam._blockwise(grad, theta_tilde, w)
 
 
 def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,

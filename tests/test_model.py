@@ -421,6 +421,39 @@ def test_loads_model_error_lines():
         loads_model("")
 
 
+_LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\n"
+                "b\n0 0\nw\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    # CRLF line ends read as LF
+    ((_LINES_MODEL + "1 2\n3 4\n").replace("\n", "\r\n"), [[1.0, 2.0], [3.0, 4.0]]),
+    # no newline after the last row
+    (_LINES_MODEL + "1 2\n3 4", [[1.0, 2.0], [3.0, 4.0]]),
+    # \x85 and \x0c end a line, as str.splitlines() has it
+    (_LINES_MODEL + "1 2\x853 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (_LINES_MODEL + "1 2\x0c3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (_LINES_MODEL + "1\x0c2\n3 4\n", ("section 'w' row has 1 values, expected 2", 10)),
+    (_LINES_MODEL + "1 2\x0c\n3 4\n", ("section 'w' row has 0 values, expected 2", 11)),
+    (_LINES_MODEL + "1 2\n", ("section 'w' truncated", 11)),
+    (_LINES_MODEL + "1 2", ("section 'w' truncated", 11)),
+    (_LINES_MODEL[:_LINES_MODEL.index("b\n")], ("expected section 'b'", 7)),
+])
+def test_model_file_line_semantics(tmp_path, text, expected):
+    """loads_model and load_model split lines as str.splitlines() does and
+    agree on every result and error line."""
+    path = tmp_path / "lines.model"
+    path.write_bytes(text.encode("utf-8"))
+    for load in (lambda: loads_model(text), lambda: model.load_model(path)):
+        if isinstance(expected, tuple):
+            message, line = expected
+            with pytest.raises(ParseError) as exc:
+                load()
+            assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
+        else:
+            assert load()[1].w.tolist() == expected
+
+
 def test_dump_model_rejects_shape_mismatch():
     gen = uniform_generative_params(2, 3)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))

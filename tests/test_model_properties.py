@@ -1,0 +1,72 @@
+"""Property tests of the model file and of the shared softmax and log-sum-exp."""
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from hybridssl.model import (DiscriminativeParams, GenerativeParams, _logsumexp_rows,
+                             _softmax, dump_model, load_model, loads_model, save_model)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Every finite float64: hypothesis also draws subnormals and the extremes,
+# and the examples below pin the values a formatter is most likely to get wrong.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def models(draw):
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 4))
+    values = draw(st.lists(_FINITE, min_size=k * (2 * m + 1), max_size=k * (2 * m + 1)))
+    theta_tilde = np.array(values[:k * m]).reshape(k, m)
+    w = np.array(values[k * m:2 * k * m]).reshape(k, m)
+    weights = np.array(draw(st.lists(st.floats(1e-300, 1.0), min_size=k, max_size=k)))
+    return (GenerativeParams(pi=weights / weights.sum(), theta_tilde=theta_tilde),
+            DiscriminativeParams(b=np.array(values[2 * k * m:]), w=w))
+
+
+def _edge_model():
+    edges = np.array(_EDGES)
+    return (GenerativeParams(pi=np.array([0.25, 0.75]), theta_tilde=np.stack([edges, -edges])),
+            DiscriminativeParams(b=edges[[1, 2]], w=np.stack([-edges, edges])))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@PROPERTY
+@given(pair=models())
+@example(pair=_edge_model())
+def test_model_file_round_trips_every_finite_value(tmp_path, pair):
+    gen, disc = pair
+    text = dump_model(gen, disc)
+    path = tmp_path / "model.txt"
+    save_model(gen, disc, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    for gen2, disc2 in (loads_model(text), load_model(path)):
+        assert _same_bits(gen2.pi, gen.pi) and _same_bits(gen2.theta_tilde, gen.theta_tilde)
+        assert _same_bits(disc2.b, disc.b) and _same_bits(disc2.w, disc.w)
+
+
+@PROPERTY
+@given(scores=st.integers(2, 6).flatmap(lambda k: st.lists(
+    st.lists(st.floats(-1e4, 1e4), min_size=k, max_size=k), min_size=1, max_size=5)))
+@example(scores=[[1e4, -1e4], [-1e4, -1e4], [1e4, 1e4 - 1e-9]])
+def test_softmax_and_logsumexp_stay_finite_and_normalised(scores):
+    scores = np.array(scores)
+    probs = _softmax(scores)
+    lse = _logsumexp_rows(scores)
+    assert np.all(np.isfinite(probs)) and np.all(np.isfinite(lse))
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    top = scores.max(axis=1)
+    assert np.all((lse >= top) & (lse <= top + np.log(scores.shape[1]) + 1e-9))
+    # log softmax agrees with scores - lse wherever the probability is representable
+    shown = probs > 1e-300
+    assert np.allclose(np.log(probs[shown]), (scores - lse[:, None])[shown],
+                       rtol=0.0, atol=1e-9)

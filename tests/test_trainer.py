@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridssl import expfam, testkit
+from hybridssl import expfam, model, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
 from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
@@ -224,6 +224,45 @@ def test_coupling_gradient_zero_weight_drops_digamma_term():
     cfg = CouplingConfig(kind=CouplingKind.BETA, lam=0.5, gamma=gamma)
     assert_allclose(coupling_gradient_w(gen, disc, cfg),
                     gamma / 4.0 * gen.theta_tilde, rtol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("gamma", [1e6, 1.0, 1e-3, 0.0])
+def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
+    """K * M = 150,003 spans two full blocks and a ragged tail."""
+    k, m = 3, 50_001
+    assert k * m > 2 * expfam._BLOCK and (k * m) % expfam._BLOCK
+    rng = np.random.default_rng(17)
+    w = rng.normal(0.0, 4.0, (k, m))
+    w[:, :3] = [700.0, -700.0, 0.0]
+    w[:, -1] = -700.0
+    theta_tilde = rng.normal(0.0, 3.0, (k, m))
+    data = Dataset.from_instances(
+        [Instance(vec(np.flatnonzero(rng.random(m) < p), m), label)
+         for p, label in ((0.3, 0), (0.5, 1), (0.1, None), (0.7, 2))], k, m)
+    resp = rng.dirichlet(np.ones(k), size=len(data))
+
+    pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
+    step = expfam.natural_from_mean(
+        (_expected_counts(data, resp) + pseudo) / (len(data) + gamma))
+    assert _same_bits(trainer._coupled_generative_step(data, resp, w, gamma).theta_tilde, step)
+    if gamma == 0.0:
+        return
+
+    s = expfam.sigmoid(w)
+    alpha = gamma * s
+    grad = gamma * s * (1.0 - s) * (
+        theta_tilde - (expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)))
+    coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)
+    assert _same_bits(trainer._coupling_grad_w(theta_tilde, w, coupling), grad)
+
+    block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
+    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
+    disc = DiscriminativeParams(b=np.zeros(k), w=w)
+    assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
 def test_coupling_gradient_decoupled_is_zero():
