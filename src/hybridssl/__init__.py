@@ -15,10 +15,9 @@ from .expfam import (beta_prior_log_density, beta_prior_mode, beta_prior_moments
                      beta_prior_variance, digamma, log_partition, logit,
                      matched_normal_params, natural_from_mean, sigmoid)
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    GenerativeParams, Instance, LogJointBlocks, SparseBinaryVector,
-                    dump_model, load_model, loads_model, log_joint, log_joint_blocks,
-                    lr_scores, lr_scores_matrix, nb_class_scores, nb_posterior,
-                    nb_scores_matrix, save_model, uniform_generative_params)
+                    GenerativeParams, Instance, LogJointBlocks, load_model, log_joint,
+                    log_joint_blocks, lr_scores_matrix, nb_scores_matrix, save_model,
+                    uniform_generative_params)
 from .trainer import (EndpointMode, TrainConfig, TrainReport, coupling_gradient_w,
                       discriminative_gradient, generative_update_beta,
                       generative_update_gauss, train, train_logreg, train_nb_em)
@@ -36,15 +35,14 @@ __all__ = [
     "Dataset", "DiscriminativeParams", "DomainError", "EndpointMode",
     "GenerativeParams", "HybridSslError", "Instance", "LogJointBlocks",
     "NumericError", "OracleError", "ParseError", "QueryError", "ResultRow",
-    "SparseBinaryVector", "SplitMix64", "SplitSpec", "SweepSpec", "SyntheticSpec",
+    "SplitMix64", "SplitSpec", "SweepSpec", "SyntheticSpec",
     "TrainConfig", "TrainReport", "aggregate", "best_lambda",
     "beta_prior_log_density", "beta_prior_mode", "beta_prior_moments",
     "beta_prior_variance", "cell_seed", "coupling_gradient_w", "derive_seed",
-    "digamma", "discriminative_gradient", "dump_model", "export_prior_curves",
+    "digamma", "discriminative_gradient", "export_prior_curves",
     "generate_synthetic", "generative_update_beta", "generative_update_gauss",
-    "load_corpus", "load_model", "loads_model", "log_joint",
-    "log_joint_blocks", "log_partition", "logit", "lr_scores", "lr_scores_matrix",
-    "matched_normal_params", "natural_from_mean", "nb_class_scores", "nb_posterior",
+    "load_corpus", "load_model", "log_joint", "log_joint_blocks", "log_partition",
+    "logit", "lr_scores_matrix", "matched_normal_params", "natural_from_mean",
     "nb_scores_matrix", "prior_curve_rows", "run_sweep", "sample_split",
     "save_model", "sigmoid", "synthetic_true_params", "train", "train_logreg",
     "train_nb_em", "uniform_generative_params", "write_aggregate_csv",

@@ -26,12 +26,11 @@ always marginalizes the class.
 from __future__ import annotations
 
 import enum
-import io
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,36 +48,12 @@ _DIGITS_RE = re.compile("[0-9]+")
 _NUMBER_BYTES = b"0123456789+-.eE \t"
 
 
-@dataclass(frozen=True, eq=False)
-class SparseBinaryVector:
-    """Indices of present features; sorted, unique, all < num_features."""
+class Instance(NamedTuple):
+    """One row of a Dataset: its present-feature ids (an int64 slice of
+    Dataset.indices) and its label, None when unlabeled."""
 
-    indices: np.ndarray
-    num_features: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-        if self.num_features < 1:
-            raise DomainError(f"num_features must be >= 1, got {self.num_features}")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.num_features:
-                raise DomainError(
-                    f"feature index out of range [0, {self.num_features}): "
-                    f"{idx[idx.argmin()] if idx[0] < 0 else idx[-1]}")
-            if np.any(np.diff(idx) <= 0):
-                raise DomainError("feature indices must be strictly increasing")
-
-    def __len__(self):
-        return int(self.indices.size)
-
-
-@dataclass(frozen=True, eq=False)
-class Instance:
-    """One document: present-feature indices plus an optional label."""
-
-    features: SparseBinaryVector
-    label: Optional[int] = None
+    features: np.ndarray
+    label: Optional[int]
 
 
 @dataclass(eq=False)
@@ -127,27 +102,12 @@ class Dataset:
             raise DomainError(f"instance {row} has feature ids outside "
                               f"[0, {self.num_features}) or not strictly increasing")
 
-    @classmethod
-    def from_instances(cls, instances, num_classes: int, num_features: int) -> "Dataset":
-        """Stack Instance rows into the compressed-row arrays."""
-        instances = tuple(instances)
-        for i, inst in enumerate(instances):
-            if inst.features.num_features != num_features:
-                raise ConfigError(
-                    f"instance {i} declares {inst.features.num_features} features, "
-                    f"dataset declares {num_features}")
-        ids = [inst.features.indices for inst in instances]
-        return cls(np.concatenate(([0], np.cumsum([a.size for a in ids], dtype=np.int64))),
-                   np.concatenate([np.empty(0, np.int64)] + ids),
-                   [-1 if inst.label is None else inst.label for inst in instances],
-                   num_classes, num_features)
-
     def __len__(self):
         return self.row_labels.size
 
     def __iter__(self):
         for ids, label in zip(np.split(self.indices, self.indptr[1:-1]), self.row_labels.tolist()):
-            yield Instance(SparseBinaryVector(ids, self.num_features), None if label < 0 else label)
+            yield Instance(ids, None if label < 0 else label)
 
     def _take(self, rows=None) -> tuple:
         """(indptr, indices) of the documents at positions rows (default: all)."""
@@ -356,11 +316,6 @@ class CouplingConfig:
 # ---------------------------------------------------------------------------
 # scoring
 
-def nb_class_scores(gen: GenerativeParams, x: SparseBinaryVector) -> np.ndarray:
-    """log p(y, x) for every class, shape (K,). O(nnz) per call."""
-    return gen.log_pi + gen.absence_base + gen.theta_tilde[:, x.indices].sum(axis=1)
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Normalized exp along the last axis, safe for |scores| ~ 1e4."""
     e = scores - scores.max(axis=-1, keepdims=True)
@@ -372,15 +327,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
     m = scores.max(axis=1)
     return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-
-
-def nb_posterior(gen: GenerativeParams, x: SparseBinaryVector) -> np.ndarray:
-    """p(y | x) from the generative half via log-sum-exp, sums to 1."""
-    return _softmax(nb_class_scores(gen, x))
-
-
-def lr_scores(disc: DiscriminativeParams, x: SparseBinaryVector) -> np.ndarray:
-    return disc.b + disc.w[:, x.indices].sum(axis=1)
 
 
 def nb_scores_matrix(gen: GenerativeParams, data: Dataset) -> np.ndarray:
@@ -461,35 +407,24 @@ _MODEL_MAGIC = "hybridssl-model"
 _MODEL_VERSION = "v1"
 
 
-def _write_model(gen: GenerativeParams, disc: DiscriminativeParams, out) -> None:
-    """Write the model file to the text stream out, one row per write."""
-    if gen.num_classes != disc.num_classes or gen.num_features != disc.num_features:
-        raise ConfigError("generative and discriminative shapes disagree")
-    out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={gen.num_classes} M={gen.num_features}\n")
-    for name, block in (("pi", gen.pi[None]), ("theta_tilde", gen.theta_tilde),
-                        ("b", disc.b[None]), ("w", disc.w)):
-        out.write(name + "\n")
-        row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
-        for row in block:
-            out.write(row_format % tuple(row.tolist()))
-
-
-def dump_model(gen: GenerativeParams, disc: DiscriminativeParams) -> str:
-    """Serialize the model pair to text; round-trips bit-exactly.
+def save_model(gen: GenerativeParams, disc: DiscriminativeParams, path) -> None:
+    """Write the model pair to path, one row per write; round-trips bit-exactly.
 
     Layout: a header line "hybridssl-model v1 K=<K> M=<M>", then the
     sections pi, theta_tilde, b, w in that order. Matrix sections are
     row-major, one class per line. All values carry 17 significant digits.
+    Mismatched shapes raise ConfigError before path is opened.
     """
-    out = io.StringIO()
-    _write_model(gen, disc, out)
-    return out.getvalue()
-
-
-def save_model(gen: GenerativeParams, disc: DiscriminativeParams, path) -> None:
-    """Write dump_model's text to path row by row, never holding the whole file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_model(gen, disc, fh)
+    if gen.num_classes != disc.num_classes or gen.num_features != disc.num_features:
+        raise ConfigError("generative and discriminative shapes disagree")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={gen.num_classes} M={gen.num_features}\n")
+        for name, block in (("pi", gen.pi[None]), ("theta_tilde", gen.theta_tilde),
+                            ("b", disc.b[None]), ("w", disc.w)):
+            out.write(name + "\n")
+            row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
+            for row in block:
+                out.write(row_format % tuple(row.tolist()))
 
 
 def _parse_header(line: str):
@@ -523,38 +458,30 @@ def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
                          line=lineno) from None
 
 
-def _parse_model(lines):
-    """Parse an iterator over the lines of a model file, without their ends."""
-    header = next(lines, None)
-    if header is None:
-        raise ParseError("empty model file", line=1)
-    k, m = _parse_header(header)
+def load_model(path):
+    """Read save_model's file back into a (gen, disc) pair, one row at a
+    time; lines end where str.splitlines() ends them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (piece for line in fh for piece in line.splitlines())
+        header = next(lines, None)
+        if header is None:
+            raise ParseError("empty model file", line=1)
+        k, m = _parse_header(header)
 
-    sections = {"pi": (1, k), "theta_tilde": (k, m), "b": (1, k), "w": (k, m)}
-    lineno = 1
-    parsed = {}
-    for name, (rows, cols) in sections.items():
-        lineno += 1
-        line = next(lines, None)
-        if line is None or line.strip() != name:
-            raise ParseError(f"expected section '{name}'", line=lineno)
-        block = np.empty((rows, cols))
-        for r in range(rows):
+        sections = {"pi": (1, k), "theta_tilde": (k, m), "b": (1, k), "w": (k, m)}
+        lineno = 1
+        parsed = {}
+        for name, (rows, cols) in sections.items():
             lineno += 1
-            block[r] = _parse_row(next(lines, None), name, cols, lineno)
-        parsed[name] = block
+            line = next(lines, None)
+            if line is None or line.strip() != name:
+                raise ParseError(f"expected section '{name}'", line=lineno)
+            block = np.empty((rows, cols))
+            for r in range(rows):
+                lineno += 1
+                block[r] = _parse_row(next(lines, None), name, cols, lineno)
+            parsed[name] = block
 
     gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
     disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])
     return gen, disc
-
-
-def loads_model(text: str):
-    """Parse dump_model output back into a (gen, disc) pair."""
-    return _parse_model(iter(text.splitlines()))
-
-
-def load_model(path):
-    """Load a model file row by row; lines end where str.splitlines() ends them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_model(piece for line in fh for piece in line.splitlines())

@@ -157,7 +157,8 @@ def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
     """Closed-form generative step under BETA coupling.
 
     Responsibilities come from gen_old unless precomputed ones are passed
-    in (the trainer reuses the matrix from its objective evaluation).
+    in. The trainer computes them once per outer iteration, after its
+    objective evaluation, by scoring the documents a second time.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
@@ -281,6 +282,7 @@ def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
     order = list(range(len(positions)))
     stiffness = _coupling_stiffness(coupling)
     sigma2 = coupling.disc_prior_sigma2
+    grad = np.empty_like(w)
     for epoch in range(cfg.sgd_epochs_per_outer):
         SplitMix64(derive_seed(cfg.seed, outer_iter, epoch)).shuffle(order)
         for i in order:
@@ -298,10 +300,11 @@ def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             return step  # blowup; reported as NumericError by the caller
         eta = min(cfg.learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
-        grad = -w / sigma2
+        np.divide(w, -sigma2, out=grad)
         if coupling.kind is not CouplingKind.DECOUPLED:
-            grad = grad + _coupling_grad_w(theta_tilde, w, coupling)
-        w += eta * grad
+            grad += _coupling_grad_w(theta_tilde, w, coupling)
+        grad *= eta
+        w += grad
     return step
 
 
@@ -423,33 +426,26 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         gen = uniform_generative_params(data.num_classes, data.num_features)
         return gen, disc, report
 
-    if coupling.kind is CouplingKind.BETA and coupling.gamma is None:
-        raise ConfigError("hybrid BETA training requires a coupling gamma")
-    if coupling.kind is CouplingKind.GAUSSIAN and coupling.sigma_c2 is None:
-        raise ConfigError("hybrid GAUSSIAN training requires sigma_c2")
-
     k, m = data.num_classes, data.num_features
     gen = uniform_generative_params(k, m)
-    b = np.zeros(k)
-    w = np.zeros((k, m))
+    # the SGD epochs update disc.b and disc.w in place
+    disc = DiscriminativeParams(b=np.zeros(k), w=np.zeros((k, m)))
     resp = _responsibilities(gen, data)
 
     trace = []
     converged = False
     step = 0
     for it in range(cfg.max_outer_iters):
-        disc = DiscriminativeParams(b=b.copy(), w=w.copy())
         if coupling.kind is CouplingKind.BETA:
             gen = generative_update_beta(data, gen, disc, coupling.gamma, resp=resp)
         elif coupling.kind is CouplingKind.GAUSSIAN:
             gen = generative_update_gauss(data, gen, disc, coupling.sigma_c2, resp=resp)
         else:
-            gen = _coupled_generative_step(data, resp, w, 0.0)
+            gen = _coupled_generative_step(data, resp, disc.w, 0.0)
 
-        step = _sgd_epochs(data, gen.theta_tilde, coupling, b, w, cfg, it, step)
+        step = _sgd_epochs(data, gen.theta_tilde, coupling, disc.b, disc.w, cfg, it, step)
 
-        _check_finite(0.0, it, EndpointMode.HYBRID, b=b, w=w)
-        disc = DiscriminativeParams(b=b.copy(), w=w.copy())
+        _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
         objective = log_joint(gen, disc, coupling, data)
         _check_finite(objective, it, EndpointMode.HYBRID,
                       theta_tilde=gen.theta_tilde)
@@ -460,6 +456,4 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         if it > 0 and _rel_change(trace[-2], trace[-1]) < cfg.tol:
             converged = True
             break
-
-    disc = DiscriminativeParams(b=b, w=w)
     return gen, disc, _finish(trace, converged, EndpointMode.HYBRID)

@@ -15,21 +15,18 @@ from hybridssl.data import (SplitSpec, generate_synthetic, sample_split,
                             write_corpus)
 from hybridssl.harness import (SweepSpec, SyntheticSpec, aggregate,
                                best_lambda, prior_curve_rows, run_sweep)
-from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
-                             DiscriminativeParams, GenerativeParams, Instance,
-                             SparseBinaryVector, load_model, log_joint,
-                             lr_scores, nb_class_scores, nb_posterior,
-                             save_model, uniform_generative_params)
+from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
+                             GenerativeParams, _softmax, load_model, log_joint,
+                             lr_scores_matrix, nb_scores_matrix, save_model,
+                             uniform_generative_params)
 from hybridssl.trainer import (TrainConfig, _expected_counts,
                                _responsibilities, _sgd_epochs,
                                discriminative_gradient, generative_update_beta,
                                train, train_logreg, train_nb_em)
 
+from helpers import make_dataset
+
 GOLDEN_TRACE = "tests/golden/toy_trace.txt"
-
-
-def vec(indices, m):
-    return SparseBinaryVector(indices=np.array(indices, dtype=np.int64), num_features=m)
 
 
 def random_instance(seed):
@@ -38,12 +35,12 @@ def random_instance(seed):
     k = int(rng.integers(2, 5))
     m = int(rng.integers(4, 13))
     n = int(rng.integers(6, 21))
-    instances = []
+    docs = []
     for i in range(n):
         nnz = np.flatnonzero(rng.random(m) < 0.5)
         label = int(rng.integers(0, k)) if (i == 0 or rng.random() < 0.7) else None
-        instances.append(Instance(vec(nnz, m), label))
-    data = Dataset.from_instances(instances, num_classes=k, num_features=m)
+        docs.append((nnz, label))
+    data = make_dataset(docs, num_classes=k, num_features=m)
     raw = rng.normal(0.0, 1.0, k)
     gen = GenerativeParams(pi=np.exp(raw) / np.exp(raw).sum(),
                            theta_tilde=rng.normal(0.0, 1.5, (k, m)))
@@ -192,16 +189,14 @@ def test_criterion_5_interpolation_endpoints_and_tight_coupling():
     # lambda = 1 predicts identically to the standalone discriminative path
     gen1, disc1, _ = train(data, CouplingConfig.from_lambda(1.0), cfg)
     disc_ref, _ = train_logreg(data, cfg)
-    for inst in test_set:
-        assert (int(np.argmax(lr_scores(disc1, inst.features)))
-                == int(np.argmax(lr_scores(disc_ref, inst.features))))
+    assert np.array_equal(lr_scores_matrix(disc1, test_set).argmax(axis=1),
+                          lr_scores_matrix(disc_ref, test_set).argmax(axis=1))
 
     # lambda = 0 predicts identically to the standalone generative path
     gen0, disc0, _ = train(data, CouplingConfig.from_lambda(0.0), cfg)
     gen_ref, _ = train_nb_em(data, cfg)
-    for inst in test_set:
-        assert (int(np.argmax(lr_scores(disc0, inst.features)))
-                == int(np.argmax(nb_class_scores(gen_ref, inst.features))))
+    assert np.array_equal(lr_scores_matrix(disc0, test_set).argmax(axis=1),
+                          nb_scores_matrix(gen_ref, test_set).argmax(axis=1))
 
     # very stiff coupling welds the two parameter sets together
     gen, disc, report = train(
@@ -330,7 +325,8 @@ def test_criterion_9_enumeration_checks():
         for _ in range(4):
             ids = np.flatnonzero(rng.random(data.num_features) < 0.4)
             want = testkit.enumerate_posterior(gen, ids)
-            got = nb_posterior(gen, vec(ids, data.num_features))
+            doc = make_dataset([(ids, None)], data.num_classes, data.num_features)
+            got = _softmax(nb_scores_matrix(gen, doc)[0])
             worst_post = max(worst_post, np.abs(got - want).max())
     assert worst_mass < 1e-10
     assert worst_post < 1e-12

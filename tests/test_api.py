@@ -1,0 +1,44 @@
+"""The public API, pinned: a change to it must show up as a diff here."""
+
+import hybridssl
+from hybridssl import model
+
+PUBLIC = [
+    "AggregateRow", "BoundsError", "ConfigError", "CouplingConfig", "CouplingKind",
+    "Dataset", "DiscriminativeParams", "DomainError", "EndpointMode", "GenerativeParams",
+    "HybridSslError", "Instance", "LogJointBlocks", "NumericError", "OracleError",
+    "ParseError", "QueryError", "ResultRow", "SplitMix64", "SplitSpec", "SweepSpec",
+    "SyntheticSpec", "TrainConfig", "TrainReport", "aggregate", "best_lambda",
+    "beta_prior_log_density", "beta_prior_mode", "beta_prior_moments",
+    "beta_prior_variance", "cell_seed", "coupling_gradient_w", "derive_seed", "digamma",
+    "discriminative_gradient", "export_prior_curves", "generate_synthetic",
+    "generative_update_beta", "generative_update_gauss", "load_corpus", "load_model",
+    "log_joint", "log_joint_blocks", "log_partition", "logit", "lr_scores_matrix",
+    "matched_normal_params", "natural_from_mean", "nb_scores_matrix", "prior_curve_rows",
+    "run_sweep", "sample_split", "save_model", "sigmoid", "synthetic_true_params",
+    "train", "train_logreg", "train_nb_em", "uniform_generative_params",
+    "write_aggregate_csv", "write_corpus", "write_results_csv",
+]
+
+# A second row format, per-document scorers and a string copy of the model
+# file API; Dataset, the matrix scorers and save_model/load_model replace them.
+DELETED = ["SparseBinaryVector", "nb_class_scores", "nb_posterior", "lr_scores",
+           "dump_model", "loads_model"]
+
+
+def test_public_api_is_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert hybridssl.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert getattr(hybridssl, name) is not None, name
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert not hasattr(hybridssl, name), name
+        assert not hasattr(model, name), name
+    assert not hasattr(model.Dataset, "from_instances")
+    assert model.Instance._fields == ("features", "label")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hybridssl.data import load_corpus, write_corpus
 from hybridssl.errors import BoundsError, ParseError
-from hybridssl.model import Dataset, Instance, SparseBinaryVector
+
+from helpers import make_dataset
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -22,9 +23,7 @@ def datasets(draw):
     rows = draw(st.lists(st.tuples(
         st.one_of(st.none(), st.integers(0, k - 1)),
         st.sets(st.integers(0, m - 1), max_size=8)), max_size=12))
-    return Dataset.from_instances(
-        (Instance(SparseBinaryVector(np.array(sorted(ids), dtype=np.int64), m), label)
-         for label, ids in rows), k, m)
+    return make_dataset([(sorted(ids), label) for label, ids in rows], k, m)
 
 
 @PROPERTY

@@ -8,9 +8,10 @@ from hybridssl import cli, expfam
 from hybridssl.data import (SplitSpec, generate_synthetic, load_corpus,
                             sample_split, synthetic_true_params, write_corpus)
 from hybridssl.errors import BoundsError, ConfigError, ParseError
-from hybridssl.model import (Dataset, DiscriminativeParams, GenerativeParams,
-                             Instance, SparseBinaryVector, loads_model, nb_posterior,
-                             save_model, uniform_generative_params)
+from hybridssl.model import (DiscriminativeParams, GenerativeParams, load_model,
+                             nb_scores_matrix, save_model, uniform_generative_params)
+
+from helpers import make_dataset
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -42,19 +43,19 @@ def test_load_corpus_documented_example(tmp_path):
     assert data.row_labels.tolist() == [1, -1, 0, 0]
     rows = list(data)
     assert rows[0].label == 1
-    assert rows[0].features.indices.tolist() == [3, 17]
+    assert rows[0].features.tolist() == [3, 17]
     assert rows[1].label is None
-    assert rows[2].features.indices.tolist() == []
+    assert rows[2].features.tolist() == []
 
 
 def test_corpus_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    instances = []
+    docs = []
     for i in range(50):
-        nnz = np.flatnonzero(rng.random(12) < 0.3).astype(np.int64)
+        nnz = np.flatnonzero(rng.random(12) < 0.3)
         label = int(rng.integers(0, 3)) if rng.random() < 0.7 else None
-        instances.append(Instance(SparseBinaryVector(nnz, 12), label))
-    original = Dataset.from_instances(instances, num_classes=3, num_features=12)
+        docs.append((nnz, label))
+    original = make_dataset(docs, num_classes=3, num_features=12)
     path = tmp_path / "roundtrip.txt"
     write_corpus(original, path)
     loaded = load_corpus(path)
@@ -62,7 +63,7 @@ def test_corpus_round_trip(tmp_path):
     assert loaded.num_classes == 3 and loaded.num_features == 12
     for a, b in zip(original, loaded):
         assert a.label == b.label
-        assert np.array_equal(a.features.indices, b.features.indices)
+        assert np.array_equal(a.features, b.features)
     # writing again reproduces the same bytes
     path2 = tmp_path / "roundtrip2.txt"
     write_corpus(loaded, path2)
@@ -149,7 +150,7 @@ def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line
         if kind == "corpus":
             load_corpus(bad)
         else:
-            loads_model(bad.read_text(encoding="utf-8"))
+            load_model(bad)
     assert (exc.value.line, exc.value.column) == (line, column)
     if kind == "corpus":
         argv = ["--model", str(good_model), "--corpus", str(bad)]
@@ -159,9 +160,9 @@ def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line
     assert "error:" in capsys.readouterr().err
 
 
-def test_model_values_accept_decimal_and_exponent_notation():
-    gen, disc = loads_model(_MODEL_HEAD + "-1.5e-3 +2.\n.25 1E+2\nb\n0 0\nw\n"
-                            "7 -0\n3e0 1e-300\n")
+def test_model_values_accept_decimal_and_exponent_notation(tmp_path):
+    gen, disc = load_model(write(tmp_path, _MODEL_HEAD + "-1.5e-3 +2.\n.25 1E+2\nb\n0 0\nw\n"
+                                 "7 -0\n3e0 1e-300\n", name="m.model"))
     assert gen.theta_tilde.tolist() == [[-1.5e-3, 2.0], [0.25, 100.0]]
     assert disc.w.tolist() == [[7.0, 0.0], [3.0, 1e-300]]
 
@@ -218,12 +219,12 @@ def test_split_is_deterministic_and_seed_sensitive():
 def test_split_train_test_disjoint():
     # 40 features make every document distinct, so rows are told apart by content
     full = generate_synthetic(2, 40, 25, 0.5, seed=6)
-    docs = [tuple(inst.features.indices.tolist()) for inst in full]
+    docs = [tuple(inst.features.tolist()) for inst in full]
     assert len(set(docs)) == len(docs)
     train, test = sample_split(full, SplitSpec(labeled_per_class=5,
                                                unlabeled_total=20, seed=3))
-    train_docs = {tuple(inst.features.indices.tolist()) for inst in train}
-    test_docs = {tuple(inst.features.indices.tolist()) for inst in test}
+    train_docs = {tuple(inst.features.tolist()) for inst in train}
+    test_docs = {tuple(inst.features.tolist()) for inst in test}
     assert len(train_docs) == len(train) and len(test_docs) == len(test)
     assert not train_docs & test_docs
     assert len(train_docs | test_docs) == len(full)
@@ -246,8 +247,7 @@ def test_split_divisibility_error():
 def test_split_ignores_preexisting_unlabeled():
     base = generate_synthetic(2, 8, 10, 0.5, seed=1)
     first = next(iter(base))
-    mixed = Dataset.from_instances(tuple(base) + (Instance(first.features, None),),
-                                   num_classes=2, num_features=8)
+    mixed = make_dataset(list(base) + [(first.features, None)], num_classes=2, num_features=8)
     train, test = sample_split(mixed, SplitSpec(labeled_per_class=2,
                                                 unlabeled_total=0, seed=0))
     assert len(train) + len(test) == 20  # the unlabeled extra never appears
@@ -293,9 +293,9 @@ def test_synthetic_deterministic_in_seed():
     b = generate_synthetic(2, 20, 30, 0.5, seed=42)
     for x, y in zip(a, b):
         assert x.label == y.label
-        assert np.array_equal(x.features.indices, y.features.indices)
+        assert np.array_equal(x.features, y.features)
     c = generate_synthetic(2, 20, 30, 0.5, seed=43)
-    assert any(not np.array_equal(x.features.indices, y.features.indices)
+    assert any(not np.array_equal(x.features, y.features)
                for x, y in zip(a, c))
 
 
@@ -310,7 +310,7 @@ def test_synthetic_empirical_frequencies_match_truth():
     _, probs = synthetic_true_params(k, m, 0.6)
     counts = np.zeros((k, m))
     for inst in data:
-        counts[inst.label, inst.features.indices] += 1.0
+        counts[inst.label, inst.features] += 1.0
     freq = counts / docs
     assert np.abs(freq - probs).max() < 0.02
 
@@ -320,6 +320,6 @@ def test_bayes_optimal_accuracy_on_separated_classes():
     pi, probs = synthetic_true_params(k, m, sep)
     truth = GenerativeParams(pi=pi, theta_tilde=expfam.logit(probs))
     sample = generate_synthetic(k, m, 500, sep, seed=1)
-    correct = sum(1 for inst in sample
-                  if int(np.argmax(nb_posterior(truth, inst.features))) == inst.label)
+    predicted = nb_scores_matrix(truth, sample).argmax(axis=1)
+    correct = int(np.sum(predicted == sample.row_labels))
     assert correct / len(sample) >= 0.95

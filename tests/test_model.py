@@ -10,59 +10,29 @@ from numpy.testing import assert_allclose
 from hybridssl import cli, model
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
-                             DiscriminativeParams, GenerativeParams, Instance,
-                             SparseBinaryVector, dump_model, loads_model,
-                             log_joint, log_joint_blocks, lr_scores,
-                             nb_class_scores, nb_posterior, nb_scores_matrix,
-                             save_model, uniform_generative_params)
+                             DiscriminativeParams, GenerativeParams, load_model,
+                             log_joint, log_joint_blocks, lr_scores_matrix,
+                             nb_scores_matrix, save_model, uniform_generative_params)
 
-
-def vec(indices, m):
-    return SparseBinaryVector(indices=np.array(indices, dtype=np.int64), num_features=m)
+from helpers import make_dataset
 
 
 def tiny_dataset():
     """K=2, M=2, three documents: two labeled, one unlabeled."""
-    return Dataset.from_instances(
-        (
-            Instance(vec([0], 2), label=0),
-            Instance(vec([1], 2), label=1),
-            Instance(vec([0, 1], 2), label=None),
-        ),
-        num_classes=2,
-        num_features=2,
-    )
+    return make_dataset([([0], 0), ([1], 1), ([0, 1], None)], num_classes=2, num_features=2)
 
 
 # ---------------------------------------------------------------------------
 # container validation
 
-def test_sparse_vector_rejects_bad_indices():
-    with pytest.raises(DomainError):
-        vec([2], 2)
-    with pytest.raises(DomainError):
-        vec([-1], 2)
-    with pytest.raises(DomainError):
-        vec([1, 1], 3)
-    with pytest.raises(DomainError):
-        vec([2, 1], 3)
-    with pytest.raises(DomainError):
-        SparseBinaryVector(indices=np.array([], dtype=np.int64), num_features=0)
-
-
-def test_dataset_rejects_mismatched_instances():
-    with pytest.raises(ConfigError):
-        Dataset.from_instances((Instance(vec([0], 3), 0),), num_classes=2, num_features=2)
-    with pytest.raises(ConfigError):
-        Dataset.from_instances((Instance(vec([0], 2), 2),), num_classes=2, num_features=2)
-    with pytest.raises(ConfigError):
-        Dataset.from_instances((), num_classes=1, num_features=2)
-
-
 def test_dataset_validates_compressed_rows():
     ok = Dataset([0, 1, 1, 3], [4, 2, 4], [1, -1, 0], num_classes=2, num_features=5)
     assert len(ok) == 3 and ok.labels.tolist() == [1, 0]
-    assert [inst.features.indices.tolist() for inst in ok] == [[4], [], [2, 4]]
+    assert [(inst.features.tolist(), inst.label) for inst in ok] == [([4], 1), ([], None),
+                                                                      ([2, 4], 0)]
+    for num_classes, num_features in ((1, 5), (2, 0)):
+        with pytest.raises(ConfigError):
+            Dataset([0, 0], [], [-1], num_classes=num_classes, num_features=num_features)
     for indptr in ([0, 1, 3], [1, 1, 2, 3], [0, 2, 1, 3], [0, 1, 1, 4]):
         with pytest.raises(ConfigError):
             Dataset(indptr, [4, 2, 4], [1, -1, 0], num_classes=2, num_features=5)
@@ -135,11 +105,17 @@ def test_coupling_from_lambda_strength_map():
 # ---------------------------------------------------------------------------
 # generative scoring
 
+def nb_row(gen, ids):
+    """nb_scores_matrix's row for one document with present features ids."""
+    doc = make_dataset([(ids, None)], gen.num_classes, gen.num_features)
+    return nb_scores_matrix(gen, doc)[0]
+
+
 def test_nb_log_joint_uniform_hand_value():
     gen = uniform_generative_params(2, 1)
     # pi = 1/2, success probability 1/2: p(y, x={0}) = 0.25
-    assert_allclose(nb_class_scores(gen, vec([0], 1))[0], math.log(0.25), rtol=1e-15)
-    assert_allclose(nb_class_scores(gen, vec([], 1))[1], math.log(0.25), rtol=1e-15)
+    assert_allclose(nb_row(gen, [0])[0], math.log(0.25), rtol=1e-15)
+    assert_allclose(nb_row(gen, [])[1], math.log(0.25), rtol=1e-15)
 
 
 def test_nb_log_joint_hand_value_skewed():
@@ -147,15 +123,14 @@ def test_nb_log_joint_hand_value_skewed():
     gen = GenerativeParams(pi=np.array([0.5, 0.5]),
                            theta_tilde=np.array([[logit(0.8)], [logit(0.2)]]))
     # p(y=0, x={0}) = 0.5 * 0.8 = 0.4, p(y=1, x={0}) = 0.5 * 0.2 = 0.1
-    assert_allclose(nb_class_scores(gen, vec([0], 1)), [math.log(0.4), math.log(0.1)],
-                    rtol=1e-12)
-    post = nb_posterior(gen, vec([0], 1))
+    assert_allclose(nb_row(gen, [0]), [math.log(0.4), math.log(0.1)], rtol=1e-12)
+    post = model._softmax(nb_row(gen, [0]))
     assert_allclose(post, [0.8, 0.2], rtol=1e-12)
 
 
 def test_nb_posterior_uniform_is_one_over_k():
     gen = uniform_generative_params(4, 3)
-    assert_allclose(nb_posterior(gen, vec([0, 2], 3)), np.full(4, 0.25), rtol=1e-15)
+    assert_allclose(model._softmax(nb_row(gen, [0, 2])), np.full(4, 0.25), rtol=1e-15)
 
 
 def test_nb_posterior_sums_to_one_and_finite():
@@ -166,27 +141,27 @@ def test_nb_posterior_sums_to_one_and_finite():
         pi = rng.dirichlet(np.ones(k))
         gen = GenerativeParams(pi=pi, theta_tilde=rng.normal(0.0, 3.0, (k, m)))
         nnz = rng.random(m) < 0.5
-        x = vec(np.flatnonzero(nnz), m)
-        post = nb_posterior(gen, x)
+        post = model._softmax(nb_row(gen, np.flatnonzero(nnz)))
         assert np.all(np.isfinite(post))
         assert abs(post.sum() - 1.0) < 1e-12
 
 
 def test_nb_scores_matrix_matches_per_document_scoring():
     rng = np.random.default_rng(9)
-    instances = []
+    docs = []
     m = 6
     for _ in range(40):
         nnz = np.flatnonzero(rng.random(m) < 0.4)
         label = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
-        instances.append(Instance(vec(nnz, m), label))
-    data = Dataset.from_instances(instances, num_classes=3, num_features=m)
+        docs.append((nnz, label))
+    data = make_dataset(docs, num_classes=3, num_features=m)
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(3)),
                            theta_tilde=rng.normal(0.0, 2.0, (3, m)))
     dense = nb_scores_matrix(gen, data)
     assert data._dense_matrix is not None
     for i, inst in enumerate(data):
-        assert_allclose(dense[i], nb_class_scores(gen, inst.features), atol=1e-10)
+        per_document = gen.theta_tilde[:, inst.features].sum(axis=1)
+        assert_allclose(dense[i], gen.log_pi + gen.absence_base + per_document, atol=1e-10)
 
 
 def test_nb_scores_matrix_sparse_fallback_agrees():
@@ -195,8 +170,7 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
     rng = np.random.default_rng(10)
     m, k = 5, 3
     ids = [np.flatnonzero(rng.random(m) < 0.4) for _ in range(8)] + [np.array([], int)]
-    data = Dataset.from_instances((Instance(vec(i, m)) for i in ids), num_classes=k,
-                                  num_features=m)
+    data = make_dataset([(i, None) for i in ids], num_classes=k, num_features=m)
     t = rng.normal(0.0, 1.0, (k, m))
     r = rng.random((len(ids), k))
     want_scores = np.array([t[:, i].sum(axis=1) for i in ids])
@@ -223,15 +197,16 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
 # ---------------------------------------------------------------------------
 # discriminative scoring
 
-def lr_posterior(disc, x):
+def lr_posterior(disc, ids):
     """p(y | x) as `hybridssl predict` reports it: the shared softmax of the
-    logistic scores."""
-    return model._softmax(lr_scores(disc, x))
+    logistic scores of one document with present features ids."""
+    doc = make_dataset([(ids, None)], disc.num_classes, disc.num_features)
+    return model._softmax(lr_scores_matrix(disc, doc)[0])
 
 
 def test_lr_posterior_hand_value():
     disc = DiscriminativeParams(b=np.array([1.0, 0.0]), w=np.zeros((2, 3)))
-    post = lr_posterior(disc, vec([], 3))
+    post = lr_posterior(disc, [])
     assert_allclose(post, [0.7310585786300049, 0.2689414213699951], rtol=1e-12)
 
 
@@ -239,18 +214,17 @@ def test_lr_posterior_shift_invariance():
     rng = np.random.default_rng(2)
     disc = DiscriminativeParams(b=rng.normal(size=3), w=rng.normal(size=(3, 4)))
     shifted = DiscriminativeParams(b=disc.b + 123.456, w=disc.w)
-    x = vec([1, 3], 4)
-    assert_allclose(lr_posterior(disc, x), lr_posterior(shifted, x), atol=1e-12)
+    assert_allclose(lr_posterior(disc, [1, 3]), lr_posterior(shifted, [1, 3]), atol=1e-12)
 
 
 def test_lr_posterior_zero_params_uniform():
     disc = DiscriminativeParams(b=np.zeros(5), w=np.zeros((5, 2)))
-    assert_allclose(lr_posterior(disc, vec([0], 2)), np.full(5, 0.2), rtol=1e-15)
+    assert_allclose(lr_posterior(disc, [0]), np.full(5, 0.2), rtol=1e-15)
 
 
 def test_lr_posterior_large_scores_stay_normalized():
     disc = DiscriminativeParams(b=np.array([1e4, -1e4, 0.0]), w=np.zeros((3, 1)))
-    post = lr_posterior(disc, vec([], 1))
+    post = lr_posterior(disc, [])
     assert np.all(np.isfinite(post))
     assert abs(post.sum() - 1.0) < 1e-12
 
@@ -353,8 +327,7 @@ def test_log_joint_gaussian_coupling_peaks_at_equality():
 
 def test_unlabeled_instance_touches_only_generative_block():
     base = tiny_dataset()
-    extra = Dataset.from_instances(tuple(base) + (Instance(vec([0], 2), None),),
-                    num_classes=2, num_features=2)
+    extra = make_dataset(list(base) + [([0], None)], num_classes=2, num_features=2)
     gen = GenerativeParams(pi=np.array([0.4, 0.6]),
                            theta_tilde=np.array([[0.3, -0.5], [-1.0, 0.8]]))
     disc = DiscriminativeParams(b=np.array([0.1, -0.2]),
@@ -371,54 +344,64 @@ def test_unlabeled_instance_touches_only_generative_block():
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_model_round_trip_bit_exact():
+def test_model_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(3)),
                            theta_tilde=rng.normal(0.0, 4.0, (3, 5)))
     disc = DiscriminativeParams(b=rng.normal(size=3), w=rng.normal(size=(3, 5)))
-    text = dump_model(gen, disc)
+    save_model(gen, disc, tmp_path / "a.model")
+    text = (tmp_path / "a.model").read_text(encoding="utf-8")
     assert text.splitlines()[0] == "hybridssl-model v1 K=3 M=5"
-    gen2, disc2 = loads_model(text)
+    gen2, disc2 = load_model(tmp_path / "a.model")
     assert np.array_equal(gen.pi, gen2.pi)
     assert np.array_equal(gen.theta_tilde, gen2.theta_tilde)
     assert np.array_equal(disc.b, disc2.b)
     assert np.array_equal(disc.w, disc2.w)
-    assert dump_model(gen2, disc2) == text
+    save_model(gen2, disc2, tmp_path / "b.model")
+    assert (tmp_path / "b.model").read_text(encoding="utf-8") == text
 
 
-def test_loads_model_error_lines():
+def load_text(tmp_path, text):
+    """load_model on a file holding text."""
+    path = tmp_path / "text.model"
+    path.write_bytes(text.encode("utf-8"))
+    return load_model(path)
+
+
+def test_load_model_error_lines(tmp_path):
     gen = uniform_generative_params(2, 2)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))
-    lines = dump_model(gen, disc).splitlines()
+    save_model(gen, disc, tmp_path / "good.model")
+    lines = (tmp_path / "good.model").read_text(encoding="utf-8").splitlines()
 
     with pytest.raises(ParseError) as exc:
-        loads_model("garbage header\n")
+        load_text(tmp_path, "garbage header\n")
     assert exc.value.line == 1
 
     broken = list(lines)
     broken[1] = "notpi"
     with pytest.raises(ParseError) as exc:
-        loads_model("\n".join(broken))
+        load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 2
 
     broken = list(lines)
     broken[2] = "0.5"  # wrong arity for pi
     with pytest.raises(ParseError) as exc:
-        loads_model("\n".join(broken))
+        load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 3
 
     broken = list(lines)
     broken[4] = "0.0 oops"
     with pytest.raises(ParseError) as exc:
-        loads_model("\n".join(broken))
+        load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 5
 
     with pytest.raises(ParseError) as exc:
-        loads_model("\n".join(lines[:4]))
+        load_text(tmp_path, "\n".join(lines[:4]))
     assert exc.value.line == 5
 
     with pytest.raises(ParseError):
-        loads_model("")
+        load_text(tmp_path, "")
 
 
 _LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\n"
@@ -440,22 +423,22 @@ _LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\
     (_LINES_MODEL[:_LINES_MODEL.index("b\n")], ("expected section 'b'", 7)),
 ])
 def test_model_file_line_semantics(tmp_path, text, expected):
-    """loads_model and load_model split lines as str.splitlines() does and
-    agree on every result and error line."""
-    path = tmp_path / "lines.model"
-    path.write_bytes(text.encode("utf-8"))
-    for load in (lambda: loads_model(text), lambda: model.load_model(path)):
-        if isinstance(expected, tuple):
-            message, line = expected
-            with pytest.raises(ParseError) as exc:
-                load()
-            assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
-        else:
-            assert load()[1].w.tolist() == expected
+    """load_model splits lines as str.splitlines() does, and names the line
+    of every error."""
+    if isinstance(expected, tuple):
+        message, line = expected
+        with pytest.raises(ParseError) as exc:
+            load_text(tmp_path, text)
+        assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
+    else:
+        assert load_text(tmp_path, text)[1].w.tolist() == expected
 
 
-def test_dump_model_rejects_shape_mismatch():
+def test_save_model_rejects_shape_mismatch_and_keeps_the_file(tmp_path):
     gen = uniform_generative_params(2, 3)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))
+    path = tmp_path / "m.model"
+    path.write_text("previous model\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        dump_model(gen, disc)
+        save_model(gen, disc, path)
+    assert path.read_text(encoding="utf-8") == "previous model\n"

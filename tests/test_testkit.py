@@ -7,15 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hybridssl.errors import DomainError, OracleError
-from hybridssl.model import (Dataset, GenerativeParams, Instance,
-                             SparseBinaryVector, nb_class_scores, nb_posterior)
+from hybridssl.model import GenerativeParams, _softmax, nb_scores_matrix
 from hybridssl.testkit import (brute_force_theta_tilde,
                                enumerate_data_log_likelihood, enumerate_joint,
                                enumerate_posterior, fd_gradient)
 
-
-def vec(indices, m):
-    return SparseBinaryVector(indices=np.array(indices, dtype=np.int64), num_features=m)
+from helpers import make_dataset
 
 
 def random_params(num_classes, num_features, seed):
@@ -103,7 +100,7 @@ def test_enumerate_posterior_matches_production_scoring():
     for seed in range(5):
         gen = random_params(3, 7, seed)
         ids = np.flatnonzero(rng.random(7) < 0.4)
-        want = nb_posterior(gen, vec(ids, 7))
+        want = _softmax(nb_scores_matrix(gen, make_dataset([(ids, None)], 3, 7))[0])
         got = enumerate_posterior(gen, ids)
         assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -122,19 +119,10 @@ def test_enumerate_posterior_flags_degenerate_mass():
 
 def test_enumerate_data_log_likelihood_matches_production():
     gen = random_params(2, 6, 3)
-    data = Dataset.from_instances(
-        (
-            Instance(vec([0, 2], 6), label=0),
-            Instance(vec([1], 6), label=1),
-            Instance(vec([3, 4, 5], 6), label=None),
-            Instance(vec([], 6), label=None),
-        ),
-        num_classes=2,
-        num_features=6,
-    )
+    data = make_dataset([([0, 2], 0), ([1], 1), ([3, 4, 5], None), ([], None)],
+                        num_classes=2, num_features=6)
     want = 0.0
-    for inst in data:
-        scores = nb_class_scores(gen, inst.features)
+    for inst, scores in zip(data, nb_scores_matrix(gen, data)):
         if inst.label is None:
             shift = scores.max()
             want += shift + math.log(np.exp(scores - shift).sum())

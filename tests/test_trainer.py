@@ -11,19 +11,16 @@ from hybridssl import expfam, model, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
 from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
-from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
-                             DiscriminativeParams, GenerativeParams, Instance,
-                             SparseBinaryVector, log_joint, lr_scores,
-                             nb_class_scores, uniform_generative_params)
+from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
+                             GenerativeParams, log_joint, lr_scores_matrix,
+                             nb_scores_matrix, uniform_generative_params)
 from hybridssl.trainer import (EndpointMode, TrainConfig,
                                discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
 from hybridssl.trainer import _mixing_weights, _responsibilities, _expected_counts
 
-
-def vec(indices, m):
-    return SparseBinaryVector(indices=np.array(indices, dtype=np.int64), num_features=m)
+from helpers import make_dataset
 
 
 def small_corpus(seed=3):
@@ -82,8 +79,7 @@ def test_generative_update_beta_worked_example():
     # both responsibilities exactly 1/2, so the expected count is 0.5 per
     # class. With gamma=2 and w=0 the pseudo-count is 1, and
     # v = (0.5 + 1) / (2 + 2) = 0.375 for every (class, feature).
-    toy = Dataset.from_instances((Instance(vec([0], 1), None), Instance(vec([], 1), None)),
-                                 num_classes=2, num_features=1)
+    toy = make_dataset([([0], None), ([], None)], num_classes=2, num_features=1)
     gen0 = uniform_generative_params(2, 1)
     disc0 = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 1)))
     gen1 = generative_update_beta(toy, gen0, disc0, 2.0)
@@ -240,9 +236,8 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     w[:, :3] = [700.0, -700.0, 0.0]
     w[:, -1] = -700.0
     theta_tilde = rng.normal(0.0, 3.0, (k, m))
-    data = Dataset.from_instances(
-        [Instance(vec(np.flatnonzero(rng.random(m) < p), m), label)
-         for p, label in ((0.3, 0), (0.5, 1), (0.1, None), (0.7, 2))], k, m)
+    data = make_dataset([(np.flatnonzero(rng.random(m) < p), label)
+                         for p, label in ((0.3, 0), (0.5, 1), (0.1, None), (0.7, 2))], k, m)
     resp = rng.dirichlet(np.ones(k), size=len(data))
 
     pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
@@ -275,12 +270,12 @@ def test_coupling_gradient_decoupled_is_zero():
 def make_fd_instance(seed):
     rng = np.random.default_rng(seed)
     m = 3
-    instances = []
+    docs = []
     for i in range(4):
         nnz = np.flatnonzero(rng.random(m) < 0.6)
         label = int(rng.integers(0, 2)) if i < 3 else None
-        instances.append(Instance(vec(nnz, m), label))
-    data = Dataset.from_instances(instances, num_classes=2, num_features=m)
+        docs.append((nnz, label))
+    data = make_dataset(docs, num_classes=2, num_features=m)
     gen = GenerativeParams(pi=rng.dirichlet(np.ones(2)),
                            theta_tilde=rng.normal(0.0, 1.0, (2, m)))
     disc = DiscriminativeParams(b=rng.normal(size=2), w=rng.normal(size=(2, m)))
@@ -343,15 +338,12 @@ def test_logreg_endpoint_fits_separable_data():
     train_set, test_set = small_corpus()
     disc, report = train_logreg(train_set, TrainConfig())
     assert report.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
-    correct = sum(1 for inst in test_set
-                  if int(np.argmax(lr_scores(disc, inst.features))) == inst.label)
+    correct = np.sum(lr_scores_matrix(disc, test_set).argmax(axis=1) == test_set.row_labels)
     assert correct / len(test_set) > 0.9
 
 
 def test_train_requires_labeled_data():
-    unlabeled = Dataset.from_instances(
-        (Instance(vec([0], 2), None) for _ in range(4)),
-        num_classes=2, num_features=2)
+    unlabeled = make_dataset([([0], None)] * 4, num_classes=2, num_features=2)
     with pytest.raises(ConfigError):
         train(unlabeled, CouplingConfig.from_lambda(0.5), TrainConfig())
     with pytest.raises(ConfigError):
@@ -372,9 +364,8 @@ def test_lambda_zero_equals_nb_em_with_score_exact_linear_form():
     # the discriminative slot reproduces naive Bayes scores exactly
     assert np.array_equal(disc.w, gen.theta_tilde)
     assert np.array_equal(disc.b, gen.log_pi + gen.absence_base)
-    for inst in test_set:
-        assert_allclose(lr_scores(disc, inst.features),
-                        nb_class_scores(gen, inst.features), atol=1e-12)
+    assert_allclose(lr_scores_matrix(disc, test_set), nb_scores_matrix(gen, test_set),
+                    atol=1e-12)
 
 
 def test_lambda_one_equals_standalone_logreg():
@@ -435,8 +426,8 @@ def test_hybrid_runs_all_coupling_kinds():
         gen, disc, report = train(train_set, cpl, cfg)
         assert report.endpoint_mode is EndpointMode.HYBRID
         assert len(report.log_joint_trace) == report.outer_iters_run
-        correct = sum(1 for inst in test_set
-                      if int(np.argmax(lr_scores(disc, inst.features))) == inst.label)
+        correct = np.sum(lr_scores_matrix(disc, test_set).argmax(axis=1)
+                         == test_set.row_labels)
         assert correct / len(test_set) > 0.9
         if report.converged:
             a, b = report.log_joint_trace[-2:]
