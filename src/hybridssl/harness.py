@@ -93,6 +93,11 @@ class SweepSpec:
             raise ConfigError("unlabeled count grid contains duplicates")
         if not self.seeds:
             raise ConfigError("seed list is empty")
+        # the cell seed hashes a seed modulo 2**64, so only that range is distinct
+        if not all(0 <= s < 2 ** 64 for s in self.seeds):
+            raise ConfigError("seeds must lie in [0, 2**64)")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seed list contains duplicates")
         if self.labeled_per_class < 1:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if (self.corpus_path is None) == (self.synthetic is None):

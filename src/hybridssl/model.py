@@ -381,12 +381,18 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
     not depend on any parameter; gradients and convergence traces are
     unaffected.
     """
+    return _log_joint_blocks(gen, disc, coupling, data, nb_scores_matrix(gen, data))
+
+
+def _log_joint_blocks(gen, disc, coupling, data, nb_scores) -> LogJointBlocks:
+    """log_joint_blocks given nb_scores = nb_scores_matrix(gen, data), which
+    the trainer reuses for its next E-step."""
     prior = float(-0.5 / coupling.disc_prior_sigma2 * np.sum(disc.w * disc.w))
 
     disc_block = _label_log_likelihood(
         lr_scores_matrix(disc, data, data.labeled_positions), data.labels)
 
-    gen_block = float(_logsumexp_rows(nb_scores_matrix(gen, data)).sum())
+    gen_block = float(_logsumexp_rows(nb_scores).sum())
 
     return LogJointBlocks(prior=prior,
                           coupling=_coupling_block(gen, disc, coupling),
@@ -476,11 +482,11 @@ def load_model(path):
             line = next(lines, None)
             if line is None or line.strip() != name:
                 raise ParseError(f"expected section '{name}'", line=lineno)
-            block = np.empty((rows, cols))
-            for r in range(rows):
+            block = []  # grown as rows are read: the header's K and M are untrusted
+            for _ in range(rows):
                 lineno += 1
-                block[r] = _parse_row(next(lines, None), name, cols, lineno)
-            parsed[name] = block
+                block.append(_parse_row(next(lines, None), name, cols, lineno))
+            parsed[name] = np.array(block).reshape(rows, cols)
 
     gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
     disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])

@@ -45,8 +45,8 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    GenerativeParams, _label_log_likelihood, _logsumexp_rows, _softmax,
-                    log_joint, lr_scores_matrix, nb_scores_matrix,
+                    GenerativeParams, _label_log_likelihood, _log_joint_blocks,
+                    _logsumexp_rows, _softmax, lr_scores_matrix, nb_scores_matrix,
                     uniform_generative_params)
 from .rng import SplitMix64, derive_seed
 
@@ -58,6 +58,12 @@ _EM_SMOOTHING = 1e-2
 # gradient is at most _GAUSS_TOL, and fails after _GAUSS_MAX_STEPS steps.
 _GAUSS_TOL = 1e-6
 _GAUSS_MAX_STEPS = 100
+# The discriminative step runs _SGD_EPOCHS epochs per outer iteration; the
+# learning rate decays with the global example-update count t as
+# eta_t = _LEARNING_RATE0 / (1 + t / _LR_DECAY_STEPS).
+_SGD_EPOCHS = 5
+_LEARNING_RATE0 = 0.1
+_LR_DECAY_STEPS = 1000.0
 
 
 class EndpointMode(enum.Enum):
@@ -68,19 +74,14 @@ class EndpointMode(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the outer loop and the SGD inner loop.
+    """Knobs for the outer loop.
 
     Convergence: the run stops once the objective trace satisfies
-    |L_k - L_{k-1}| <= tol * max(1, |L_{k-1}|, |L_k|). The learning rate
-    decays with the global example-update count t as
-    eta_t = learning_rate0 / (1 + t / lr_decay_steps).
+    |L_k - L_{k-1}| < tol * max(1, |L_{k-1}|, |L_k|).
     """
 
     max_outer_iters: int = 200
     tol: float = 1e-6
-    sgd_epochs_per_outer: int = 5
-    learning_rate0: float = 0.1
-    lr_decay_steps: float = 1000.0
     seed: int = 0
 
     def __post_init__(self):
@@ -88,17 +89,8 @@ class TrainConfig:
             raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (self.tol > 0.0):
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.sgd_epochs_per_outer < 1:
-            raise ConfigError(f"sgd_epochs_per_outer must be >= 1, got {self.sgd_epochs_per_outer}")
-        if not (self.learning_rate0 > 0.0):
-            raise ConfigError(f"learning_rate0 must be > 0, got {self.learning_rate0}")
-        if not (self.lr_decay_steps > 0.0):
-            raise ConfigError(f"lr_decay_steps must be > 0, got {self.lr_decay_steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-
-    def learning_rate(self, step: int) -> float:
-        return self.learning_rate0 / (1.0 + step / self.lr_decay_steps)
 
 
 @dataclass
@@ -116,11 +108,6 @@ def _rel_change(prev: float, curr: float) -> float:
 def _responsibilities(gen: GenerativeParams, data: Dataset) -> np.ndarray:
     """p(y | x, theta_tilde) for every document, shape (N, K)."""
     return _softmax(nb_scores_matrix(gen, data))
-
-
-def _expected_counts(data: Dataset, resp: np.ndarray) -> np.ndarray:
-    """c_yd = sum_x p(y | x) x_d, shape (K, M)."""
-    return data.counts(resp)
 
 
 _PI_FLOOR = 1e-12
@@ -148,7 +135,7 @@ def _coupled_generative_step(data, resp, w, gamma):
 
     return GenerativeParams(
         pi=_mixing_weights(resp.sum(axis=0)),
-        theta_tilde=expfam._blockwise(theta_tilde, _expected_counts(data, resp), w))
+        theta_tilde=expfam._blockwise(theta_tilde, data.counts(resp), w))
 
 
 def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
@@ -157,8 +144,8 @@ def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
     """Closed-form generative step under BETA coupling.
 
     Responsibilities come from gen_old unless precomputed ones are passed
-    in. The trainer computes them once per outer iteration, after its
-    objective evaluation, by scoring the documents a second time.
+    in. The trainer takes them from the document scores of the previous
+    outer iteration's objective evaluation.
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
@@ -189,7 +176,7 @@ def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
     if resp is None:
         resp = _responsibilities(gen_old, data)
     n = len(data)
-    counts = _expected_counts(data, resp)
+    counts = data.counts(resp)
     w = disc.w
     lo = w + sigma_c2 * (counts - n)
     hi = w + sigma_c2 * counts
@@ -210,23 +197,6 @@ def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
         snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max())})
 
 
-def _coupling_grad_w(theta_tilde: np.ndarray, w: np.ndarray,
-                     coupling: CouplingConfig) -> np.ndarray:
-    if coupling.kind is CouplingKind.DECOUPLED:
-        return np.zeros_like(w)
-    if coupling.kind is CouplingKind.GAUSSIAN:
-        return (theta_tilde - w) / coupling.sigma_c2
-    gamma = coupling.gamma
-
-    def grad(tt, w):
-        s = expfam.sigmoid(w)
-        alpha = gamma * s
-        psi_diff = expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)
-        return gamma * s * (1.0 - s) * (tt - psi_diff)
-
-    return expfam._blockwise(grad, theta_tilde, w)
-
-
 def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
                         coupling: CouplingConfig) -> np.ndarray:
     """d(coupling block)/dw, shape (K, M).
@@ -238,7 +208,19 @@ def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
     which combines the log-normalizer derivative and the linear term.
     GAUSSIAN: (theta_tilde - w) / sigma_c2. DECOUPLED: zero.
     """
-    return _coupling_grad_w(gen.theta_tilde, disc.w, coupling)
+    if coupling.kind is CouplingKind.DECOUPLED:
+        return np.zeros_like(disc.w)
+    if coupling.kind is CouplingKind.GAUSSIAN:
+        return (gen.theta_tilde - disc.w) / coupling.sigma_c2
+    gamma = coupling.gamma
+
+    def grad(tt, w):
+        s = expfam.sigmoid(w)
+        alpha = gamma * s
+        psi_diff = expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)
+        return gamma * s * (1.0 - s) * (tt - psi_diff)
+
+    return expfam._blockwise(grad, gen.theta_tilde, disc.w)
 
 
 def discriminative_gradient(data: Dataset, gen: GenerativeParams,
@@ -270,12 +252,20 @@ def _coupling_stiffness(coupling: CouplingConfig) -> float:
     return 0.0
 
 
-def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
-    """Run cfg.sgd_epochs_per_outer SGD epochs in place on (b, w).
+def _learning_rate(step: int) -> float:
+    return _LEARNING_RATE0 / (1.0 + step / _LR_DECAY_STEPS)
+
+
+def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
+    """Run _SGD_EPOCHS SGD epochs in place on (disc.b, disc.w).
 
     Per example: the data-term gradient of that example alone. Per epoch:
-    one full prior(+coupling) step. Returns the new global step count.
+    one full prior(+coupling) step. Every outer iteration makes the same
+    number of example updates, so the global step count starts at
+    outer_iter * _SGD_EPOCHS * (labeled documents). gen is read only by
+    the coupling gradient, so a DECOUPLED caller may pass None.
     """
+    b, w = disc.b, disc.w
     positions = data.labeled_positions
     labels = data.labels
     feats = [data.indices[data.indptr[p]:data.indptr[p + 1]] for p in positions]
@@ -283,8 +273,9 @@ def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
     stiffness = _coupling_stiffness(coupling)
     sigma2 = coupling.disc_prior_sigma2
     grad = np.empty_like(w)
-    for epoch in range(cfg.sgd_epochs_per_outer):
-        SplitMix64(derive_seed(cfg.seed, outer_iter, epoch)).shuffle(order)
+    step = outer_iter * _SGD_EPOCHS * len(positions)
+    for epoch in range(_SGD_EPOCHS):
+        SplitMix64(derive_seed(seed, outer_iter, epoch)).shuffle(order)
         for i in order:
             idx = feats[i]
             scores = b + w[:, idx].sum(axis=1)
@@ -293,24 +284,18 @@ def _sgd_epochs(data, theta_tilde, coupling, b, w, cfg, outer_iter, step):
             p /= p.sum()
             p = -p
             p[labels[i]] += 1.0
-            eta = cfg.learning_rate(step)
+            eta = _learning_rate(step)
             b += eta * p
             w[:, idx] += eta * p[:, None]
             step += 1
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            return step  # blowup; reported as NumericError by the caller
-        eta = min(cfg.learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
+            return  # blowup; reported as NumericError by the caller
+        eta = min(_learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
         np.divide(w, -sigma2, out=grad)
         if coupling.kind is not CouplingKind.DECOUPLED:
-            grad += _coupling_grad_w(theta_tilde, w, coupling)
+            grad += coupling_gradient_w(gen, disc, coupling)
         grad *= eta
         w += grad
-    return step
-
-
-def _finish(trace, converged, mode):
-    return TrainReport(log_joint_trace=trace, outer_iters_run=len(trace),
-                       converged=converged, endpoint_mode=mode)
 
 
 def _check_finite(value, it, mode, **state):
@@ -328,6 +313,21 @@ def _check_finite(value, it, mode, **state):
         snapshot.update(state)
         raise NumericError(f"{bad} became non-finite at outer iteration {it}",
                            snapshot=snapshot)
+
+
+def _ascend(step, cfg: TrainConfig, mode: EndpointMode) -> TrainReport:
+    """The outer loop of every trainer. step(it) runs outer iteration it and
+    returns its objective; the loop stops once two successive objectives
+    differ by a relative change below cfg.tol, or after cfg.max_outer_iters."""
+    trace = []
+    converged = False
+    for it in range(cfg.max_outer_iters):
+        trace.append(step(it))
+        converged = it > 0 and _rel_change(trace[-2], trace[-1]) < cfg.tol
+        if converged:
+            break
+    return TrainReport(log_joint_trace=trace, outer_iters_run=len(trace),
+                       converged=converged, endpoint_mode=mode)
 
 
 def train_nb_em(data: Dataset, cfg: TrainConfig):
@@ -348,9 +348,8 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
     hard = np.zeros((data.n_labeled, k))
     hard[np.arange(len(data.labels)), data.labels] = 1.0
 
-    trace = []
-    converged = False
-    for it in range(cfg.max_outer_iters):
+    def em_step(it):
+        nonlocal gen
         scores = nb_scores_matrix(gen, data)
         lse = _logsumexp_rows(scores)
         objective = float(scores[data.labeled_positions, data.labels].sum()
@@ -359,18 +358,16 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
         resp = np.exp(scores - lse[:, None])
         resp[data.labeled_positions] = hard
         class_mass = resp.sum(axis=0)
-        counts = _expected_counts(data, resp)
-        v = (counts + _EM_SMOOTHING) / (class_mass[:, None] + 2.0 * _EM_SMOOTHING)
+        v = (data.counts(resp) + _EM_SMOOTHING) / (class_mass[:, None] + 2.0 * _EM_SMOOTHING)
         gen = GenerativeParams(pi=_mixing_weights(class_mass),
                                theta_tilde=expfam.natural_from_mean(v))
 
         _check_finite(objective, it, EndpointMode.PURE_GENERATIVE,
                       theta_tilde=gen.theta_tilde)
-        trace.append(objective)
-        if it > 0 and _rel_change(trace[-2], trace[-1]) < cfg.tol:
-            converged = True
-            break
-    return gen, _finish(trace, converged, EndpointMode.PURE_GENERATIVE)
+        return objective
+
+    report = _ascend(em_step, cfg, EndpointMode.PURE_GENERATIVE)
+    return gen, report
 
 
 def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100.0):
@@ -378,27 +375,20 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
     k, m = data.num_classes, data.num_features
-    b = np.zeros(k)
-    w = np.zeros((k, m))
+    # the SGD epochs update disc.b and disc.w in place
+    disc = DiscriminativeParams(b=np.zeros(k), w=np.zeros((k, m)))
     prior_only = CouplingConfig(kind=CouplingKind.DECOUPLED, lam=1.0,
                                 disc_prior_sigma2=disc_prior_sigma2)
-    trace = []
-    converged = False
-    step = 0
-    for it in range(cfg.max_outer_iters):
-        step = _sgd_epochs(data, None, prior_only, b, w, cfg, it, step)
-        # scored from the raw arrays: after a blowup (b, w) are not valid
-        # DiscriminativeParams, and _check_finite is what reports it
-        scores = b[None, :] + data.scores(w, data.labeled_positions)
+
+    def sgd_step(it):
+        _sgd_epochs(data, None, disc, prior_only, cfg.seed, it)
+        scores = lr_scores_matrix(disc, data, data.labeled_positions)
         objective = float(_label_log_likelihood(scores, data.labels)
-                          - 0.5 / disc_prior_sigma2 * np.sum(w * w))
-        _check_finite(objective, it, EndpointMode.PURE_DISCRIMINATIVE, b=b, w=w)
-        trace.append(objective)
-        if it > 0 and _rel_change(trace[-2], trace[-1]) < cfg.tol:
-            converged = True
-            break
-    return DiscriminativeParams(b=b, w=w), _finish(trace, converged,
-                                                   EndpointMode.PURE_DISCRIMINATIVE)
+                          - 0.5 / disc_prior_sigma2 * np.sum(disc.w * disc.w))
+        _check_finite(objective, it, EndpointMode.PURE_DISCRIMINATIVE, b=disc.b, w=disc.w)
+        return objective
+
+    return disc, _ascend(sgd_step, cfg, EndpointMode.PURE_DISCRIMINATIVE)
 
 
 def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
@@ -432,10 +422,8 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     disc = DiscriminativeParams(b=np.zeros(k), w=np.zeros((k, m)))
     resp = _responsibilities(gen, data)
 
-    trace = []
-    converged = False
-    step = 0
-    for it in range(cfg.max_outer_iters):
+    def hybrid_step(it):
+        nonlocal gen, resp
         if coupling.kind is CouplingKind.BETA:
             gen = generative_update_beta(data, gen, disc, coupling.gamma, resp=resp)
         elif coupling.kind is CouplingKind.GAUSSIAN:
@@ -443,17 +431,17 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         else:
             gen = _coupled_generative_step(data, resp, disc.w, 0.0)
 
-        step = _sgd_epochs(data, gen.theta_tilde, coupling, disc.b, disc.w, cfg, it, step)
+        _sgd_epochs(data, gen, disc, coupling, cfg.seed, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
-        objective = log_joint(gen, disc, coupling, data)
+        scores = nb_scores_matrix(gen, data)
+        objective = _log_joint_blocks(gen, disc, coupling, data, scores).total()
         _check_finite(objective, it, EndpointMode.HYBRID,
                       theta_tilde=gen.theta_tilde)
-        trace.append(objective)
-        # responsibilities under the just-updated generative parameters;
-        # SGD did not touch them, so next iteration's E-step reuses these.
-        resp = _responsibilities(gen, data)
-        if it > 0 and _rel_change(trace[-2], trace[-1]) < cfg.tol:
-            converged = True
-            break
-    return gen, disc, _finish(trace, converged, EndpointMode.HYBRID)
+        # SGD did not touch gen, so the next iteration's E-step reuses the
+        # objective's scores.
+        resp = _softmax(scores)
+        return objective
+
+    report = _ascend(hybrid_step, cfg, EndpointMode.HYBRID)
+    return gen, disc, report

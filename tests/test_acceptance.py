@@ -19,8 +19,7 @@ from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, _softmax, load_model, log_joint,
                              lr_scores_matrix, nb_scores_matrix, save_model,
                              uniform_generative_params)
-from hybridssl.trainer import (TrainConfig, _expected_counts,
-                               _responsibilities, _sgd_epochs,
+from hybridssl.trainer import (TrainConfig, _responsibilities, _sgd_epochs,
                                discriminative_gradient, generative_update_beta,
                                train, train_logreg, train_nb_em)
 
@@ -116,7 +115,7 @@ def test_criterion_3_closed_form_update_is_the_surrogate_argmax():
             b=np.zeros(data.num_classes),
             w=rng.uniform(-3.0, 3.0, (data.num_classes, data.num_features)))
         n = len(data)
-        counts = _expected_counts(data, _responsibilities(gen_old, data))
+        counts = data.counts(_responsibilities(gen_old, data))
         for gamma in (0.5, 2.0, 50.0):
             gen_new = generative_update_beta(data, gen_old, disc, gamma)
             alpha = gamma * expfam.sigmoid(disc.w)
@@ -230,17 +229,16 @@ def test_criterion_6_coordinate_ascent_trace():
     w = np.zeros((toy.num_classes, toy.num_features))
     resp = _responsibilities(gen, toy)
     trace = []
-    step = 0
     worst = math.inf
     for it in range(cfg.max_outer_iters):
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
-        counts = _expected_counts(toy, resp)
+        counts = toy.counts(resp)
         before = surrogate(gen, disc.w, resp, counts)
         gen = generative_update_beta(toy, gen, disc, coupling.gamma, resp=resp)
         after = surrogate(gen, disc.w, resp, counts)
         worst = min(worst, after - before)
         assert after >= before - 1e-9
-        step = _sgd_epochs(toy, gen.theta_tilde, coupling, b, w, cfg, it, step)
+        _sgd_epochs(toy, gen, DiscriminativeParams(b=b, w=w), coupling, cfg.seed, it)
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
         trace.append(log_joint(gen, disc, coupling, toy))
         resp = _responsibilities(gen, toy)

@@ -1,5 +1,7 @@
 """The public API, pinned: a change to it must show up as a diff here."""
 
+import dataclasses
+
 import hybridssl
 from hybridssl import model
 
@@ -42,3 +44,10 @@ def test_deleted_names_are_gone():
         assert not hasattr(model, name), name
     assert not hasattr(model.Dataset, "from_instances")
     assert model.Instance._fields == ("features", "label")
+
+
+def test_train_config_holds_only_the_outer_loop_knobs():
+    # the SGD schedule is a set of trainer constants, not configuration
+    assert tuple(f.name for f in dataclasses.fields(hybridssl.TrainConfig)) == (
+        "max_outer_iters", "tol", "seed")
+    assert not hasattr(hybridssl.TrainConfig, "learning_rate")

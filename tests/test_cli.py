@@ -236,6 +236,17 @@ def test_predict_non_finite_prior_model_exits_2(tmp_path, capsys):
     assert "section 'pi' has a token that is not an ASCII decimal (line 3)" in err
 
 
+def test_predict_oversized_model_header_exits_2(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, capsys)
+    model_path = tmp_path / "huge.model"
+    model_path.write_text("hybridssl-model v1 K=2 M=1000000000000\npi\n0.5 0.5\n"
+                          "theta_tilde\n0 0\n")
+    code, out, err = run(capsys, "predict", "--model", str(model_path),
+                         "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert "section 'theta_tilde' row has 2 values, expected 1000000000000 (line 5)" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -331,6 +342,14 @@ def test_sweep_failed_cells_exit_3(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run.results.csv").exists()
     # the surviving cell still yields a summary line
     assert out.splitlines()[0] == "unlabeled=0 lambda=0.000000 mean_acc=0.900000"
+
+
+def test_sweep_duplicate_seeds_exit_2(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "--synthetic", SYN, "--lambdas", "0.5",
+                       "--unlabeled", "0", "--labeled-per-class", "5", "--seeds", "1,1",
+                       "--out", str(tmp_path / "run"))
+    assert code == 2 and "seed list contains duplicates" in err
+    assert not (tmp_path / "run.results.csv").exists()
 
 
 def test_sweep_missing_corpus_source_exits_2(tmp_path, capsys):

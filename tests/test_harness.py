@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hybridssl import trainer
 from hybridssl.data import SplitSpec, sample_split
 from hybridssl.errors import ConfigError, QueryError
 from hybridssl.harness import (AGGREGATE_HEADER, CURVES_HEADER,
@@ -61,6 +62,12 @@ def test_sweep_spec_validation():
         quick_spec(unlabeled_counts=(-1,))
     with pytest.raises(ConfigError):
         quick_spec(seeds=())
+    with pytest.raises(ConfigError):
+        quick_spec(seeds=(1, 1))
+    with pytest.raises(ConfigError):
+        quick_spec(seeds=(-1,))  # the same cells as seed 2**64 - 1
+    with pytest.raises(ConfigError):
+        quick_spec(seeds=(2 ** 64,))  # the same cells as seed 0
     with pytest.raises(ConfigError):
         quick_spec(labeled_per_class=0)
     with pytest.raises(ConfigError):
@@ -133,10 +140,10 @@ def test_sweep_endpoint_cells_match_direct_training():
     assert got[0].converged == report.converged
 
 
-def test_run_sweep_flags_failed_cells_and_continues():
+def test_run_sweep_flags_failed_cells_and_continues(monkeypatch):
+    monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
     spec = quick_spec(lambdas=(0.5,), unlabeled_counts=(0,), seeds=(1, 2),
-                      train_config=TrainConfig(max_outer_iters=3,
-                                               learning_rate0=1e300))
+                      train_config=TrainConfig(max_outer_iters=3))
     with np.errstate(over="ignore", invalid="ignore"):
         rows = run_sweep(spec)
     assert len(rows) == 2

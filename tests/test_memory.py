@@ -10,7 +10,7 @@ import numpy as np
 
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, load_model, save_model)
-from hybridssl.trainer import _coupling_grad_w
+from hybridssl.trainer import coupling_gradient_w
 
 
 def _traced(fn):
@@ -49,5 +49,7 @@ def test_beta_coupling_gradient_peak_stays_below_four_arrays():
     theta_tilde = rng.normal(0.0, 3.0, (20, 50_000))
     w = rng.normal(0.0, 1.0, (20, 50_000))
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)
-    _, peak, _ = _traced(lambda: _coupling_grad_w(theta_tilde, w, coupling))
+    gen = GenerativeParams(pi=np.full(20, 0.05), theta_tilde=theta_tilde)
+    disc = DiscriminativeParams(b=np.zeros(20), w=w)
+    _, peak, _ = _traced(lambda: coupling_gradient_w(gen, disc, coupling))
     assert peak < 4 * w.nbytes

@@ -404,6 +404,16 @@ def test_load_model_error_lines(tmp_path):
         load_text(tmp_path, "")
 
 
+@pytest.mark.parametrize("header, line", [("K=2 M=1000000000000", 5),
+                                          ("K=1000000000000 M=2", 3)])
+def test_load_model_allocates_only_rows_it_has_read(tmp_path, header, line):
+    # the header's sizes alone would ask for terabytes
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, f"hybridssl-model v1 {header}\npi\n0.5 0.5\ntheta_tilde\n0 0\n")
+    assert exc.value.line == line
+    assert "row has 2 values, expected 1000000000000" in str(exc.value)
+
+
 _LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\n"
                 "b\n0 0\nw\n")
 

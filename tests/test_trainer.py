@@ -18,7 +18,7 @@ from hybridssl.trainer import (EndpointMode, TrainConfig,
                                discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
-from hybridssl.trainer import _mixing_weights, _responsibilities, _expected_counts
+from hybridssl.trainer import _mixing_weights, _responsibilities
 
 from helpers import make_dataset
 
@@ -40,15 +40,12 @@ def test_train_config_validation():
         TrainConfig(tol=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate0=0.0)
 
 
 def test_learning_rate_decay():
-    cfg = TrainConfig(learning_rate0=0.1, lr_decay_steps=1000.0)
-    assert cfg.learning_rate(0) == 0.1
-    assert_allclose(cfg.learning_rate(1000), 0.05, rtol=1e-15)
-    assert_allclose(cfg.learning_rate(3000), 0.025, rtol=1e-15)
+    assert trainer._learning_rate(0) == 0.1
+    assert_allclose(trainer._learning_rate(1000), 0.05, rtol=1e-15)
+    assert_allclose(trainer._learning_rate(3000), 0.025, rtol=1e-15)
 
 
 def test_from_lambda_gamma_frozen_values():
@@ -97,7 +94,7 @@ def test_generative_update_beta_matches_closed_form():
     gen1 = generative_update_beta(train_set, gen0, disc, gamma)
 
     resp = _responsibilities(gen0, train_set)
-    counts = _expected_counts(train_set, resp)
+    counts = train_set.counts(resp)
     v = (counts + gamma * expfam.sigmoid(disc.w)) / (len(train_set) + gamma)
     assert_allclose(expfam.sigmoid(gen1.theta_tilde), v, rtol=1e-12)
     mass = resp.sum(axis=0)
@@ -116,7 +113,7 @@ def test_generative_update_beta_coordinate_maximizes_surrogate():
     disc = DiscriminativeParams(b=np.zeros(2), w=np.full((2, 10), 0.4))
     gamma = 2.0
     gen1 = generative_update_beta(train_set, gen0, disc, gamma)
-    counts = _expected_counts(train_set, _responsibilities(gen0, train_set))
+    counts = train_set.counts(_responsibilities(gen0, train_set))
     n = len(train_set)
     alpha = gamma * expfam.sigmoid(0.4)
     c = counts[1, 4]
@@ -141,7 +138,7 @@ def test_generative_update_gauss_extremes():
 
     # near-absent coupling recovers the pure expected-count ratio
     loose = generative_update_gauss(train_set, gen0, disc, 1e8)
-    counts = _expected_counts(train_set, _responsibilities(gen0, train_set))
+    counts = train_set.counts(_responsibilities(gen0, train_set))
     assert np.abs(expfam.sigmoid(loose.theta_tilde)
                   - counts / len(train_set)).max() < 1e-4
 
@@ -153,7 +150,7 @@ def test_generative_update_gauss_reaches_stationarity():
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
     sigma_c2 = 0.5
     gen1 = generative_update_gauss(train_set, gen0, disc, sigma_c2)
-    counts = _expected_counts(train_set, _responsibilities(gen0, train_set))
+    counts = train_set.counts(_responsibilities(gen0, train_set))
     grad = (-(gen1.theta_tilde - disc.w) / sigma_c2
             + counts - len(train_set) * expfam.sigmoid(gen1.theta_tilde))
     assert np.abs(grad).max() <= 1e-6
@@ -182,7 +179,7 @@ def test_generative_update_gauss_matches_brute_force_maximizer():
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 2.0, (2, 10)))
     sigma_c2 = 9.0
     gen1 = generative_update_gauss(train_set, gen0, disc, sigma_c2)
-    counts = _expected_counts(train_set, _responsibilities(gen0, train_set))
+    counts = train_set.counts(_responsibilities(gen0, train_set))
     n = len(train_set)
     for y, d in [(0, 0), (1, 4), (1, 9)]:
         def surrogate(t):
@@ -242,7 +239,7 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
 
     pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
     step = expfam.natural_from_mean(
-        (_expected_counts(data, resp) + pseudo) / (len(data) + gamma))
+        (data.counts(resp) + pseudo) / (len(data) + gamma))
     assert _same_bits(trainer._coupled_generative_step(data, resp, w, gamma).theta_tilde, step)
     if gamma == 0.0:
         return
@@ -252,11 +249,11 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     grad = gamma * s * (1.0 - s) * (
         theta_tilde - (expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)))
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)
-    assert _same_bits(trainer._coupling_grad_w(theta_tilde, w, coupling), grad)
-
-    block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
     gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
     disc = DiscriminativeParams(b=np.zeros(k), w=w)
+    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+
+    block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
@@ -434,17 +431,54 @@ def test_hybrid_runs_all_coupling_kinds():
             assert abs(b - a) / max(1.0, abs(a), abs(b)) < cfg.tol
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_every_trainer_stops_on_the_same_rule(lam):
+    train_set, _ = small_corpus()
+    cfg = TrainConfig(max_outer_iters=30, tol=1e-4)
+    _, _, report = train(train_set, CouplingConfig.from_lambda(lam), cfg)
+    trace = report.log_joint_trace
+    assert report.outer_iters_run == len(trace)
+    changes = [abs(b - a) / max(1.0, abs(a), abs(b)) for a, b in zip(trace, trace[1:])]
+    assert all(c >= cfg.tol for c in changes[:-1])
+    assert report.converged == (bool(changes) and changes[-1] < cfg.tol)
+    if not report.converged:
+        assert report.outer_iters_run == cfg.max_outer_iters
+
+
+def test_hybrid_scores_the_documents_once_per_outer_iteration(monkeypatch):
+    # one scoring for the start state's E-step, then one per iteration that
+    # serves both the objective and the next E-step
+    calls = []
+
+    def counted(gen, data):
+        calls.append(1)
+        return nb_scores_matrix(gen, data)
+
+    monkeypatch.setattr(model, "nb_scores_matrix", counted)
+    monkeypatch.setattr(trainer, "nb_scores_matrix", counted)
+    train_set, _ = small_corpus()
+    for kind in CouplingKind:
+        calls.clear()
+        _, _, report = train(train_set, CouplingConfig.from_lambda(0.5, kind),
+                             TrainConfig(max_outer_iters=6))
+        assert len(calls) == report.outer_iters_run + 1
+
+
 def test_hybrid_mid_lambda_requires_strength():
     train_set, _ = small_corpus()
     with pytest.raises(ConfigError):
         CouplingConfig(kind=CouplingKind.BETA, lam=0.5)
 
 
-def test_runaway_learning_rate_raises_numeric_error():
+@pytest.mark.parametrize("lam, mode", [(0.5, EndpointMode.HYBRID),
+                                       (1.0, EndpointMode.PURE_DISCRIMINATIVE)])
+def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
+    monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
     train_set, _ = small_corpus()
-    cfg = TrainConfig(max_outer_iters=5, learning_rate0=1e300)
+    cfg = TrainConfig(max_outer_iters=5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as exc:
-            train(train_set, CouplingConfig.from_lambda(0.5), cfg)
+            train(train_set, CouplingConfig.from_lambda(lam), cfg)
     assert exc.value.snapshot is not None
     assert "outer_iter" in exc.value.snapshot
+    assert exc.value.snapshot["mode"] == mode.value
