@@ -11,9 +11,8 @@ training, prediction, sweeps, corpus synthesis, and prior curve export.
 
 from .errors import (BoundsError, ConfigError, DomainError, HybridSslError,
                      NumericError, OracleError, ParseError, QueryError)
-from .expfam import (beta_prior_log_density, beta_prior_mode, beta_prior_moments,
-                     beta_prior_variance, digamma, log_partition, logit,
-                     matched_normal_params, natural_from_mean, sigmoid)
+from .expfam import (beta_prior_log_density, beta_prior_moments, digamma,
+                     log_partition, logit, natural_from_mean, sigmoid)
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     GenerativeParams, Instance, LogJointBlocks, load_model, log_joint,
                     log_joint_blocks, lr_scores_matrix, nb_scores_matrix, save_model,
@@ -37,14 +36,13 @@ __all__ = [
     "NumericError", "OracleError", "ParseError", "QueryError", "ResultRow",
     "SplitMix64", "SplitSpec", "SweepSpec", "SyntheticSpec",
     "TrainConfig", "TrainReport", "aggregate", "best_lambda",
-    "beta_prior_log_density", "beta_prior_mode", "beta_prior_moments",
-    "beta_prior_variance", "cell_seed", "coupling_gradient_w", "derive_seed",
-    "digamma", "discriminative_gradient", "export_prior_curves",
-    "generate_synthetic", "generative_update_beta", "generative_update_gauss",
-    "load_corpus", "load_model", "log_joint", "log_joint_blocks", "log_partition",
-    "logit", "lr_scores_matrix", "matched_normal_params", "natural_from_mean",
-    "nb_scores_matrix", "prior_curve_rows", "run_sweep", "sample_split",
-    "save_model", "sigmoid", "synthetic_true_params", "train", "train_logreg",
-    "train_nb_em", "uniform_generative_params", "write_aggregate_csv",
-    "write_corpus", "write_results_csv",
+    "beta_prior_log_density", "beta_prior_moments", "cell_seed",
+    "coupling_gradient_w", "derive_seed", "digamma", "discriminative_gradient",
+    "export_prior_curves", "generate_synthetic", "generative_update_beta",
+    "generative_update_gauss", "load_corpus", "load_model", "log_joint",
+    "log_joint_blocks", "log_partition", "logit", "lr_scores_matrix",
+    "natural_from_mean", "nb_scores_matrix", "prior_curve_rows", "run_sweep",
+    "sample_split", "save_model", "sigmoid", "synthetic_true_params", "train",
+    "train_logreg", "train_nb_em", "uniform_generative_params",
+    "write_aggregate_csv", "write_corpus", "write_results_csv",
 ]

@@ -154,6 +154,9 @@ class SplitSpec:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if self.unlabeled_total < 0:
             raise ConfigError(f"unlabeled_total must be >= 0, got {self.unlabeled_total}")
+        # derive_seed folds a seed modulo 2**64, so only that range is distinct
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def sample_split(full: Dataset, spec: SplitSpec):

@@ -17,6 +17,11 @@ v = sigmoid(t) in (0, 1); as a function of v it is Beta(alpha+1,
 gamma-alpha+1). Its mode over t is exactly r, and its spread shrinks as
 gamma grows, which is what makes gamma usable as a coupling strength.
 
+Over t itself (with dt, no Jacobian) the prior is logit(V), V ~ Beta(a, b),
+a = alpha, b = gamma - alpha: an exponential family whose log-normalizer
+log B(a, b) gives the moments in closed form, mean psi(a) - psi(b) and
+variance psi'(a) + psi'(b) (beta_prior_moments).
+
 Everything here accepts scalars or numpy arrays and is numerically stable
 for |t| up to at least 700.
 """
@@ -154,6 +159,34 @@ def _lgamma(x):
     return series - lift
 
 
+def _trigamma(x):
+    """Trigamma psi'(x) for an array x > 0, lifted by six as in digamma:
+
+        psi'(x) = psi'(x+6) + sum_{i<6} 1/(x+i)^2,
+
+    then the asymptotic series at z = x + 6,
+
+        psi'(z) ~ 1/z + 1/(2 z^2) + 1/(6 z^3) - 1/(30 z^5) + 1/(42 z^7)
+                  - 1/(30 z^9) + 5/(66 z^11) - 691/(2730 z^13) + 7/(6 z^15).
+
+    Each 1/(x+i)^2 is formed as a squared reciprocal, so a tiny x overflows
+    to inf rather than dividing by zero.
+    """
+    lift = (1.0 / x) ** 2
+    for i in range(1, 6):
+        lift += (1.0 / (x + i)) ** 2
+    r = 1.0 / (x + 6.0)
+    u = r * r
+    series = r + 0.5 * u + r * u * (
+        1.0 / 6.0
+        - u * (1.0 / 30.0
+               - u * (1.0 / 42.0
+                      - u * (1.0 / 30.0
+                             - u * (5.0 / 66.0
+                                    - u * (691.0 / 2730.0 - u * (7.0 / 6.0)))))))
+    return lift + series
+
+
 def _check_gamma(gamma):
     gamma = float(gamma)
     if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -180,83 +213,34 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
     return out
 
 
-def beta_prior_mode(theta, gamma):
-    """Mode over theta_tilde. Stationarity alpha - gamma*sigmoid(t) = 0
-    gives sigmoid(t) = sigmoid(theta), so the mode is theta itself."""
-    _check_gamma(gamma)
-    return theta
-
-
-def _simpson(values, h):
-    """Composite Simpson rule over an odd-length uniform grid."""
-    return (h / 3.0) * (values[0] + values[-1]
-                        + 4.0 * values[1:-1:2].sum()
-                        + 2.0 * values[2:-1:2].sum())
-
-
-# Quadrature controls for the prior moments: interval [theta-50, theta+50],
-# panel doubling from 2048 until the moments move by less than rel 1e-6,
-# hard cap 2^16 panels.
-_QUAD_HALF_WIDTH = 50.0
-_QUAD_INITIAL_PANELS = 2048
-_QUAD_REL_TOL = 1e-6
-_QUAD_MAX_PANELS = 1 << 16
-
-
 def beta_prior_moments(theta, gamma):
     """(mean, variance) of theta_tilde under the coupling prior.
 
-    Computed by composite Simpson quadrature of the unnormalized kernel
-    over theta_tilde in [theta-50, theta+50] with internal normalization,
-    so the result is exact up to truncation of the (exponentially small
-    for moderate gamma) tails. Raises NumericError if panel doubling
-    fails to stabilize the moments.
+    The prior is the exponential family p(t) ~ exp(t*alpha - gamma*A(t)),
+    so theta_tilde = logit(V) with V ~ Beta(a, b), a = gamma*sigmoid(theta),
+    b = gamma*sigmoid(-theta). Its mean and variance are the first two
+    derivatives of the log-normalizer log B(a, b):
+
+        mean = psi(a) - psi(b),   variance = psi'(a) + psi'(b).
+
+    b is taken as gamma*sigmoid(-theta), not gamma - a, so it keeps its
+    precision when sigmoid(theta) rounds to 1. Raises NumericError, with a
+    snapshot of theta, gamma, a and b, when a or b underflows to 0 or the
+    moments overflow (a very diffuse prior such as gamma = 1e-200).
     """
     gamma = _check_gamma(gamma)
     theta = float(theta)
-    alpha = gamma * sigmoid(theta)
-    lo, hi = theta - _QUAD_HALF_WIDTH, theta + _QUAD_HALF_WIDTH
-
-    def moments(panels):
-        grid = np.linspace(lo, hi, panels + 1)
-        logf = grid * alpha - gamma * np.logaddexp(0.0, grid)
-        f = np.exp(logf - logf.max())
-        h = (hi - lo) / panels
-        z = _simpson(f, h)
-        m1 = _simpson(grid * f, h)
-        m2 = _simpson(grid * grid * f, h)
-        mean = m1 / z
-        return mean, m2 / z - mean * mean
-
-    def stable(a, b):
-        return abs(a - b) <= _QUAD_REL_TOL * max(1.0, abs(b))
-
-    panels = _QUAD_INITIAL_PANELS
-    mean, var = moments(panels)
-    while panels < _QUAD_MAX_PANELS:
-        panels *= 2
-        mean_next, var_next = moments(panels)
-        if stable(mean, mean_next) and stable(var, var_next):
-            return mean_next, var_next
-        mean, var = mean_next, var_next
-    raise NumericError(
-        f"prior moment quadrature did not stabilize within {_QUAD_MAX_PANELS} panels "
-        f"(theta={theta}, gamma={gamma})",
-        snapshot={"mean": mean, "variance": var, "panels": panels},
-    )
-
-
-def beta_prior_variance(theta, gamma):
-    """Variance of theta_tilde under the coupling prior (quadrature)."""
-    return beta_prior_moments(theta, gamma)[1]
-
-
-def matched_normal_params(theta, gamma):
-    """(mean, variance) of the Normal matched to the coupling prior.
-
-    The Normal shares the prior's mode (theta) and its quadrature variance.
-    This is the natural-parameter-space Gaussian baseline; over the mean
-    parameter it is the corresponding logistic-Normal.
-    """
-    return float(theta), beta_prior_variance(theta, gamma)
-
+    a = gamma * sigmoid(theta)
+    b = gamma * sigmoid(-theta)
+    snapshot = {"theta": theta, "gamma": gamma, "a": a, "b": b}
+    if a == 0.0 or b == 0.0:
+        raise NumericError(f"coupling prior shape underflows to 0 (theta={theta}, "
+                           f"gamma={gamma})", snapshot=snapshot)
+    # an overflow is caught below as a non-finite moment, not warned about
+    with np.errstate(over="ignore"):
+        mean = digamma(a) - digamma(b)
+        variance = float(_trigamma(np.array([a, b])).sum())
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise NumericError(f"coupling prior moments overflow (theta={theta}, "
+                           f"gamma={gamma})", snapshot=snapshot)
+    return mean, variance

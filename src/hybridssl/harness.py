@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SplitSpec, generate_synthetic, load_corpus, sample_split
 from .errors import ConfigError, NumericError, QueryError
-from .expfam import beta_prior_log_density, logit, matched_normal_params
+from .expfam import beta_prior_log_density, beta_prior_moments, logit
 from .model import CouplingConfig, CouplingKind, Dataset, lr_scores_matrix, nb_scores_matrix
 from .rng import derive_seed
 from .trainer import TrainConfig, train
@@ -285,11 +285,11 @@ def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
     nat_grid = np.linspace(theta - 50.0, theta + 50.0, grid_points)
     rows = []
     for gamma in gammas:
-        mode, var = matched_normal_params(theta, gamma)
+        var = beta_prior_moments(theta, gamma)[1]
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
         beta_mean = np.exp(beta_prior_log_density(nat_from_mean, theta, gamma))
-        normal_nat_at_mean = norm * np.exp(-0.5 * (nat_from_mean - mode) ** 2 / var)
+        normal_nat_at_mean = norm * np.exp(-0.5 * (nat_from_mean - theta) ** 2 / var)
         normal_mean = normal_nat_at_mean / (mean_grid * (1.0 - mean_grid))
         rows.extend((gamma, "mean", x, bd, nd)
                     for x, bd, nd in zip(mean_grid, beta_mean, normal_mean))
@@ -298,7 +298,7 @@ def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
         # log(1 / (v(1-v))) = A(t) + A(-t); assembled in log space because
         # 1 - sigmoid(t) underflows at the window edges.
         normal_nat = np.exp(math.log(norm)
-                            - 0.5 * (nat_grid - mode) ** 2 / var
+                            - 0.5 * (nat_grid - theta) ** 2 / var
                             + np.logaddexp(0.0, nat_grid)
                             + np.logaddexp(0.0, -nat_grid))
         rows.extend((gamma, "natural", x, bd, nd)

@@ -89,8 +89,9 @@ class TrainConfig:
             raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (self.tol > 0.0):
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # derive_seed folds a seed modulo 2**64, so only that range is distinct
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass

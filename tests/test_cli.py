@@ -128,6 +128,10 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
                        "--synthetic", SYN, "--lambda", "0.5", "--out", out_path)
     assert code == 2 and "exactly one" in err
 
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--lambda", "0.5",
+                       "--seed", str(2 ** 64), "--out", out_path)
+    assert code == 2 and "seed must lie in [0, 2**64)" in err
+
     code, _, err = run(capsys, "train", "--corpus", str(tmp_path / "missing.txt"),
                        "--lambda", "0.5", "--out", out_path)
     assert code == 2
@@ -369,6 +373,14 @@ def test_prior_curves_export(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma,axis_space,x,beta_density,normal_density"
     assert len(lines) == 169
+
+
+def test_prior_curves_overflowing_variance_exits_3(tmp_path, capsys):
+    # theta = logit(1e-300) gives a = gamma * 1e-300, and psi'(a) ~ 1/a^2
+    path = tmp_path / "c.csv"
+    code, _, err = run(capsys, "prior-curves", "--theta-mean", "1e-300", "--out", str(path))
+    assert code == 3 and "numeric error: coupling prior moments overflow" in err
+    assert not path.exists()
 
 
 def test_prior_curves_bad_theta_mean_exits_2(tmp_path, capsys):

@@ -175,6 +175,10 @@ def test_split_spec_validation():
         SplitSpec(labeled_per_class=0, unlabeled_total=0, seed=1)
     with pytest.raises(ConfigError):
         SplitSpec(labeled_per_class=1, unlabeled_total=-1, seed=1)
+    with pytest.raises(ConfigError):
+        SplitSpec(labeled_per_class=5, unlabeled_total=10, seed=-1)  # as seed 2**64 - 1
+    with pytest.raises(ConfigError):
+        SplitSpec(labeled_per_class=5, unlabeled_total=10, seed=2 ** 64)  # as seed 0
 
 
 def test_split_structure_and_balance():

@@ -106,6 +106,11 @@ def test_lgamma_matches_math_lgamma():
         np.array([-1.0, 0.0, 2.0]), np.array([0.5, 0.0, -3.0]), 1e200)))
 
 
+def test_trigamma_matches_polygamma():
+    grid = np.geomspace(1e-8, 1e6, 2001)
+    assert_allclose(expfam._trigamma(grid), special.polygamma(1, grid), rtol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # coupling prior density
 
@@ -157,7 +162,6 @@ def test_beta_prior_mode_newton_refinement():
             s = expfam.sigmoid(t)
             t = t + (alpha - gamma * s) / (gamma * s * (1.0 - s))
         assert abs(t - theta) < 1e-8
-        assert expfam.beta_prior_mode(theta, gamma) == theta
 
 
 def test_beta_prior_mode_grid_argmax():
@@ -198,7 +202,7 @@ def test_beta_prior_domain_errors():
 # prior moments and the matched normal
 
 def test_beta_prior_variance_frozen_value():
-    assert_allclose(expfam.beta_prior_variance(0.0, 10.0),
+    assert_allclose(expfam.beta_prior_moments(0.0, 10.0)[1],
                     0.44264591147423065, rtol=1e-9)
 
 
@@ -206,13 +210,14 @@ def test_beta_prior_moments_match_polygamma_identities():
     # Under the natural-axis density, theta_tilde = logit(V) with
     # V ~ Beta(alpha, gamma - alpha): mean psi(a)-psi(b), variance
     # psi'(a)+psi'(b). Independent special-function route.
-    for theta, gamma in [(0.0, 10.0), (expfam.logit(0.2), 7.0), (1.5, 2.5)]:
+    for theta, gamma in [(0.0, 10.0), (expfam.logit(0.2), 7.0), (1.5, 2.5),
+                         (expfam.logit(0.2), 0.1), (expfam.logit(0.2), 1.0), (0.0, 0.1)]:
         alpha = gamma * special.expit(theta)
         mean, var = expfam.beta_prior_moments(theta, gamma)
         assert_allclose(mean, special.digamma(alpha) - special.digamma(gamma - alpha),
-                        rtol=1e-6, atol=1e-9)
+                        rtol=1e-12, atol=1e-9)
         assert_allclose(var, special.polygamma(1, alpha) + special.polygamma(1, gamma - alpha),
-                        rtol=1e-6)
+                        rtol=1e-12)
 
 
 def test_beta_prior_mean_zero_by_symmetry():
@@ -222,15 +227,8 @@ def test_beta_prior_mean_zero_by_symmetry():
 
 def test_beta_prior_variance_monotone_in_gamma():
     for theta in (-2.0, 0.0, 2.0, expfam.logit(0.2), expfam.logit(0.8)):
-        variances = [expfam.beta_prior_variance(theta, g) for g in (0.1, 1.0, 10.0, 100.0)]
+        variances = [expfam.beta_prior_moments(theta, g)[1] for g in (0.1, 1.0, 10.0, 100.0)]
         assert variances[0] > variances[1] > variances[2] > variances[3]
-
-
-def test_matched_normal_mode_and_variance():
-    theta, gamma = expfam.logit(0.2), 10.0
-    mode, var = expfam.matched_normal_params(theta, gamma)
-    assert mode == expfam.beta_prior_mode(theta, gamma)
-    assert_allclose(var, expfam.beta_prior_variance(theta, gamma), rtol=1e-6)
 
 
 def test_matched_normal_curve_grid_exports_without_error():
@@ -242,13 +240,17 @@ def test_matched_normal_curve_grid_exports_without_error():
 
 
 def test_prior_moments_stay_finite_at_extreme_parameters():
-    # Very diffuse and very concentrated settings must either stabilize to
+    # Very diffuse and very concentrated settings must either return
     # finite moments or raise NumericError with a snapshot, never return
     # NaN or hang.
-    for theta, gamma in [(50.0, 1e-4), (0.0, 1e6), (-30.0, 0.01)]:
+    for theta, gamma in [(50.0, 1e-4), (0.0, 1e6), (-30.0, 0.01), (0.0, 1e-200)]:
         try:
             mean, var = expfam.beta_prior_moments(theta, gamma)
         except NumericError as exc:
             assert exc.snapshot is not None
         else:
             assert math.isfinite(mean) and math.isfinite(var) and var >= 0.0
+    # psi'(5e-201) ~ 4e400 overflows: the variance has no float value
+    with pytest.raises(NumericError) as info:
+        expfam.beta_prior_moments(0.0, 1e-200)
+    assert info.value.snapshot == {"theta": 0.0, "gamma": 1e-200, "a": 5e-201, "b": 5e-201}

@@ -40,6 +40,9 @@ def test_train_config_validation():
         TrainConfig(tol=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=2 ** 64)  # the same SGD order as seed 0
+    assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_learning_rate_decay():
