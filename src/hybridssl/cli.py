@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -77,35 +76,18 @@ def _load_training_corpus(args):
 
 
 def _build_coupling(args) -> CouplingConfig:
+    """--lambda or --gamma sets the strength; --coupling none needs neither."""
     kind = CouplingKind(args.coupling)
-    if args.lam is not None and args.gamma is not None:
-        raise ConfigError("--lambda and --gamma are mutually exclusive")
     if args.lam is not None:
-        coupling = CouplingConfig.from_lambda(args.lam, kind, args.disc_sigma2)
-        if args.sigma_c2 is not None:
-            if kind is not CouplingKind.GAUSSIAN:
-                raise ConfigError("--sigma-c2 requires --coupling gauss")
-            if not 0.0 < args.lam < 1.0:
-                raise ConfigError("--sigma-c2 has no effect at lambda endpoints")
-            coupling = replace(coupling, sigma_c2=args.sigma_c2)
-        return coupling
-    if args.gamma is not None:
-        if kind is CouplingKind.DECOUPLED:
-            raise ConfigError("--gamma has no effect with --coupling none")
-        if kind is CouplingKind.GAUSSIAN:
-            return CouplingConfig(kind=kind, sigma_c2=1.0 / args.gamma,
-                                  disc_prior_sigma2=args.disc_sigma2)
-        return CouplingConfig(kind=kind, gamma=args.gamma,
-                              disc_prior_sigma2=args.disc_sigma2)
-    if args.sigma_c2 is not None:
-        if kind is not CouplingKind.GAUSSIAN:
-            raise ConfigError("--sigma-c2 requires --coupling gauss")
-        return CouplingConfig(kind=kind, sigma_c2=args.sigma_c2,
-                              disc_prior_sigma2=args.disc_sigma2)
+        if args.gamma is not None:
+            raise ConfigError("--lambda and --gamma are mutually exclusive")
+        return CouplingConfig.from_lambda(args.lam, kind, args.disc_sigma2)
     if kind is CouplingKind.DECOUPLED:
-        return CouplingConfig(kind=kind, disc_prior_sigma2=args.disc_sigma2)
-    raise ConfigError("provide --lambda, --gamma, or --sigma-c2 to set the "
-                      "coupling strength")
+        if args.gamma is not None:
+            raise ConfigError("--gamma has no effect with --coupling none")
+    elif args.gamma is None:
+        raise ConfigError("provide --lambda or --gamma to set the coupling strength")
+    return CouplingConfig(kind=kind, gamma=args.gamma, disc_prior_sigma2=args.disc_sigma2)
 
 
 def cmd_train(args) -> int:
@@ -211,12 +193,10 @@ def _add_coupling_args(sub):
                      help="interpolation knob in [0, 1]; 0 = generative only, "
                           "1 = discriminative only")
     sub.add_argument("--gamma", type=float, default=None,
-                     help="explicit coupling concentration (mutually exclusive "
-                          "with --lambda)")
+                     help="explicit coupling strength: the beta concentration or "
+                          "the gauss precision (mutually exclusive with --lambda)")
     sub.add_argument("--coupling", choices=[k.value for k in CouplingKind],
                      default=CouplingKind.BETA.value, help="coupling prior family")
-    sub.add_argument("--sigma-c2", dest="sigma_c2", type=float, default=None,
-                     help="gaussian coupling variance (with --coupling gauss)")
     sub.add_argument("--disc-sigma2", dest="disc_sigma2", type=float, default=100.0,
                      help="gaussian prior variance on the discriminative weights")
 

@@ -119,7 +119,8 @@ def digamma(x):
     for i in range(1, 6):
         lift -= 1.0 / (x_arr + i)
     work = x_arr + 6.0
-    u = 1.0 / (work * work)
+    with np.errstate(over="ignore"):  # work * work is inf above ~1.3e154, where u = 0
+        u = 1.0 / (work * work)
     series = np.log(work) - 0.5 / work - u * (
         1.0 / 12.0
         - u * (1.0 / 120.0

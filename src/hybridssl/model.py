@@ -261,22 +261,41 @@ class CouplingKind(enum.Enum):
     DECOUPLED = "none"
 
 
+class EndpointMode(enum.Enum):
+    HYBRID = "hybrid"
+    PURE_GENERATIVE = "pure_generative"
+    PURE_DISCRIMINATIVE = "pure_discriminative"
+
+
+# lam within this distance of 0 or 1 trains the standalone endpoint model.
+_LAMBDA_CLAMP = 1e-3
+
+
+def _endpoint_mode(lam: float) -> EndpointMode:
+    if lam <= _LAMBDA_CLAMP:
+        return EndpointMode.PURE_GENERATIVE
+    if lam >= 1.0 - _LAMBDA_CLAMP:
+        return EndpointMode.PURE_DISCRIMINATIVE
+    return EndpointMode.HYBRID
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """How the two parameter sets are tied together.
 
-    lam is the interpolation knob in [0, 1]: 0 trains the generative model
-    alone, 1 the discriminative model alone. Strictly inside, BETA coupling
-    uses concentration gamma = ((1-lam)/lam)^2 and GAUSSIAN coupling uses
-    sigma_c2 = 1/gamma, so both tighten as lam decreases. Explicitly
-    constructed strengths bypass lam (it is then only used for endpoint
-    detection and defaults to 0.5). b and pi are never coupled.
+    lam is the interpolation knob in [0, 1]. Its mode is PURE_GENERATIVE
+    within _LAMBDA_CLAMP of 0, PURE_DISCRIMINATIVE within _LAMBDA_CLAMP of
+    1, and HYBRID in between. gamma is the one coupling strength: the BETA
+    concentration and the GAUSSIAN precision (variance sigma_c2 = 1/gamma).
+    from_lambda sets gamma = ((1-lam)/lam)^2, so the coupling tightens as
+    lam decreases; an explicit gamma bypasses lam, which then only decides
+    the mode and defaults to 0.5. gamma is required only by a coupled
+    HYBRID config. b and pi are never coupled.
     """
 
     kind: CouplingKind
     lam: float = 0.5
     gamma: Optional[float] = None
-    sigma_c2: Optional[float] = None
     disc_prior_sigma2: float = 100.0
 
     def __post_init__(self):
@@ -286,31 +305,28 @@ class CouplingConfig:
             raise ConfigError(f"disc_prior_sigma2 must be > 0, got {self.disc_prior_sigma2}")
         if self.gamma is not None and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
-        if self.sigma_c2 is not None and not (self.sigma_c2 > 0.0 and math.isfinite(self.sigma_c2)):
-            raise ConfigError(f"sigma_c2 must be finite and > 0, got {self.sigma_c2}")
-        if self.kind is CouplingKind.BETA and self.gamma is None and not self._at_endpoint():
-            raise ConfigError("BETA coupling needs gamma (directly or via from_lambda)")
-        if self.kind is CouplingKind.GAUSSIAN and self.sigma_c2 is None and not self._at_endpoint():
-            raise ConfigError("GAUSSIAN coupling needs sigma_c2 (directly or via from_lambda)")
+        if (self.gamma is None and self.kind is not CouplingKind.DECOUPLED
+                and self.mode is EndpointMode.HYBRID):
+            raise ConfigError(f"{self.kind.name} coupling needs gamma "
+                              "(directly or via from_lambda)")
 
-    def _at_endpoint(self):
-        return self.lam == 0.0 or self.lam == 1.0
+    @property
+    def mode(self) -> EndpointMode:
+        return _endpoint_mode(self.lam)
+
+    @property
+    def sigma_c2(self) -> Optional[float]:
+        """The GAUSSIAN coupling variance."""
+        return None if self.gamma is None else 1.0 / self.gamma
 
     @classmethod
     def from_lambda(cls, lam: float, kind: CouplingKind = CouplingKind.BETA,
                     disc_prior_sigma2: float = 100.0) -> "CouplingConfig":
         lam = float(lam)
-        if not (0.0 <= lam <= 1.0):
-            raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-        gamma = sigma_c2 = None
-        if 0.0 < lam < 1.0 and kind is not CouplingKind.DECOUPLED:
-            g = ((1.0 - lam) / lam) ** 2
-            if kind is CouplingKind.BETA:
-                gamma = g
-            else:
-                sigma_c2 = 1.0 / g
-        return cls(kind=kind, lam=lam, gamma=gamma, sigma_c2=sigma_c2,
-                   disc_prior_sigma2=disc_prior_sigma2)
+        gamma = None
+        if kind is not CouplingKind.DECOUPLED and _endpoint_mode(lam) is EndpointMode.HYBRID:
+            gamma = ((1.0 - lam) / lam) ** 2
+        return cls(kind=kind, lam=lam, gamma=gamma, disc_prior_sigma2=disc_prior_sigma2)
 
 
 # ---------------------------------------------------------------------------

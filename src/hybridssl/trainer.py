@@ -25,9 +25,9 @@ One outer iteration alternates two moves:
      1/sigma_c2 for GAUSSIAN); without the bound a strongly coupled run
      (gamma ~ 1e6) diverges on the first epoch.
 
-The interpolation knob lam maps to gamma = ((1-lam)/lam)^2. Values within
-_LAMBDA_CLAMP of the endpoints short-circuit to the standalone trainers:
-naive Bayes EM at lam = 0 and plain SGD logistic regression at lam = 1.
+CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
+of 0 or 1 short-circuits to the standalone trainers, naive Bayes EM at
+lam = 0 and plain SGD logistic regression at lam = 1.
 
 Determinism: SGD epoch order is drawn from the splitmix64 stream seeded by
 (cfg.seed, outer_iter, epoch); identical inputs give bit-identical
@@ -36,7 +36,6 @@ parameters and traces.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -45,13 +44,11 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    GenerativeParams, _label_log_likelihood, _log_joint_blocks,
+                    EndpointMode, GenerativeParams, _label_log_likelihood, _log_joint_blocks,
                     _logsumexp_rows, _softmax, lr_scores_matrix, nb_scores_matrix,
                     uniform_generative_params)
 from .rng import SplitMix64, derive_seed
 
-# lam within this distance of 0 or 1 trains the standalone endpoint model.
-_LAMBDA_CLAMP = 1e-3
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
 _EM_SMOOTHING = 1e-2
 # The gaussian generative step stops once every coordinate's surrogate
@@ -64,12 +61,6 @@ _GAUSS_MAX_STEPS = 100
 _SGD_EPOCHS = 5
 _LEARNING_RATE0 = 0.1
 _LR_DECAY_STEPS = 1000.0
-
-
-class EndpointMode(enum.Enum):
-    HYBRID = "hybrid"
-    PURE_GENERATIVE = "pure_generative"
-    PURE_DISCRIMINATIVE = "pure_discriminative"
 
 
 @dataclass(frozen=True)
@@ -395,8 +386,9 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
 def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     """Train the coupled pair; returns (gen, disc, report).
 
-    lam within _LAMBDA_CLAMP of 0 or 1 dispatches to the standalone
-    endpoint trainers. The lam = 0 endpoint exposes its naive Bayes fit
+    coupling.mode picks the trainer: the standalone endpoint trainers
+    for lam within model._LAMBDA_CLAMP of 0 or 1, the coupled loop
+    otherwise. The lam = 0 endpoint exposes its naive Bayes fit
     through the discriminative slot in linear form (w = theta_tilde,
     b = log pi + per-class absence mass) so that prediction is always a
     function of (w, b) and matches the generative argmax instance-exactly.
@@ -404,7 +396,8 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
 
-    if coupling.lam <= _LAMBDA_CLAMP:
+    mode = coupling.mode
+    if mode is EndpointMode.PURE_GENERATIVE:
         gen, report = train_nb_em(data, cfg)
         # The linear form of the naive Bayes decision rule: w = theta_tilde
         # and b absorbing both the class prior and the per-class absence
@@ -412,7 +405,7 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         disc = DiscriminativeParams(b=gen.log_pi + gen.absence_base,
                                     w=gen.theta_tilde.copy())
         return gen, disc, report
-    if coupling.lam >= 1.0 - _LAMBDA_CLAMP:
+    if mode is EndpointMode.PURE_DISCRIMINATIVE:
         disc, report = train_logreg(data, cfg, coupling.disc_prior_sigma2)
         gen = uniform_generative_params(data.num_classes, data.num_features)
         return gen, disc, report

@@ -83,7 +83,7 @@ def test_criterion_1_user_corpus_protocol(tmp_path):
 
 def test_criterion_2_gradient_matches_finite_differences():
     settings = [CouplingConfig(kind=CouplingKind.BETA, gamma=g) for g in (0.1, 1.0, 10.0)]
-    settings += [CouplingConfig(kind=CouplingKind.GAUSSIAN, sigma_c2=s) for s in (0.5, 10.0)]
+    settings += [CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=1.0 / s) for s in (0.5, 10.0)]
     settings += [CouplingConfig(kind=CouplingKind.DECOUPLED)]
     t0 = time.perf_counter()
     checked = 0

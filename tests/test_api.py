@@ -53,3 +53,11 @@ def test_train_config_holds_only_the_outer_loop_knobs():
     assert tuple(f.name for f in dataclasses.fields(hybridssl.TrainConfig)) == (
         "max_outer_iters", "tol", "seed")
     assert not hasattr(hybridssl.TrainConfig, "learning_rate")
+
+
+def test_coupling_config_holds_one_strength():
+    # gamma is the BETA concentration and the GAUSSIAN precision; the
+    # gaussian variance is derived from it, not stored
+    assert tuple(f.name for f in dataclasses.fields(hybridssl.CouplingConfig)) == (
+        "kind", "lam", "gamma", "disc_prior_sigma2")
+    assert hybridssl.CouplingConfig(hybridssl.CouplingKind.GAUSSIAN, gamma=4.0).sigma_c2 == 0.25

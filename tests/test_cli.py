@@ -3,6 +3,7 @@ codes, exercised in-process through main(argv)."""
 
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -96,7 +97,7 @@ def test_train_endpoint_and_gauss_modes(tmp_path, capsys):
                        "--lambda", "1", "--out", str(tmp_path / "d.model"))
     assert code == 0 and "mode=pure_discriminative" in err
     code, _, err = run(capsys, "train", "--corpus", str(corpus),
-                       "--coupling", "gauss", "--sigma-c2", "0.5",
+                       "--coupling", "gauss", "--gamma", "2.0",
                        "--max-iters", "20", "--out", str(tmp_path / "n.model"))
     assert code == 0 and "mode=hybrid" in err
 
@@ -116,9 +117,9 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--corpus", str(corpus), "--out", out_path)
     assert code == 2 and "coupling strength" in err
 
-    code, _, err = run(capsys, "train", "--corpus", str(corpus),
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--coupling", "gauss",
                        "--sigma-c2", "1.0", "--out", out_path)
-    assert code == 2 and "gauss" in err
+    assert code == 2 and "--sigma-c2" in err  # --gamma 1.0 replaces it
 
     code, _, err = run(capsys, "train", "--corpus", str(corpus),
                        "--coupling", "none", "--gamma", "3.0", "--out", out_path)
@@ -416,6 +417,26 @@ def test_no_arguments_exits_2(capsys):
     assert code == 2
 
 
+def readme_commands():
+    """The hybridssl lines of README's Command line block, as argv lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hybridssl ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["synth", "train", "train", "predict",
+                                              "sweep", "prior-curves"]
+    for argv in commands:
+        if argv[0] in ("train", "sweep"):
+            argv += ["--max-iters", "5"]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -427,7 +448,7 @@ def test_every_option_is_documented(capsys):
     # each subcommand help lists all its options with default annotations
     inventory = {
         "train": ["--corpus", "--synthetic", "--seed", "--lambda", "--gamma",
-                  "--coupling", "--sigma-c2", "--disc-sigma2", "--max-iters",
+                  "--coupling", "--disc-sigma2", "--max-iters",
                   "--tol", "--out"],
         "predict": ["--model", "--corpus"],
         "sweep": ["--corpus", "--synthetic", "--corpus-seed", "--lambdas",

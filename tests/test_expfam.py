@@ -86,6 +86,15 @@ def test_digamma_matches_scipy_on_grid():
     assert_allclose(expfam.digamma(grid), special.digamma(grid), atol=1e-10)
 
 
+def test_digamma_of_huge_arguments_does_not_warn():
+    # x * x overflows above ~1.3e154; the series term it feeds is 0 there,
+    # and the suite turns any RuntimeWarning into a failure
+    for x in (1e154, 1e200, 5e299):
+        assert_allclose(expfam.digamma(x), math.log(x), rtol=1e-15)
+    assert_allclose(expfam.digamma(np.array([5e299, 2.0])),
+                    [math.log(5e299), special.digamma(2.0)], rtol=1e-13)
+
+
 def test_digamma_domain_errors():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from hybridssl import cli, model
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
-                             DiscriminativeParams, GenerativeParams, load_model,
+                             DiscriminativeParams, EndpointMode, GenerativeParams, load_model,
                              log_joint, log_joint_blocks, lr_scores_matrix,
                              nb_scores_matrix, save_model, uniform_generative_params)
 
@@ -80,7 +80,7 @@ def test_coupling_config_validation():
     with pytest.raises(ConfigError):
         CouplingConfig(kind=CouplingKind.BETA, lam=0.5)  # needs gamma mid-range
     with pytest.raises(ConfigError):
-        CouplingConfig(kind=CouplingKind.GAUSSIAN, lam=0.5)  # needs sigma_c2
+        CouplingConfig(kind=CouplingKind.GAUSSIAN, lam=0.5)  # needs gamma mid-range
     with pytest.raises(ConfigError):
         CouplingConfig(kind=CouplingKind.BETA, lam=0.5, gamma=-1.0)
     with pytest.raises(ConfigError):
@@ -100,6 +100,26 @@ def test_coupling_from_lambda_strength_map():
     assert CouplingConfig.from_lambda(0.1, kind=CouplingKind.GAUSSIAN).sigma_c2 == 1.0 / 81.0
     none = CouplingConfig.from_lambda(0.5, kind=CouplingKind.DECOUPLED)
     assert none.gamma is None and none.sigma_c2 is None
+
+
+@pytest.mark.parametrize("kind", [CouplingKind.BETA, CouplingKind.GAUSSIAN])
+def test_from_lambda_sets_gamma_only_in_hybrid_mode(kind):
+    # lam within _LAMBDA_CLAMP = 1e-3 of an endpoint trains the endpoint model,
+    # so it carries no coupling strength
+    expected = [(0.0, EndpointMode.PURE_GENERATIVE, None),
+                (5e-4, EndpointMode.PURE_GENERATIVE, None),
+                (0.5, EndpointMode.HYBRID, 1.0),
+                (0.9995, EndpointMode.PURE_DISCRIMINATIVE, None),
+                (1.0, EndpointMode.PURE_DISCRIMINATIVE, None)]
+    for lam, mode, gamma in expected:
+        cfg = CouplingConfig.from_lambda(lam, kind)
+        assert (cfg.mode, cfg.gamma) == (mode, gamma), lam
+    # near an endpoint no strength is needed, as at the endpoint itself
+    assert CouplingConfig(kind=kind, lam=5e-4).mode is EndpointMode.PURE_GENERATIVE
+    assert CouplingConfig(kind=kind, lam=0.9995).mode is EndpointMode.PURE_DISCRIMINATIVE
+    assert CouplingConfig(kind=kind, lam=0.0015, gamma=2.0).mode is EndpointMode.HYBRID
+    with pytest.raises(ConfigError):
+        CouplingConfig(kind=kind, lam=0.0015)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +336,7 @@ def test_log_joint_gaussian_coupling_peaks_at_equality():
     data = tiny_dataset()
     tt = np.array([[0.3, -0.5], [-1.0, 0.8]])
     gen = GenerativeParams(pi=np.array([0.5, 0.5]), theta_tilde=tt)
-    cfg = CouplingConfig(kind=CouplingKind.GAUSSIAN, lam=0.5, sigma_c2=0.25)
+    cfg = CouplingConfig(kind=CouplingKind.GAUSSIAN, lam=0.5, gamma=4.0)
     aligned = DiscriminativeParams(b=np.zeros(2), w=tt.copy())
     assert log_joint_blocks(gen, aligned, cfg, data).coupling == 0.0
     off = DiscriminativeParams(b=np.zeros(2), w=tt + 0.1)

@@ -260,6 +260,20 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
+def test_beta_coupling_gradient_at_huge_gamma_does_not_warn():
+    # digamma's arguments reach 1e200 here; the suite turns any
+    # RuntimeWarning into a failure
+    gamma = 1e200
+    w = np.array([[-1.0, 0.5], [2.0, 0.0]])
+    theta_tilde = np.array([[0.3, 0.4], [1.0, -0.2]])
+    gen = GenerativeParams(pi=np.array([0.5, 0.5]), theta_tilde=theta_tilde)
+    disc = DiscriminativeParams(b=np.zeros(2), w=w)
+    grad = coupling_gradient_w(gen, disc, CouplingConfig(kind=CouplingKind.BETA, gamma=gamma))
+    # psi(a + 1) - psi(b + 1) tends to log(a / b) = w as gamma grows
+    s = expfam.sigmoid(w)
+    assert_allclose(grad, gamma * s * (1.0 - s) * (theta_tilde - w), rtol=1e-12)
+
+
 def test_coupling_gradient_decoupled_is_zero():
     gen = uniform_generative_params(2, 3)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 3)))
@@ -284,7 +298,7 @@ def make_fd_instance(seed):
 
 def test_discriminative_gradient_matches_finite_differences():
     for kind, kwargs in [(CouplingKind.BETA, {"gamma": 2.0}),
-                         (CouplingKind.GAUSSIAN, {"sigma_c2": 0.7}),
+                         (CouplingKind.GAUSSIAN, {"gamma": 1.0 / 0.7}),
                          (CouplingKind.DECOUPLED, {})]:
         cfg = CouplingConfig(kind=kind, lam=0.5, disc_prior_sigma2=5.0, **kwargs)
         data, gen, disc = make_fd_instance(17)
@@ -388,6 +402,28 @@ def test_lambda_clamp_dispatches_endpoints():
     assert rep_hi.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
     _, _, rep_mid = train(train_set, CouplingConfig.from_lambda(0.5), cfg)
     assert rep_mid.endpoint_mode is EndpointMode.HYBRID
+
+
+@pytest.mark.parametrize("kind", [CouplingKind.BETA, CouplingKind.GAUSSIAN])
+def test_near_endpoint_lambdas_predict_like_the_standalone_trainers(kind):
+    # the data and the instance-exact check of acceptance criterion 5, at
+    # lambdas inside _LAMBDA_CLAMP of the endpoints
+    full = generate_synthetic(2, 12, 40, 0.6, seed=11)
+    data, test_set = sample_split(full, SplitSpec(labeled_per_class=6,
+                                                  unlabeled_total=30, seed=11))
+    cfg = TrainConfig()
+
+    _, disc_hi, report = train(data, CouplingConfig.from_lambda(0.9995, kind), cfg)
+    assert report.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
+    disc_ref, _ = train_logreg(data, cfg)
+    assert np.array_equal(lr_scores_matrix(disc_hi, test_set).argmax(axis=1),
+                          lr_scores_matrix(disc_ref, test_set).argmax(axis=1))
+
+    _, disc_lo, report = train(data, CouplingConfig.from_lambda(5e-4, kind), cfg)
+    assert report.endpoint_mode is EndpointMode.PURE_GENERATIVE
+    gen_ref, _ = train_nb_em(data, cfg)
+    assert np.array_equal(lr_scores_matrix(disc_lo, test_set).argmax(axis=1),
+                          nb_scores_matrix(gen_ref, test_set).argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
