@@ -82,10 +82,7 @@ def _build_coupling(args) -> CouplingConfig:
         if args.gamma is not None:
             raise ConfigError("--lambda and --gamma are mutually exclusive")
         return CouplingConfig.from_lambda(args.lam, kind, args.disc_sigma2)
-    if kind is CouplingKind.DECOUPLED:
-        if args.gamma is not None:
-            raise ConfigError("--gamma has no effect with --coupling none")
-    elif args.gamma is None:
+    if kind is not CouplingKind.DECOUPLED and args.gamma is None:
         raise ConfigError("provide --lambda or --gamma to set the coupling strength")
     return CouplingConfig(kind=kind, gamma=args.gamma, disc_prior_sigma2=args.disc_sigma2)
 

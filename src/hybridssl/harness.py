@@ -192,8 +192,8 @@ def _run_worker_cell(cell) -> ResultRow:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> list:
     """Evaluate every grid cell; rows come back sorted by
-    (lambda, unlabeled, seed). jobs > 1 fans cells out over processes;
-    results are identical either way."""
+    (lambda, unlabeled, seed). jobs > 1 fans cells out over
+    min(jobs, cells) processes; results are identical either way."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     corpus = spec.load_corpus()
@@ -203,7 +203,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> lis
              for seed in sorted(spec.seeds)]
     if jobs == 1 or len(cells) == 1:
         return [_run_cell(corpus, *cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_corpus,
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)), initializer=_set_worker_corpus,
                              initargs=(corpus,)) as pool:
         return list(pool.map(_run_worker_cell, cells))
 

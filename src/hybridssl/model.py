@@ -12,7 +12,7 @@ Both halves score a document in O(nnz): the dense absence term
 sparse correction t_yd on top.
 
 The full training objective decomposes into four blocks, exposed separately
-by log_joint_blocks for testing:
+by log_joint_blocks, which the trainer evaluates once per outer iteration:
 
     prior           Gaussian log prior on w (uniform on b contributes 0)
     coupling        coupling prior linking theta_tilde to w, per coordinate
@@ -289,8 +289,9 @@ class CouplingConfig:
     concentration and the GAUSSIAN precision (variance sigma_c2 = 1/gamma).
     from_lambda sets gamma = ((1-lam)/lam)^2, so the coupling tightens as
     lam decreases; an explicit gamma bypasses lam, which then only decides
-    the mode and defaults to 0.5. gamma is required only by a coupled
-    HYBRID config. b and pi are never coupled.
+    the mode and defaults to 0.5. gamma is set exactly when training reads
+    it: a BETA or GAUSSIAN config in HYBRID mode needs it, and every other
+    config rejects it. b and pi are never coupled.
     """
 
     kind: CouplingKind
@@ -303,12 +304,12 @@ class CouplingConfig:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if not (self.disc_prior_sigma2 > 0.0):
             raise ConfigError(f"disc_prior_sigma2 must be > 0, got {self.disc_prior_sigma2}")
-        if self.gamma is not None and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
+        coupled = self.kind is not CouplingKind.DECOUPLED and self.mode is EndpointMode.HYBRID
+        if (self.gamma is not None) != coupled:
+            raise ConfigError(f"a {self.kind.name} config in mode {self.mode.value} "
+                              f"{'needs' if coupled else 'takes no'} gamma, got {self.gamma}")
+        if coupled and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
-        if (self.gamma is None and self.kind is not CouplingKind.DECOUPLED
-                and self.mode is EndpointMode.HYBRID):
-            raise ConfigError(f"{self.kind.name} coupling needs gamma "
-                              "(directly or via from_lambda)")
 
     @property
     def mode(self) -> EndpointMode:
@@ -390,19 +391,17 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
 
 
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
-                     coupling: CouplingConfig, data: Dataset) -> LogJointBlocks:
+                     coupling: CouplingConfig, data: Dataset,
+                     nb_scores: Optional[np.ndarray] = None) -> LogJointBlocks:
     """The four additive blocks of the training objective.
 
-    The prior and Gaussian coupling blocks drop additive constants that do
-    not depend on any parameter; gradients and convergence traces are
-    unaffected.
+    nb_scores, when given, must equal nb_scores_matrix(gen, data); the
+    trainer passes the scores it reuses for its next E-step. The prior and
+    Gaussian coupling blocks drop additive constants that do not depend on
+    any parameter; gradients and convergence traces are unaffected.
     """
-    return _log_joint_blocks(gen, disc, coupling, data, nb_scores_matrix(gen, data))
-
-
-def _log_joint_blocks(gen, disc, coupling, data, nb_scores) -> LogJointBlocks:
-    """log_joint_blocks given nb_scores = nb_scores_matrix(gen, data), which
-    the trainer reuses for its next E-step."""
+    if nb_scores is None:
+        nb_scores = nb_scores_matrix(gen, data)
     prior = float(-0.5 / coupling.disc_prior_sigma2 * np.sum(disc.w * disc.w))
 
     disc_block = _label_log_likelihood(

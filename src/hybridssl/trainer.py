@@ -2,9 +2,10 @@
 
 One outer iteration alternates two moves:
 
-  1. Generative step. Class responsibilities p(y | x) are computed once
-     from the current theta_tilde and reused for every coordinate. Under
-     BETA coupling the step is the closed form
+  1. Generative step, one kernel per coupling family. Class
+     responsibilities p(y | x) come from the document scores of the
+     previous iteration's objective and are reused for every coordinate.
+     generative_update_beta is the closed form
 
          v_yd = (sum_x p(y | x) x_d + gamma * sigmoid(w_yd)) / (N + gamma),
          pi_y = sum_x p(y | x) / N,
@@ -12,10 +13,11 @@ One outer iteration alternates two moves:
      with N the total number of documents (labeled and unlabeled alike;
      labels never enter this step). Each coordinate's new value maximizes
      the separable surrogate (c + alpha) t - (N + gamma) A(t) exactly, so
-     the surrogate never decreases. Under GAUSSIAN coupling no closed form
-     exists; the same surrogate with a quadratic coupling term is separable
-     and strictly concave, and each coordinate's stationary point is found
-     by Newton's method safeguarded by bisection.
+     the surrogate never decreases; DECOUPLED training runs it with
+     gamma = 0. Under GAUSSIAN coupling no closed form exists: the same
+     surrogate with a quadratic coupling term is separable and strictly
+     concave, and generative_update_gauss finds each coordinate's
+     stationary point by Newton's method safeguarded by bisection.
 
   2. Discriminative step. A few epochs of per-example SGD on the labeled
      documents update (w, b) against the data term; once per epoch the
@@ -24,6 +26,9 @@ One outer iteration alternates two moves:
      stiffness bounds the coupling curvature (gamma/4 for BETA,
      1/sigma_c2 for GAUSSIAN); without the bound a strongly coupled run
      (gamma ~ 1e6) diverges on the first epoch.
+
+The objective is model.log_joint_blocks, evaluated once per outer
+iteration on the scores that feed the next E-step.
 
 CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
 of 0 or 1 short-circuits to the standalone trainers, naive Bayes EM at
@@ -44,8 +49,8 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    EndpointMode, GenerativeParams, _label_log_likelihood, _log_joint_blocks,
-                    _logsumexp_rows, _softmax, lr_scores_matrix, nb_scores_matrix,
+                    EndpointMode, GenerativeParams, _label_log_likelihood, _logsumexp_rows,
+                    _softmax, log_joint_blocks, lr_scores_matrix, nb_scores_matrix,
                     uniform_generative_params)
 from .rng import SplitMix64, derive_seed
 
@@ -68,7 +73,7 @@ class TrainConfig:
     """Knobs for the outer loop.
 
     Convergence: the run stops once the objective trace satisfies
-    |L_k - L_{k-1}| < tol * max(1, |L_{k-1}|, |L_k|).
+    |L_k - L_{k-1}| / max(1, |L_{k-1}|, |L_k|) < tol.
     """
 
     max_outer_iters: int = 200
@@ -117,8 +122,17 @@ def _mixing_weights(class_mass: np.ndarray) -> np.ndarray:
     return mass / mass.sum()
 
 
-def _coupled_generative_step(data, resp, w, gamma):
-    """Shared closed form; gamma = 0 gives the decoupled count update."""
+def generative_update_beta(data: Dataset, resp: np.ndarray,
+                           disc: DiscriminativeParams, gamma: float) -> GenerativeParams:
+    """Closed-form generative step under BETA coupling.
+
+    resp holds the responsibilities p(y | x), shape (N, K); the trainer
+    takes them from the document scores of the previous outer iteration's
+    objective evaluation. gamma = 0 gives the decoupled count update
+    v = c / N, which the DECOUPLED hybrid uses.
+    """
+    if not (gamma >= 0.0) or not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     n = len(data)
 
     def theta_tilde(c, w):
@@ -127,35 +141,20 @@ def _coupled_generative_step(data, resp, w, gamma):
 
     return GenerativeParams(
         pi=_mixing_weights(resp.sum(axis=0)),
-        theta_tilde=expfam._blockwise(theta_tilde, data.counts(resp), w))
+        theta_tilde=expfam._blockwise(theta_tilde, data.counts(resp), disc.w))
 
 
-def generative_update_beta(data: Dataset, gen_old: GenerativeParams,
-                           disc: DiscriminativeParams, gamma: float,
-                           resp: np.ndarray = None) -> GenerativeParams:
-    """Closed-form generative step under BETA coupling.
-
-    Responsibilities come from gen_old unless precomputed ones are passed
-    in. The trainer takes them from the document scores of the previous
-    outer iteration's objective evaluation.
-    """
-    if not (gamma > 0.0) or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    if resp is None:
-        resp = _responsibilities(gen_old, data)
-    return _coupled_generative_step(data, resp, disc.w, gamma)
-
-
-def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
-                            disc: DiscriminativeParams, sigma_c2: float,
-                            resp: np.ndarray = None) -> GenerativeParams:
+def generative_update_gauss(data: Dataset, resp: np.ndarray, gen_old: GenerativeParams,
+                            disc: DiscriminativeParams, sigma_c2: float) -> GenerativeParams:
     """Generative step under GAUSSIAN coupling, by safeguarded Newton.
 
-    Maximizes the separable, strictly concave surrogate
+    Given the responsibilities resp, shape (N, K), maximizes the
+    separable, strictly concave surrogate
 
         G(t) = -||t - w||^2 / (2 sigma_c2) + sum_yd [c_yd t_yd - N A(t_yd)]
 
-    coordinate by coordinate, vectorized over all of them. Each coordinate's
+    coordinate by coordinate, vectorized over all of them, starting from
+    gen_old.theta_tilde. Each coordinate's
     G'(t) = -(t - w)/sigma_c2 + c - N sigmoid(t) is strictly decreasing and
     has its root in [w + sigma_c2 (c - N), w + sigma_c2 c]; a Newton step
     that leaves the bracket, which shrinks around the root as the iterates
@@ -165,8 +164,6 @@ def generative_update_gauss(data: Dataset, gen_old: GenerativeParams,
     """
     if not (sigma_c2 > 0.0) or not math.isfinite(sigma_c2):
         raise DomainError(f"sigma_c2 must be finite and > 0, got {sigma_c2}")
-    if resp is None:
-        resp = _responsibilities(gen_old, data)
     n = len(data)
     counts = data.counts(resp)
     w = disc.w
@@ -418,18 +415,17 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
 
     def hybrid_step(it):
         nonlocal gen, resp
-        if coupling.kind is CouplingKind.BETA:
-            gen = generative_update_beta(data, gen, disc, coupling.gamma, resp=resp)
-        elif coupling.kind is CouplingKind.GAUSSIAN:
-            gen = generative_update_gauss(data, gen, disc, coupling.sigma_c2, resp=resp)
+        if coupling.kind is CouplingKind.GAUSSIAN:
+            gen = generative_update_gauss(data, resp, gen, disc, coupling.sigma_c2)
         else:
-            gen = _coupled_generative_step(data, resp, disc.w, 0.0)
+            # a DECOUPLED config has no gamma, and gamma = 0 drops the coupling
+            gen = generative_update_beta(data, resp, disc, coupling.gamma or 0.0)
 
         _sgd_epochs(data, gen, disc, coupling, cfg.seed, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
         scores = nb_scores_matrix(gen, data)
-        objective = _log_joint_blocks(gen, disc, coupling, data, scores).total()
+        objective = log_joint_blocks(gen, disc, coupling, data, scores).total()
         _check_finite(objective, it, EndpointMode.HYBRID,
                       theta_tilde=gen.theta_tilde)
         # SGD did not touch gen, so the next iteration's E-step reuses the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridssl import trainer
+from hybridssl import harness, trainer
 from hybridssl.data import SplitSpec, sample_split
 from hybridssl.errors import ConfigError, QueryError
 from hybridssl.harness import (AGGREGATE_HEADER, CURVES_HEADER,
@@ -108,6 +108,31 @@ def test_run_sweep_jobs_parity():
     assert run_sweep(spec, jobs=2) == run_sweep(spec, jobs=1)
     with pytest.raises(ConfigError):
         run_sweep(spec, jobs=0)
+
+
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # the spy runs the cells in this process, so no worker is ever started
+    requested = []
+
+    class SpyPool:
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "_worker_corpus", None)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    spec = quick_spec(lambdas=(0.5,), unlabeled_counts=(0,))
+    assert run_sweep(spec, jobs=6) == run_sweep(spec, jobs=1)
+    assert requested == [2]
 
 
 def test_run_sweep_measure_time_populates_wall_ms():

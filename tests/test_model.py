@@ -90,6 +90,21 @@ def test_coupling_config_validation():
     CouplingConfig(kind=CouplingKind.BETA, lam=1.0)
 
 
+def test_coupling_config_rejects_a_gamma_training_ignores():
+    # DECOUPLED training and the endpoint trainers read no coupling strength
+    with pytest.raises(ConfigError):
+        CouplingConfig(kind=CouplingKind.DECOUPLED, gamma=3.0)
+    with pytest.raises(ConfigError):
+        CouplingConfig(kind=CouplingKind.BETA, lam=0.9995, gamma=5.0)
+    with pytest.raises(ConfigError):
+        CouplingConfig(kind=CouplingKind.GAUSSIAN, lam=0.0, gamma=5.0)
+    for kind in CouplingKind:
+        for lam in (0.0, 5e-4, 0.25, 0.5, 0.75, 0.9995, 1.0):
+            cfg = CouplingConfig.from_lambda(lam, kind)
+            coupled = kind is not CouplingKind.DECOUPLED and cfg.mode is EndpointMode.HYBRID
+            assert (cfg.gamma is not None) == coupled
+
+
 def test_coupling_from_lambda_strength_map():
     assert CouplingConfig.from_lambda(0.1).gamma == 81.0
     assert_allclose(CouplingConfig.from_lambda(0.9).gamma,

@@ -82,7 +82,7 @@ def test_generative_update_beta_worked_example():
     toy = make_dataset([([0], None), ([], None)], num_classes=2, num_features=1)
     gen0 = uniform_generative_params(2, 1)
     disc0 = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 1)))
-    gen1 = generative_update_beta(toy, gen0, disc0, 2.0)
+    gen1 = generative_update_beta(toy, _responsibilities(gen0, toy), disc0, 2.0)
     assert_allclose(expfam.sigmoid(gen1.theta_tilde), 0.375, rtol=1e-12)
     assert np.array_equal(gen1.pi, np.array([0.5, 0.5]))
 
@@ -94,17 +94,30 @@ def test_generative_update_beta_matches_closed_form():
                             theta_tilde=rng.normal(0.0, 1.0, (2, 10)))
     disc = DiscriminativeParams(b=rng.normal(size=2), w=rng.normal(size=(2, 10)))
     gamma = 3.5
-    gen1 = generative_update_beta(train_set, gen0, disc, gamma)
-
     resp = _responsibilities(gen0, train_set)
+    gen1 = generative_update_beta(train_set, resp, disc, gamma)
+
     counts = train_set.counts(resp)
     v = (counts + gamma * expfam.sigmoid(disc.w)) / (len(train_set) + gamma)
     assert_allclose(expfam.sigmoid(gen1.theta_tilde), v, rtol=1e-12)
     mass = resp.sum(axis=0)
     assert_allclose(gen1.pi, mass / mass.sum(), rtol=1e-15)
 
-    with pytest.raises(DomainError):
-        generative_update_beta(train_set, gen0, disc, 0.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            generative_update_beta(train_set, resp, disc, bad)
+
+
+def test_generative_update_beta_without_coupling_is_the_count_ratio():
+    train_set, _ = small_corpus()
+    rng = np.random.default_rng(2)
+    gen0 = GenerativeParams(pi=np.array([0.4, 0.6]),
+                            theta_tilde=rng.normal(0.0, 1.0, (2, 10)))
+    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(size=(2, 10)))
+    resp = _responsibilities(gen0, train_set)
+    gen1 = generative_update_beta(train_set, resp, disc, 0.0)
+    step = expfam.natural_from_mean(train_set.counts(resp) / len(train_set))
+    assert _same_bits(gen1.theta_tilde, step)
 
 
 def test_generative_update_beta_coordinate_maximizes_surrogate():
@@ -115,8 +128,9 @@ def test_generative_update_beta_coordinate_maximizes_surrogate():
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.full((2, 10), 0.4))
     gamma = 2.0
-    gen1 = generative_update_beta(train_set, gen0, disc, gamma)
-    counts = train_set.counts(_responsibilities(gen0, train_set))
+    resp = _responsibilities(gen0, train_set)
+    gen1 = generative_update_beta(train_set, resp, disc, gamma)
+    counts = train_set.counts(resp)
     n = len(train_set)
     alpha = gamma * expfam.sigmoid(0.4)
     c = counts[1, 4]
@@ -134,14 +148,15 @@ def test_generative_update_gauss_extremes():
     rng = np.random.default_rng(0)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
 
+    resp = _responsibilities(gen0, train_set)
     # near-rigid coupling pins the generative means to the weights
-    tight = generative_update_gauss(train_set, gen0, disc, 1e-8)
+    tight = generative_update_gauss(train_set, resp, gen0, disc, 1e-8)
     assert np.abs(expfam.sigmoid(tight.theta_tilde)
                   - expfam.sigmoid(disc.w)).max() < 1e-3
 
     # near-absent coupling recovers the pure expected-count ratio
-    loose = generative_update_gauss(train_set, gen0, disc, 1e8)
-    counts = train_set.counts(_responsibilities(gen0, train_set))
+    loose = generative_update_gauss(train_set, resp, gen0, disc, 1e8)
+    counts = train_set.counts(resp)
     assert np.abs(expfam.sigmoid(loose.theta_tilde)
                   - counts / len(train_set)).max() < 1e-4
 
@@ -152,14 +167,15 @@ def test_generative_update_gauss_reaches_stationarity():
     rng = np.random.default_rng(0)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
     sigma_c2 = 0.5
-    gen1 = generative_update_gauss(train_set, gen0, disc, sigma_c2)
-    counts = train_set.counts(_responsibilities(gen0, train_set))
+    resp = _responsibilities(gen0, train_set)
+    gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
+    counts = train_set.counts(resp)
     grad = (-(gen1.theta_tilde - disc.w) / sigma_c2
             + counts - len(train_set) * expfam.sigmoid(gen1.theta_tilde))
     assert np.abs(grad).max() <= 1e-6
 
     with pytest.raises(DomainError):
-        generative_update_gauss(train_set, gen0, disc, -1.0)
+        generative_update_gauss(train_set, resp, gen0, disc, -1.0)
 
 
 def test_generative_update_gauss_step_budget_error():
@@ -170,7 +186,8 @@ def test_generative_update_gauss_step_budget_error():
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
     with pytest.raises(NumericError) as exc:
-        generative_update_gauss(train_set, gen0, disc, 1e-300)
+        generative_update_gauss(train_set, _responsibilities(gen0, train_set), gen0, disc,
+                                1e-300)
     snap = exc.value.snapshot
     assert snap is not None and "theta_tilde" in snap and "grad_inf_norm" in snap
 
@@ -181,8 +198,9 @@ def test_generative_update_gauss_matches_brute_force_maximizer():
     rng = np.random.default_rng(4)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 2.0, (2, 10)))
     sigma_c2 = 9.0
-    gen1 = generative_update_gauss(train_set, gen0, disc, sigma_c2)
-    counts = train_set.counts(_responsibilities(gen0, train_set))
+    resp = _responsibilities(gen0, train_set)
+    gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
+    counts = train_set.counts(resp)
     n = len(train_set)
     for y, d in [(0, 0), (1, 4), (1, 9)]:
         def surrogate(t):
@@ -243,7 +261,8 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
     step = expfam.natural_from_mean(
         (data.counts(resp) + pseudo) / (len(data) + gamma))
-    assert _same_bits(trainer._coupled_generative_step(data, resp, w, gamma).theta_tilde, step)
+    disc = DiscriminativeParams(b=np.zeros(k), w=w)
+    assert _same_bits(generative_update_beta(data, resp, disc, gamma).theta_tilde, step)
     if gamma == 0.0:
         return
 
@@ -253,7 +272,6 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
         theta_tilde - (expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)))
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)
     gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
-    disc = DiscriminativeParams(b=np.zeros(k), w=w)
     assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
 
     block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
@@ -501,6 +519,22 @@ def test_hybrid_scores_the_documents_once_per_outer_iteration(monkeypatch):
         _, _, report = train(train_set, CouplingConfig.from_lambda(0.5, kind),
                              TrainConfig(max_outer_iters=6))
         assert len(calls) == report.outer_iters_run + 1
+
+
+def test_hybrid_evaluates_the_public_objective_once_per_outer_iteration(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return model.log_joint_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "log_joint_blocks", counted)
+    train_set, _ = small_corpus()
+    for kind in CouplingKind:
+        calls.clear()
+        _, _, report = train(train_set, CouplingConfig.from_lambda(0.5, kind),
+                             TrainConfig(max_outer_iters=6))
+        assert len(calls) == report.outer_iters_run
 
 
 def test_hybrid_mid_lambda_requires_strength():

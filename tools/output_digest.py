@@ -1,0 +1,108 @@
+"""Print sha256 digests of the trainer's outputs, to check that a change
+leaves them byte-identical.
+
+Run it against each checkout's sources and compare the printed lines:
+
+    PYTHONPATH=<checkout>/src python tools/output_digest.py
+
+Each line is "<name> <sha256>". Sweep rows are digested as repr(rows);
+the "-json" lines digest the two benchmark grids' rows as the benchmark
+does, json.dumps of their dicts with sorted keys (b60dcc123eb44717... for
+the criterion-7 grid, ae04df130418f7dd... for grid-gauss at seed 0).
+A fit is digested as pi, theta_tilde, b and w (dtype, shape and raw
+bytes, since an array's repr elides its middle) followed by repr(report).
+The script uses only names every recent version of the package exports,
+and takes about half a minute on one core.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+
+from hybridssl import model
+from hybridssl.data import SplitSpec, generate_synthetic, sample_split
+from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
+from hybridssl.model import CouplingConfig, CouplingKind, Dataset
+from hybridssl.trainer import TrainConfig, train
+
+LAMBDAS = (0.0, 0.5, 1.0)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def json_digest(rows) -> str:
+    text = json.dumps([dataclasses.asdict(r) for r in rows], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def grid(kind: CouplingKind, lambdas, seeds) -> SweepSpec:
+    """The criterion-7 grid shape: K=2, M=50, 500 documents per class."""
+    return SweepSpec(lambdas=lambdas, unlabeled_counts=(0, 500), labeled_per_class=10,
+                     seeds=seeds, coupling_kind=kind,
+                     synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=0))
+
+
+def dense_split() -> Dataset:
+    """K=4, M=3,000: small enough that X is cached densely."""
+    full = generate_synthetic(4, 3000, 100, 0.5, seed=5)
+    train_set, _ = sample_split(full, SplitSpec(labeled_per_class=10, unlabeled_total=200,
+                                                seed=5))
+    return train_set
+
+
+def compressed_corpus() -> Dataset:
+    """K=3, M=50,000, 420 documents of 40 present features each: N * M is
+    above model._DENSE_MAX_CELLS, so X stays in compressed rows."""
+    k, m, n, nnz = 3, 50_000, 420, 40
+    rng = np.random.default_rng(11)
+    labels = np.where(np.arange(n) < 30, np.arange(n) % k, -1)
+    topic = rng.integers(0, k, n)
+    topic[:30] = labels[:30]
+    rows = []
+    for i in range(n):
+        words = rng.integers(0, m // 2, nnz) + topic[i] * (m // (2 * k))
+        words[nnz // 2:] = rng.integers(0, m, nnz - nnz // 2)
+        rows.append(np.unique(words))
+    indptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+    data = Dataset(indptr, np.concatenate(rows), labels, k, m)
+    assert len(data) * m > model._DENSE_MAX_CELLS
+    return data
+
+
+def fits(name: str, data: Dataset, lambdas, max_outer_iters: int):
+    for kind in CouplingKind:
+        for lam in lambdas:
+            gen, disc, report = train(data, CouplingConfig.from_lambda(lam, kind),
+                                      TrainConfig(max_outer_iters=max_outer_iters))
+            print(f"{name}-{kind.value}-lam{lam}",
+                  digest(gen.pi, gen.theta_tilde, disc.b, disc.w, report), flush=True)
+
+
+def main():
+    rows = run_sweep(grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5)))
+    print("criterion-7-rows", digest(rows), flush=True)
+    print("criterion-7-rows-json", json_digest(rows), flush=True)
+    rows = run_sweep(grid(CouplingKind.GAUSSIAN, (0.25, 0.5), tuple(range(1, 11))))
+    print("grid-gauss-seed0-rows", digest(rows), flush=True)
+    print("grid-gauss-seed0-rows-json", json_digest(rows), flush=True)
+    rows = run_sweep(grid(CouplingKind.DECOUPLED, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2)))
+    print("decoupled-rows", digest(rows), flush=True)
+    fits("dense-fit", dense_split(), LAMBDAS, 4)
+    fits("compressed-fit", compressed_corpus(), (0.5,), 3)
+
+
+if __name__ == "__main__":
+    main()
