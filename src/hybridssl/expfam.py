@@ -110,10 +110,10 @@ def digamma(x):
         psi(x) ~ ln x - 1/(2x) - u/12 + u^2/120 - u^3/252
                  + u^4/240 - u^5/132 + 691 u^6 / 32760,   u = 1/x^2,
 
-    is applied at x + 6. Raises DomainError for x <= 0.
+    is applied at x + 6. Raises DomainError for x <= 0, NaN and infinity.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0) or np.any(~np.isfinite(x_arr)):
+    if not np.all((x_arr > 0.0) & (x_arr < np.inf)):  # NaN fails both comparisons
         raise DomainError(f"digamma requires x > 0, got {x}")
     lift = -1.0 / x_arr
     for i in range(1, 6):

@@ -54,7 +54,25 @@ class SplitMix64:
                 return u % n
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle.
+
+        Swaps seq[i] with seq[randbelow(i + 1)] for i from the end down to
+        1. next_u64, mix64 and randbelow are written out on local integers,
+        so each draw costs no method call; the permutation and the final
+        state are those of the calls.
+        """
+        mask, golden = _MASK64, _GOLDEN
+        state = self._state
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            n = i + 1
+            limit = mask - (mask + 1) % n
+            while True:
+                state = (state + golden) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                if z <= limit:
+                    break
+            j = z % n
             seq[i], seq[j] = seq[j], seq[i]
+        self._state = state

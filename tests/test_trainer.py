@@ -1,5 +1,6 @@
 """Training loops: closed-form coupled generative steps, the Newton
-gaussian step, SGD discriminative updates, endpoint dispatch, and determinism."""
+gaussian step, SGD discriminative updates and their shuffle, endpoint
+dispatch, and determinism."""
 
 import math
 
@@ -14,11 +15,12 @@ from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, log_joint, lr_scores_matrix,
                              nb_scores_matrix, uniform_generative_params)
+from hybridssl.rng import SplitMix64, derive_seed, mix64
 from hybridssl.trainer import (EndpointMode, TrainConfig,
                                discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
-from hybridssl.trainer import _mixing_weights, _responsibilities
+from hybridssl.trainer import _mixing_weights, _responsibilities, _sgd_epochs
 
 from helpers import make_dataset
 
@@ -555,3 +557,145 @@ def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
     assert exc.value.snapshot is not None
     assert "outer_iter" in exc.value.snapshot
     assert exc.value.snapshot["mode"] == mode.value
+
+
+# ---------------------------------------------------------------------------
+# the SGD kernel against the per-example loop it replaced
+
+_MASK64 = 2 ** 64 - 1
+
+
+def _reference_shuffle(rng, seq):
+    """Fisher-Yates driven by randbelow, one call per draw."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
+    """_sgd_epochs as first written: per example, two fancy-index gathers,
+    an out-of-place softmax and a fancy-index scatter-add."""
+    b, w = disc.b, disc.w
+    positions = data.labeled_positions
+    labels = data.labels
+    feats = [data.indices[data.indptr[p]:data.indptr[p + 1]] for p in positions]
+    order = list(range(len(positions)))
+    sigma2 = coupling.disc_prior_sigma2
+    grad = np.empty_like(w)
+    step = outer_iter * trainer._SGD_EPOCHS * len(positions)
+    for epoch in range(trainer._SGD_EPOCHS):
+        _reference_shuffle(SplitMix64(derive_seed(seed, outer_iter, epoch)), order)
+        for i in order:
+            idx = feats[i]
+            scores = b + w[:, idx].sum(axis=1)
+            scores -= scores.max()
+            p = np.exp(scores)
+            p /= p.sum()
+            p = -p
+            p[labels[i]] += 1.0
+            eta = trainer._learning_rate(step)
+            b += eta * p
+            w[:, idx] += eta * p[:, None]
+            step += 1
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            return
+        eta = min(trainer._learning_rate(step),
+                  1.0 / (1.0 + 1.0 / sigma2 + trainer._coupling_stiffness(coupling)))
+        np.divide(w, -sigma2, out=grad)
+        if coupling.kind is not CouplingKind.DECOUPLED:
+            grad += coupling_gradient_w(gen, disc, coupling)
+        grad *= eta
+        w += grad
+
+
+def _kernel_corpora():
+    full = generate_synthetic(2, 2, 4, 0.5, seed=7)
+    toy, _ = sample_split(full, SplitSpec(labeled_per_class=1, unlabeled_total=6, seed=7))
+    full = generate_synthetic(2, 50, 500, 0.5, seed=0)
+    grid_split, _ = sample_split(full, SplitSpec(labeled_per_class=10, unlabeled_total=500,
+                                                 seed=1))
+    # K=20: numpy sums the 20 class scores pairwise, not one after another
+    rng = np.random.default_rng(8)
+    rows = [(np.unique(rng.integers(0, 5000, 40)), i % 20 if i < 60 else None)
+            for i in range(120)]
+    twenty = make_dataset(rows, 20, 5000)
+    empty_doc = make_dataset([([], 0), ([0, 2], 1), ([1], None), ([0, 1, 2], 0), ([], 1)],
+                             2, 3)
+    return {"toy": toy, "grid": grid_split, "k20": twenty, "empty-doc": empty_doc}
+
+
+def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
+    """Run both loops from the same (b, w), comparing the two states after
+    every outer iteration; w starts at w0 if given, else small and random."""
+    k, m = data.num_classes, data.num_features
+    coupling = CouplingConfig.from_lambda(0.5, kind)
+    rng = np.random.default_rng(seed % 1000)
+    disc = DiscriminativeParams(b=rng.normal(0.0, 0.1, k),
+                                w=rng.normal(0.0, 0.1, (k, m)) if w0 is None else w0.copy())
+    ref = DiscriminativeParams(b=disc.b.copy(), w=disc.w.copy())
+    gen = uniform_generative_params(k, m)
+    for it in range(outer_iters):
+        gen = generative_update_beta(data, _responsibilities(gen, data), disc, 1.0)
+        _sgd_epochs(data, gen, disc, coupling, seed, it)
+        _reference_sgd_epochs(data, gen, ref, coupling, seed, it)
+        assert np.array_equal(disc.b, ref.b, equal_nan=True)
+        assert np.array_equal(disc.w, ref.w, equal_nan=True)
+        if not (np.all(np.isfinite(disc.w)) and np.all(np.isfinite(disc.b))):
+            break  # both stopped on the blow-up check
+    return disc
+
+
+@pytest.mark.parametrize("kind", list(CouplingKind))
+def test_sgd_kernel_matches_the_per_example_loop_bit_for_bit(kind):
+    for name, data in _kernel_corpora().items():
+        for seed in (0, 2 ** 64 - 1):
+            disc = _assert_kernel_matches_reference(data, kind, seed, outer_iters=4)
+            assert np.all(np.isfinite(disc.w)), name
+
+
+@pytest.mark.parametrize("kind", list(CouplingKind))
+def test_sgd_kernel_blows_up_like_the_per_example_loop(monkeypatch, kind):
+    # steps of 1e300 alone leave the weights finite (the softmax saturates),
+    # so start from weights whose sums over a document's features overflow
+    monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
+    data = _kernel_corpora()["grid"]
+    w0 = np.full((data.num_classes, data.num_features), 1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = _assert_kernel_matches_reference(data, kind, 3, outer_iters=5, w0=w0)
+    assert not (np.all(np.isfinite(disc.w)) and np.all(np.isfinite(disc.b)))
+
+
+def test_learning_rate_of_an_array_equals_the_scalar_calls():
+    steps = np.arange(0, 20_000, 7)
+    assert trainer._learning_rate(steps).tolist() == [trainer._learning_rate(t)
+                                                      for t in steps.tolist()]
+
+
+def _unmix64(z):
+    """Inverse of rng.mix64: undo each xor-shift and odd multiply in turn."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 2 ** 64)) & _MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64)) & _MASK64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+# a state whose first draw is 2**64 - 1, which randbelow(3) rejects
+_REJECTING_SEED = (_unmix64(_MASK64) - 0x9E3779B97F4A7C15) & _MASK64
+
+
+def test_rejecting_seed_rejects_the_first_draw_of_a_three_element_shuffle():
+    assert mix64(_unmix64(_MASK64)) == _MASK64
+    assert SplitMix64(_REJECTING_SEED).next_u64() == _MASK64
+    assert _MASK64 > _MASK64 - (_MASK64 + 1) % 3  # above randbelow(3)'s limit
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2 ** 64 - 1, _REJECTING_SEED])
+def test_shuffle_equals_randbelow_fisher_yates(seed):
+    for n in range(65):
+        got, want = list(range(n)), list(range(n))
+        inlined, reference = SplitMix64(seed), SplitMix64(seed)
+        inlined.shuffle(got)
+        _reference_shuffle(reference, want)
+        assert got == want, n
+        assert inlined.next_u64() == reference.next_u64(), n
