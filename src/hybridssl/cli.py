@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .data import generate_synthetic, load_corpus, write_corpus
-from .errors import ConfigError, NumericError, ParseError, QueryError
+from .errors import ConfigError, NumericError
 from .harness import (DEFAULT_CURVE_GAMMAS, SweepSpec, SyntheticSpec, aggregate,
                       best_lambda, export_prior_curves, run_sweep,
                       write_aggregate_csv, write_results_csv)
@@ -192,6 +192,10 @@ def _add_coupling_args(sub):
     sub.add_argument("--gamma", type=float, default=None,
                      help="explicit coupling strength: the beta concentration or "
                           "the gauss precision (mutually exclusive with --lambda)")
+    _add_coupling_family_args(sub)
+
+
+def _add_coupling_family_args(sub):
     sub.add_argument("--coupling", choices=[k.value for k in CouplingKind],
                      default=CouplingKind.BETA.value, help="coupling prior family")
     sub.add_argument("--disc-sigma2", dest="disc_sigma2", type=float, default=100.0,
@@ -248,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=10, help="labeled documents kept per class")
     sweep_p.add_argument("--seeds", default="5",
                          help="seed count N (runs seeds 1..N) or explicit list a,b,c")
-    sweep_p.add_argument("--coupling", choices=[k.value for k in CouplingKind],
-                         default=CouplingKind.BETA.value, help="coupling prior family")
-    sweep_p.add_argument("--disc-sigma2", dest="disc_sigma2", type=float, default=100.0,
-                         help="gaussian prior variance on the discriminative weights")
+    _add_coupling_family_args(sweep_p)
     _add_trainer_args(sweep_p)
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for sweep cells")
@@ -296,10 +297,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ConfigError, ParseError, QueryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

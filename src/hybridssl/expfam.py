@@ -1,4 +1,4 @@
-"""Bernoulli exponential-family primitives and the conjugate coupling prior.
+"""Bernoulli exponential-family primitives and the coupling prior.
 
 A per-class, per-feature Bernoulli with mean v is written in natural form
 
@@ -6,21 +6,17 @@ A per-class, per-feature Bernoulli with mean v is written in natural form
 
 so A'(t) = sigmoid(t) recovers the mean. The coupling prior over a natural
 parameter t, centred on a reference natural parameter r with concentration
-gamma > 0, is the conjugate density
+gamma > 0, is a density over the base measure dv, v = sigmoid(t):
 
-    log p(t | r, gamma) = log m(r) + t*alpha(r) - gamma*A(t),
-    alpha(r) = gamma*sigmoid(r),
-    log m(r) = lgamma(gamma+2) - lgamma(alpha+1) - lgamma(gamma-alpha+1).
+    log p(t | r, gamma) = log m(r) + t*alpha - gamma*A(t),   alpha = gamma*sigmoid(r),
+    log m(r) = lgamma(gamma+2) - lgamma(a) - lgamma(b),
 
-With this normalizer the density integrates to 1 over the mean parameter
-v = sigmoid(t) in (0, 1); as a function of v it is Beta(alpha+1,
-gamma-alpha+1). Its mode over t is exactly r, and its spread shrinks as
-gamma grows, which is what makes gamma usable as a coupling strength.
-
-Over t itself (with dt, no Jacobian) the prior is logit(V), V ~ Beta(a, b),
-a = alpha, b = gamma - alpha: an exponential family whose log-normalizer
-log B(a, b) gives the moments in closed form, mean psi(a) - psi(b) and
-variance psi'(a) + psi'(b) (beta_prior_moments).
+which is Beta(a, b) in v with the shapes a = alpha + 1 and b = gamma - alpha + 1
+(_beta_shapes), both at least 1. The coupling gradient's bracket is
+psi(a) - psi(b), and t = logit(V) has mean psi(a) - psi(b) and variance
+psi'(a) + psi'(b) (beta_prior_moments). The log density peaks at t = r, and
+its spread shrinks as gamma grows, which is what makes gamma usable as a
+coupling strength.
 
 Everything here accepts scalars or numpy arrays and is numerically stable
 for |t| up to at least 700.
@@ -32,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 # Mean parameters are clamped to this open interval before logit, bounding
 # natural parameters to roughly [-23.03, 23.03].
@@ -195,8 +191,13 @@ def _check_gamma(gamma):
     return gamma
 
 
+def _beta_shapes(alpha, gamma):
+    """The coupling prior's Beta shapes (alpha + 1, gamma - alpha + 1)."""
+    return alpha + 1.0, gamma - alpha + 1.0
+
+
 def beta_prior_log_density(theta_tilde, theta, gamma):
-    """Log density of the conjugate coupling prior, see module docstring.
+    """Log density of the coupling prior, see module docstring.
 
     theta_tilde is the generative natural parameter being scored, theta the
     reference (discriminative) natural parameter the prior is centred on.
@@ -205,9 +206,8 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
     gamma = _check_gamma(gamma)
     tt = np.asarray(theta_tilde, dtype=float)
     alpha = gamma * sigmoid(np.asarray(theta, dtype=float))
-    logm = (math.lgamma(gamma + 2.0)
-            - _lgamma(alpha + 1.0)
-            - _lgamma(gamma - alpha + 1.0))
+    a, b = _beta_shapes(alpha, gamma)
+    logm = math.lgamma(gamma + 2.0) - _lgamma(a) - _lgamma(b)
     out = logm + tt * alpha - gamma * np.logaddexp(0.0, tt)
     if np.isscalar(theta_tilde) and np.isscalar(theta):
         return float(out)
@@ -215,33 +215,8 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
 
 
 def beta_prior_moments(theta, gamma):
-    """(mean, variance) of theta_tilde under the coupling prior.
-
-    The prior is the exponential family p(t) ~ exp(t*alpha - gamma*A(t)),
-    so theta_tilde = logit(V) with V ~ Beta(a, b), a = gamma*sigmoid(theta),
-    b = gamma*sigmoid(-theta). Its mean and variance are the first two
-    derivatives of the log-normalizer log B(a, b):
-
-        mean = psi(a) - psi(b),   variance = psi'(a) + psi'(b).
-
-    b is taken as gamma*sigmoid(-theta), not gamma - a, so it keeps its
-    precision when sigmoid(theta) rounds to 1. Raises NumericError, with a
-    snapshot of theta, gamma, a and b, when a or b underflows to 0 or the
-    moments overflow (a very diffuse prior such as gamma = 1e-200).
-    """
+    """(mean, variance) of theta_tilde under the coupling prior centred on
+    the scalar theta: psi(a) - psi(b) and psi'(a) + psi'(b)."""
     gamma = _check_gamma(gamma)
-    theta = float(theta)
-    a = gamma * sigmoid(theta)
-    b = gamma * sigmoid(-theta)
-    snapshot = {"theta": theta, "gamma": gamma, "a": a, "b": b}
-    if a == 0.0 or b == 0.0:
-        raise NumericError(f"coupling prior shape underflows to 0 (theta={theta}, "
-                           f"gamma={gamma})", snapshot=snapshot)
-    # an overflow is caught below as a non-finite moment, not warned about
-    with np.errstate(over="ignore"):
-        mean = digamma(a) - digamma(b)
-        variance = float(_trigamma(np.array([a, b])).sum())
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise NumericError(f"coupling prior moments overflow (theta={theta}, "
-                           f"gamma={gamma})", snapshot=snapshot)
-    return mean, variance
+    a, b = _beta_shapes(gamma * sigmoid(float(theta)), gamma)
+    return digamma(a) - digamma(b), _trigamma(a) + _trigamma(b)

@@ -272,7 +272,8 @@ def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
     at v = sigmoid(theta_tilde). Trapezoid integration therefore recovers
     1 on the mean axis directly and on the natural axis after multiplying
     by the Jacobian dv/dt = v (1 - v).
-    Rows are (gamma, axis_space, x, beta_density, normal_density).
+    Rows are (gamma, axis_space, x, beta_density, normal_density); a
+    density that is not finite raises NumericError.
     """
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
@@ -287,20 +288,23 @@ def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
     for gamma in gammas:
         var = beta_prior_moments(theta, gamma)[1]
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-
-        beta_mean = np.exp(beta_prior_log_density(nat_from_mean, theta, gamma))
-        normal_nat_at_mean = norm * np.exp(-0.5 * (nat_from_mean - theta) ** 2 / var)
-        normal_mean = normal_nat_at_mean / (mean_grid * (1.0 - mean_grid))
+        # an overflow is caught below as a non-finite density, not warned about
+        with np.errstate(over="ignore"):
+            beta_mean = np.exp(beta_prior_log_density(nat_from_mean, theta, gamma))
+            normal_nat_at_mean = norm * np.exp(-0.5 * (nat_from_mean - theta) ** 2 / var)
+            normal_mean = normal_nat_at_mean / (mean_grid * (1.0 - mean_grid))
+            beta_nat = np.exp(beta_prior_log_density(nat_grid, theta, gamma))
+            # log(1 / (v(1-v))) = A(t) + A(-t); assembled in log space because
+            # 1 - sigmoid(t) underflows at the window edges.
+            normal_nat = np.exp(math.log(norm)
+                                - 0.5 * (nat_grid - theta) ** 2 / var
+                                + np.logaddexp(0.0, nat_grid)
+                                + np.logaddexp(0.0, -nat_grid))
+        if not np.isfinite((beta_mean, normal_mean, beta_nat, normal_nat)).all():
+            raise NumericError(f"coupling prior density is not finite (theta_mean={theta_mean}, "
+                               f"gamma={gamma})", snapshot={"theta": theta, "gamma": gamma})
         rows.extend((gamma, "mean", x, bd, nd)
                     for x, bd, nd in zip(mean_grid, beta_mean, normal_mean))
-
-        beta_nat = np.exp(beta_prior_log_density(nat_grid, theta, gamma))
-        # log(1 / (v(1-v))) = A(t) + A(-t); assembled in log space because
-        # 1 - sigmoid(t) underflows at the window edges.
-        normal_nat = np.exp(math.log(norm)
-                            - 0.5 * (nat_grid - theta) ** 2 / var
-                            + np.logaddexp(0.0, nat_grid)
-                            + np.logaddexp(0.0, -nat_grid))
         rows.extend((gamma, "natural", x, bd, nd)
                     for x, bd, nd in zip(nat_grid, beta_nat, normal_nat))
     return rows

@@ -164,3 +164,23 @@ def enumerate_data_log_likelihood(gen: GenerativeParams, data: Dataset) -> float
                 p *= probs[y, d] if bit else (1.0 - probs[y, d])
             total += math.log(p)
     return total
+
+
+def coupling_prior_moments(theta: float, gamma: float, half_width: float = 60.0,
+                           points: int = 48001) -> tuple:
+    """(mean, variance) of theta_tilde under the coupling prior centred on
+    theta: the trapezoid rule over t in theta +/- half_width applied to the
+    density exp(lgamma(gamma+2) - lgamma(alpha+1) - lgamma(gamma-alpha+1)
+    + t*alpha - gamma*log(1 + e^t)), alpha = gamma*sigmoid(theta), times
+    dv/dt = sigmoid(t)(1 - sigmoid(t)). Fails unless the window's mass is 1
+    to 1e-12, which also rejects a grid too coarse for the spread."""
+    alpha = gamma * 0.5 * (1.0 + math.tanh(0.5 * theta))
+    t = np.linspace(theta - half_width, theta + half_width, points)
+    dens = np.exp(math.lgamma(gamma + 2.0) - math.lgamma(alpha + 1.0)
+                  - math.lgamma(gamma - alpha + 1.0) + t * alpha
+                  - (gamma + 1.0) * np.logaddexp(0.0, t) - np.logaddexp(0.0, -t))
+    mass = np.trapezoid(dens, t)
+    if abs(mass - 1.0) > 1e-12:
+        raise OracleError(f"window holds mass {mass}, not 1 (theta={theta}, gamma={gamma})")
+    mean = np.trapezoid(t * dens, t)
+    return float(mean), float(np.trapezoid((t - mean) ** 2 * dens, t))

@@ -196,9 +196,10 @@ def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
                         coupling: CouplingConfig) -> np.ndarray:
     """d(coupling block)/dw, shape (K, M).
 
-    BETA: per coordinate, with s = sigmoid(w) and alpha = gamma * s,
+    BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
+    a = gamma * s + 1 and b = gamma - gamma * s + 1,
 
-        gamma * s * (1 - s) * [theta_tilde - (psi(alpha + 1) - psi(gamma - alpha + 1))]
+        gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
 
     which combines the log-normalizer derivative and the linear term.
     GAUSSIAN: (theta_tilde - w) / sigma_c2. DECOUPLED: zero.
@@ -211,8 +212,8 @@ def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
 
     def grad(tt, w):
         s = expfam.sigmoid(w)
-        alpha = gamma * s
-        psi_diff = expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)
+        a, b = expfam._beta_shapes(gamma * s, gamma)
+        psi_diff = expfam.digamma(a) - expfam.digamma(b)
         return gamma * s * (1.0 - s) * (tt - psi_diff)
 
     return expfam._blockwise(grad, gen.theta_tilde, disc.w)

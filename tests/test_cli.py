@@ -376,12 +376,25 @@ def test_prior_curves_export(tmp_path, capsys):
     assert len(lines) == 169
 
 
-def test_prior_curves_overflowing_variance_exits_3(tmp_path, capsys):
-    # theta = logit(1e-300) gives a = gamma * 1e-300, and psi'(a) ~ 1/a^2
+def test_prior_curves_non_finite_density_exits_3(tmp_path, capsys):
+    # at gamma = 1e200 the log density's terms cancel to values whose exp
+    # overflows; the command must not write inf
     path = tmp_path / "c.csv"
-    code, _, err = run(capsys, "prior-curves", "--theta-mean", "1e-300", "--out", str(path))
-    assert code == 3 and "numeric error: coupling prior moments overflow" in err
+    code, _, err = run(capsys, "prior-curves", "--gammas", "1e200", "--out", str(path))
+    assert code == 3 and "numeric error: coupling prior density is not finite" in err
     assert not path.exists()
+
+
+def test_prior_curves_at_an_extreme_center_stay_finite(tmp_path, capsys):
+    # theta = logit(1e-300): both Beta shapes stay at least 1, so the
+    # matched normal's variance is finite
+    path = tmp_path / "c.csv"
+    code, _, err = run(capsys, "prior-curves", "--theta-mean", "1e-300", "--grid", "51",
+                       "--out", str(path))
+    assert code == 0 and "wrote 408 curve rows" in err
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 408
+    assert all(math.isfinite(float(v)) for row in rows for v in (row[2], row[3], row[4]))
 
 
 def test_prior_curves_bad_theta_mean_exits_2(tmp_path, capsys):

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special
 
 from hybridssl import expfam
-from hybridssl.errors import DomainError, NumericError
+from hybridssl.errors import DomainError
 from hybridssl.harness import prior_curve_rows
+from hybridssl.testkit import coupling_prior_moments
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +212,33 @@ def test_beta_prior_domain_errors():
 # prior moments and the matched normal
 
 def test_beta_prior_variance_frozen_value():
-    assert_allclose(expfam.beta_prior_moments(0.0, 10.0)[1],
-                    0.44264591147423065, rtol=1e-9)
+    # a = b = 6, so the variance is 2 psi'(6) = 2 (pi^2/6 - sum_{k<=5} 1/k^2)
+    var = expfam.beta_prior_moments(0.0, 10.0)[1]
+    assert_allclose(var, 0.3626459114742304, rtol=1e-9)
+    assert_allclose(var, coupling_prior_moments(0.0, 10.0)[1], rtol=1e-9)
 
 
 def test_beta_prior_moments_match_polygamma_identities():
-    # Under the natural-axis density, theta_tilde = logit(V) with
-    # V ~ Beta(alpha, gamma - alpha): mean psi(a)-psi(b), variance
+    # The prior is Beta(alpha + 1, gamma - alpha + 1) in v = sigmoid(t), so
+    # theta_tilde = logit(V) has mean psi(a)-psi(b) and variance
     # psi'(a)+psi'(b). Independent special-function route.
     for theta, gamma in [(0.0, 10.0), (expfam.logit(0.2), 7.0), (1.5, 2.5),
                          (expfam.logit(0.2), 0.1), (expfam.logit(0.2), 1.0), (0.0, 0.1)]:
         alpha = gamma * special.expit(theta)
+        a, b = alpha + 1.0, gamma - alpha + 1.0
         mean, var = expfam.beta_prior_moments(theta, gamma)
-        assert_allclose(mean, special.digamma(alpha) - special.digamma(gamma - alpha),
-                        rtol=1e-12, atol=1e-9)
-        assert_allclose(var, special.polygamma(1, alpha) + special.polygamma(1, gamma - alpha),
-                        rtol=1e-12)
+        assert_allclose(mean, special.digamma(a) - special.digamma(b), rtol=1e-12, atol=1e-9)
+        assert_allclose(var, special.polygamma(1, a) + special.polygamma(1, b), rtol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [expfam.logit(0.2), 0.0, 3.0, -5.0, expfam.logit(0.999999)])
+def test_beta_prior_moments_match_the_quadrature_oracle(theta):
+    # the oracle integrates the density beta_prior_log_density tabulates
+    for gamma in (0.1, 1.0, 10.0, 100.0):
+        mean, var = expfam.beta_prior_moments(theta, gamma)
+        want_mean, want_var = coupling_prior_moments(theta, gamma)
+        assert_allclose(mean, want_mean, rtol=1e-8, atol=1e-12)
+        assert_allclose(var, want_var, rtol=1e-8)
 
 
 def test_beta_prior_mean_zero_by_symmetry():
@@ -249,17 +261,12 @@ def test_matched_normal_curve_grid_exports_without_error():
 
 
 def test_prior_moments_stay_finite_at_extreme_parameters():
-    # Very diffuse and very concentrated settings must either return
-    # finite moments or raise NumericError with a snapshot, never return
-    # NaN or hang.
-    for theta, gamma in [(50.0, 1e-4), (0.0, 1e6), (-30.0, 0.01), (0.0, 1e-200)]:
-        try:
-            mean, var = expfam.beta_prior_moments(theta, gamma)
-        except NumericError as exc:
-            assert exc.snapshot is not None
-        else:
-            assert math.isfinite(mean) and math.isfinite(var) and var >= 0.0
-    # psi'(5e-201) ~ 4e400 overflows: the variance has no float value
-    with pytest.raises(NumericError) as info:
-        expfam.beta_prior_moments(0.0, 1e-200)
-    assert info.value.snapshot == {"theta": 0.0, "gamma": 1e-200, "a": 5e-201, "b": 5e-201}
+    # Both shapes are at least 1, so psi and psi' stay finite for every
+    # finite gamma > 0 and any theta: the variance lies in (0, pi^2/3 = 3.2899].
+    for theta, gamma in [(50.0, 1e-4), (0.0, 1e6), (-30.0, 0.01), (0.0, 1e-200),
+                         (-700.0, 1e300), (700.0, 1.7e308), (0.0, 5e-324)]:
+        mean, var = expfam.beta_prior_moments(theta, gamma)
+        assert math.isfinite(mean) and 0.0 < var < 3.29, (theta, gamma)
+    # gamma -> 0 leaves Beta(1, 1): mean 0, variance 2 psi'(1) = pi^2/3
+    assert_allclose(expfam.beta_prior_moments(0.0, 1e-200), (0.0, math.pi ** 2 / 3.0),
+                    rtol=1e-13)

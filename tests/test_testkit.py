@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hybridssl.errors import DomainError, OracleError
 from hybridssl.model import GenerativeParams, _softmax, nb_scores_matrix
-from hybridssl.testkit import (brute_force_theta_tilde,
+from hybridssl.testkit import (brute_force_theta_tilde, coupling_prior_moments,
                                enumerate_data_log_likelihood, enumerate_joint,
                                enumerate_posterior, fd_gradient)
 
@@ -130,3 +130,29 @@ def test_enumerate_data_log_likelihood_matches_production():
             want += scores[inst.label]
     got = enumerate_data_log_likelihood(gen, data)
     assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# coupling-prior moments by quadrature
+
+def test_coupling_prior_moments_of_a_flat_prior():
+    # gamma -> 0 leaves v ~ Beta(1, 1), so t = logit(v) is standard
+    # logistic: mean 0, variance pi^2 / 3
+    mean, var = coupling_prior_moments(0.7, 1e-12)
+    assert abs(mean) < 1e-11
+    assert_allclose(var, math.pi ** 2 / 3.0, rtol=1e-10)
+
+
+def test_coupling_prior_moments_symmetry():
+    # theta -> -theta mirrors the density, so the mean flips sign
+    mean, var = coupling_prior_moments(1.3, 4.0)
+    mirrored_mean, mirrored_var = coupling_prior_moments(-1.3, 4.0)
+    assert_allclose(mirrored_mean, -mean, rtol=1e-12)
+    assert_allclose(mirrored_var, var, rtol=1e-12)
+
+
+def test_coupling_prior_moments_refuses_a_truncated_window_or_coarse_grid():
+    with pytest.raises(OracleError, match="mass"):
+        coupling_prior_moments(0.0, 1.0, half_width=5.0)
+    with pytest.raises(OracleError, match="mass"):
+        coupling_prior_moments(0.0, 1e6)

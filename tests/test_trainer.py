@@ -280,6 +280,30 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
+@pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN, CouplingKind.DECOUPLED])
+def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
+    """The GAUSSIAN and DECOUPLED branches of coupling_gradient_w and
+    model._coupling_block, on the arrays of the BETA test above."""
+    k, m = 3, 50_001
+    rng = np.random.default_rng(17)
+    w = rng.normal(0.0, 4.0, (k, m))
+    w[:, :3] = [700.0, -700.0, 0.0]
+    w[:, -1] = -700.0
+    theta_tilde = rng.normal(0.0, 3.0, (k, m))
+    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
+    disc = DiscriminativeParams(b=np.zeros(k), w=w)
+    if kind is CouplingKind.GAUSSIAN:
+        coupling = CouplingConfig(kind=kind, gamma=0.3)
+        diff = theta_tilde - w
+        grad = diff / (1.0 / 0.3)
+        block = float(-0.5 / (1.0 / 0.3) * np.sum(diff * diff))
+    else:
+        coupling = CouplingConfig(kind=kind)
+        grad, block = np.zeros((k, m)), 0.0
+    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+    assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
+
+
 def test_beta_coupling_gradient_at_huge_gamma_does_not_warn():
     # digamma's arguments reach 1e200 here; the suite turns any
     # RuntimeWarning into a failure

@@ -11,6 +11,8 @@ does, json.dumps of their dicts with sorted keys (b60dcc123eb44717... for
 the criterion-7 grid, ae04df130418f7dd... for grid-gauss at seed 0).
 A fit is digested as pi, theta_tilde, b and w (dtype, shape and raw
 bytes, since an array's repr elides its middle) followed by repr(report).
+The "prior-curves-" lines digest the beta_density and normal_density
+columns of prior_curve_rows() at its default arguments, one line each.
 The script uses only names every recent version of the package exports,
 and takes about half a minute on one core.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from hybridssl import model
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
-from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
+from hybridssl.harness import SweepSpec, SyntheticSpec, prior_curve_rows, run_sweep
 from hybridssl.model import CouplingConfig, CouplingKind, Dataset
 from hybridssl.trainer import TrainConfig, train
 
@@ -106,6 +108,9 @@ def main():
     # K=20, the text-cli class count: numpy sums 8 or more contiguous values
     # pairwise, so only this fit's softmax normalizer is not a sequential sum
     fits("compressed-k20-fit", compressed_corpus(20, 60), (0.5,), 3, (CouplingKind.BETA,))
+    rows = prior_curve_rows()
+    print("prior-curves-beta", digest(np.array([r[3] for r in rows])), flush=True)
+    print("prior-curves-normal", digest(np.array([r[4] for r in rows])), flush=True)
 
 
 if __name__ == "__main__":
