@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 # Mean parameters are clamped to this open interval before logit, bounding
 # natural parameters to roughly [-23.03, 23.03].
@@ -201,13 +201,19 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
 
     theta_tilde is the generative natural parameter being scored, theta the
     reference (discriminative) natural parameter the prior is centred on.
-    Broadcasts over arrays; gamma is a positive scalar.
+    Broadcasts over arrays; gamma is a positive scalar. Raises NumericError
+    when lgamma(gamma + 2) overflows, for gamma above about 2.6e305.
     """
     gamma = _check_gamma(gamma)
     tt = np.asarray(theta_tilde, dtype=float)
     alpha = gamma * sigmoid(np.asarray(theta, dtype=float))
     a, b = _beta_shapes(alpha, gamma)
-    logm = math.lgamma(gamma + 2.0) - _lgamma(a) - _lgamma(b)
+    try:
+        log_gamma_total = math.lgamma(gamma + 2.0)
+    except OverflowError:
+        raise NumericError(f"coupling prior normalizer lgamma(gamma + 2) overflows "
+                           f"at gamma={gamma}", snapshot={"gamma": gamma}) from None
+    logm = log_gamma_total - _lgamma(a) - _lgamma(b)
     out = logm + tt * alpha - gamma * np.logaddexp(0.0, tt)
     if np.isscalar(theta_tilde) and np.isscalar(theta):
         return float(out)

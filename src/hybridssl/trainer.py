@@ -38,16 +38,21 @@ iteration on the scores that feed the next E-step.
 
 CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
 of 0 or 1 short-circuits to the standalone trainers, naive Bayes EM at
-lam = 0 and plain SGD logistic regression at lam = 1.
+lam = 0 and L2-regularized logistic regression at lam = 1. The lam = 1
+objective is concave, so train_logreg maximizes it by a deterministic
+full-batch L-BFGS ascent (_lbfgs_ascent) over the features of the
+labeled documents, two L-BFGS iterations per outer iteration, instead of
+SGD epochs.
 
 Determinism: SGD epoch order is drawn from the splitmix64 stream seeded by
-(cfg.seed, outer_iter, epoch); identical inputs give bit-identical
-parameters and traces.
+(cfg.seed, outer_iter, epoch), so cfg.seed affects hybrid fits only;
+identical inputs give bit-identical parameters and traces.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,17 @@ _GAUSS_MAX_STEPS = 100
 _SGD_EPOCHS = 5
 _LEARNING_RATE0 = 0.1
 _LR_DECAY_STEPS = 1000.0
+# The lam = 1 endpoint's L-BFGS ascent keeps the last _LBFGS_MEMORY
+# curvature pairs; its line search halves the unit step at most
+# _LBFGS_MAX_HALVINGS times looking for the Armijo ascent that _ARMIJO_C
+# sets.
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_HALVINGS = 40
+_ARMIJO_C = 1e-4
+# One L-BFGS iteration can gain little while the optimum is still far, so
+# an outer iteration of the lam = 1 endpoint is _LBFGS_ITERS_PER_STEP of
+# them and TrainConfig.tol compares objectives that many iterations apart.
+_LBFGS_ITERS_PER_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,10 @@ class TrainConfig:
     """Knobs for the outer loop.
 
     Convergence: the run stops once the objective trace satisfies
-    |L_k - L_{k-1}| / max(1, |L_{k-1}|, |L_k|) < tol.
+    |L_k - L_{k-1}| / max(1, |L_{k-1}|, |L_k|) < tol. An outer iteration
+    is one coordinate-ascent round of the hybrid, one EM step at lam = 0
+    and two L-BFGS iterations at lam = 1. seed keys the hybrid's SGD
+    shuffles; the endpoint trainers do not read it.
     """
 
     max_outer_iters: int = 200
@@ -229,10 +248,16 @@ def discriminative_gradient(data: Dataset, gen: GenerativeParams,
     data term sum_x x_d (1{t=y} - p(y | x, w, b)).
     """
     grad_w = -disc.w / coupling.disc_prior_sigma2 + coupling_gradient_w(gen, disc, coupling)
-    resid = -_softmax(lr_scores_matrix(disc, data, data.labeled_positions))
-    resid[np.arange(len(data.labels)), data.labels] += 1.0
+    resid = _label_residual(lr_scores_matrix(disc, data, data.labeled_positions), data.labels)
     grad_w += data.counts(resid, data.labeled_positions)
     return grad_w, resid.sum(axis=0)
+
+
+def _label_residual(scores, labels):
+    """1{t = y} - p(y | x, w, b) for each labeled document's scores."""
+    resid = -_softmax(scores)
+    resid[np.arange(len(labels)), labels] += 1.0
+    return resid
 
 
 def _coupling_stiffness(coupling: CouplingConfig) -> float:
@@ -259,8 +284,7 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     Per example: the data-term gradient of that example alone. Per epoch:
     one full prior(+coupling) step. Every outer iteration makes the same
     number of example updates, so the global step count starts at
-    outer_iter * _SGD_EPOCHS * (labeled documents). gen is read only by
-    the coupling gradient, so a DECOUPLED caller may pass None.
+    outer_iter * _SGD_EPOCHS * (labeled documents).
 
     Summation order, which fixes every output bit: an example's score for
     class y is its weights w[y, d] added one after another in increasing
@@ -314,6 +338,53 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
             grad += coupling_gradient_w(gen, disc, coupling)
         grad *= eta
         w += grad
+
+
+def _lbfgs_ascent(objective_and_gradient, x):
+    """Maximize a smooth function by L-BFGS (Liu & Nocedal 1989), one
+    iteration per next().
+
+    x is the flat start vector and is updated in place;
+    objective_and_gradient(x) returns (f, gradient of f) at x. Each
+    iteration takes the two-loop recursion's direction d over the last
+    _LBFGS_MEMORY curvature pairs (s, y), y the fall of the gradient along
+    s, and backtracks from the unit step by halving until
+    f(x + t d) >= f(x) + _ARMIJO_C * t * gradient.d. A pair with s.y <= 0
+    is not kept, so d stays an ascent direction. Yields (f, gradient) at
+    the new iterate. When the slope along d is not positive (a zero or
+    non-finite gradient) or _LBFGS_MAX_HALVINGS halvings find no ascent, x
+    stays where it was and the same pair is yielded again, so the caller's
+    relative-change rule stops the run.
+    """
+    f, g = objective_and_gradient(x)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    while True:
+        d = g.copy()
+        coefs = []
+        for s, y, rho in reversed(pairs):
+            coef = rho * (s @ d)
+            d -= coef * y
+            coefs.append(coef)
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        for (s, y, rho), coef in zip(pairs, reversed(coefs)):
+            d += (coef - rho * (y @ d)) * s
+        slope = float(g @ d)
+        t = 1.0
+        for _ in range(_LBFGS_MAX_HALVINGS if slope > 0.0 else 0):
+            x_new = x + t * d
+            f_new, g_new = objective_and_gradient(x_new)
+            if f_new >= f + _ARMIJO_C * t * slope:
+                s, y = x_new - x, g - g_new
+                sy = float(s @ y)
+                if sy > 0.0:
+                    pairs.append((s, y, 1.0 / sy))
+                x[:] = x_new
+                f, g = f_new, g_new
+                break
+            t *= 0.5
+        yield f, g
 
 
 def _check_finite(value, it, mode, **state):
@@ -389,24 +460,59 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
 
 
 def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100.0):
-    """Standalone SGD logistic regression (the lam = 1 endpoint)."""
+    """Standalone L2-regularized logistic regression (the lam = 1 endpoint).
+
+    Maximizes the labeled log-likelihood minus ||w||^2 / (2 sigma^2), which
+    is concave, by _lbfgs_ascent on the flat vector [w.ravel(), b],
+    _LBFGS_ITERS_PER_STEP L-BFGS iterations per outer iteration. The
+    gradient is discriminative_gradient's under DECOUPLED coupling,
+    computed from the objective's own scores. The fit is deterministic and
+    does not read cfg.seed.
+
+    A weight of a feature that no labeled document holds has gradient
+    -w / sigma^2 and stays at its start, 0. So the ascent runs over the
+    labeled documents restricted to their features, and its vectors have
+    K * (those features) + K entries rather than K * M + K.
+    """
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
-    k, m = data.num_classes, data.num_features
-    # the SGD epochs update disc.b and disc.w in place
-    disc = DiscriminativeParams(b=np.zeros(k), w=np.zeros((k, m)))
-    prior_only = CouplingConfig(kind=CouplingKind.DECOUPLED, lam=1.0,
-                                disc_prior_sigma2=disc_prior_sigma2)
+    k = data.num_classes
+    indptr, indices = data._take(data.labeled_positions)
+    # np.unique would import numpy.ma, 1.7 MB of resident memory
+    features = np.flatnonzero(np.bincount(indices, minlength=data.num_features))
+    # a Dataset needs one feature; when no labeled document holds any, the
+    # one column is empty and its weight stays 0
+    m = max(features.size, 1)
+    labeled = Dataset(indptr, np.searchsorted(features, indices), data.labels, k, m)
 
-    def sgd_step(it):
-        _sgd_epochs(data, None, disc, prior_only, cfg.seed, it)
-        scores = lr_scores_matrix(disc, data, data.labeled_positions)
-        objective = float(_label_log_likelihood(scores, data.labels)
-                          - 0.5 / disc_prior_sigma2 * np.sum(disc.w * disc.w))
-        _check_finite(objective, it, EndpointMode.PURE_DISCRIMINATIVE, b=disc.b, w=disc.w)
+    def objective_and_gradient(x):
+        w, b = x[:k * m].reshape(k, m), x[k * m:]
+        scores = b + labeled.scores(w)
+        objective = float(_label_log_likelihood(scores, labeled.labels)
+                          - 0.5 / disc_prior_sigma2 * np.sum(w * w))
+        # discriminative_gradient under DECOUPLED coupling, from these scores
+        resid = _label_residual(scores, labeled.labels)
+        grad_w = labeled.counts(resid) - w / disc_prior_sigma2
+        return objective, np.concatenate([grad_w.ravel(), resid.sum(axis=0)])
+
+    x = np.zeros(k * m + k)
+    # the ascent updates x in place, and w_fit, b_fit are views of it
+    w_fit, b_fit = x[:k * m].reshape(k, m), x[k * m:]
+    ascent = _lbfgs_ascent(objective_and_gradient, x)
+
+    def lbfgs_step(it):
+        for _ in range(_LBFGS_ITERS_PER_STEP):
+            objective, gradient = next(ascent)
+        # the snapshot's w holds the columns listed in features
+        _check_finite(objective, it, EndpointMode.PURE_DISCRIMINATIVE,
+                      b=b_fit, w=w_fit, gradient=gradient, features=features)
         return objective
 
-    return disc, _ascend(sgd_step, cfg, EndpointMode.PURE_DISCRIMINATIVE)
+    report = _ascend(lbfgs_step, cfg, EndpointMode.PURE_DISCRIMINATIVE)
+    ascent.close()  # frees the curvature pairs before the full-size w exists
+    w = np.zeros((k, data.num_features))
+    w[:, features] = w_fit[:, :features.size]
+    return DiscriminativeParams(b=b_fit.copy(), w=w), report
 
 
 def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):

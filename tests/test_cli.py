@@ -385,6 +385,24 @@ def test_prior_curves_non_finite_density_exits_3(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_prior_curves_overflowing_normalizer_exits_3(tmp_path, capsys):
+    # lgamma(gamma + 2) overflows a float above gamma ~ 2.6e305
+    path = tmp_path / "c.csv"
+    code, _, err = run(capsys, "prior-curves", "--gammas", "1e306", "--out", str(path))
+    assert code == 3
+    assert "numeric error: coupling prior normalizer" in err and "gamma=1e+306" in err
+    assert not path.exists()
+
+
+def test_train_at_an_overflowing_gamma_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    code, _, err = run(capsys, "train", "--synthetic", "2,20,0.5,30", "--gamma", "1e306",
+                       "--max-iters", "2", "--out", str(path))
+    assert code == 3
+    assert "numeric error: coupling prior normalizer" in err and "gamma=1e+306" in err
+    assert not path.exists()
+
+
 def test_prior_curves_at_an_extreme_center_stay_finite(tmp_path, capsys):
     # theta = logit(1e-300): both Beta shapes stay at least 1, so the
     # matched normal's variance is finite

@@ -1,17 +1,18 @@
 """Training loops: closed-form coupled generative steps, the Newton
-gaussian step, SGD discriminative updates and their shuffle, endpoint
-dispatch, and determinism."""
+gaussian step, SGD discriminative updates and their shuffle, the lam = 1
+L-BFGS ascent, endpoint dispatch, and determinism."""
 
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from hybridssl import expfam, model, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
-from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
+from hybridssl.harness import SweepSpec, SyntheticSpec, cell_seed, run_sweep
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, log_joint, lr_scores_matrix,
                              nb_scores_matrix, uniform_generative_params)
@@ -400,6 +401,99 @@ def test_logreg_endpoint_fits_separable_data():
     assert correct / len(test_set) > 0.9
 
 
+def _lbfgsb_logreg_optimum(data, sigma2=100.0):
+    """The lam = 1 objective's maximum, by scipy's L-BFGS-B run far past
+    the trainer's stopping rule."""
+    k, m = data.num_classes, data.num_features
+    prior_only = CouplingConfig(kind=CouplingKind.DECOUPLED, lam=1.0, disc_prior_sigma2=sigma2)
+
+    def negated(x):
+        disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
+        scores = lr_scores_matrix(disc, data, data.labeled_positions)
+        f = model._label_log_likelihood(scores, data.labels) - 0.5 / sigma2 * np.sum(disc.w ** 2)
+        grad_w, grad_b = discriminative_gradient(data, None, disc, prior_only)
+        return -f, -np.concatenate([grad_w.ravel(), grad_b])
+
+    result = minimize(negated, np.zeros(k * m + k), jac=True, method="L-BFGS-B",
+                      options=dict(ftol=1e-16, gtol=1e-12, maxiter=10_000, maxcor=30))
+    return -result.fun
+
+
+@pytest.mark.parametrize("k, m, docs_per_class, separation, labeled_per_class, seed", [
+    (2, 20, 40, 0.5, 6, 1), (2, 20, 40, 0.5, 6, 2), (2, 20, 40, 0.5, 6, 3),
+    (3, 20, 40, 0.5, 6, 1), (3, 20, 40, 0.5, 6, 2), (3, 20, 40, 0.5, 6, 3),
+    # nearly separable sets where one L-BFGS iteration per outer iteration
+    # stopped 1.2e-4 and 2.4e-5 (relative) short of the optimum
+    (2, 10, 60, 0.3, 8, 102), (3, 10, 60, 0.3, 4, 9)])
+def test_logreg_ascent_reaches_the_lbfgsb_optimum(k, m, docs_per_class, separation,
+                                                  labeled_per_class, seed):
+    full = generate_synthetic(k, m, docs_per_class, separation, seed=seed)
+    data, _ = sample_split(full, SplitSpec(labeled_per_class=labeled_per_class,
+                                           unlabeled_total=0, seed=seed))
+    best = _lbfgsb_logreg_optimum(data)
+    _, report = train_logreg(data, TrainConfig())
+    assert report.converged
+    assert best - report.log_joint_trace[-1] <= 1e-5 * max(1.0, abs(best))
+    # run on, the same ascent closes the gap to rounding
+    _, report = train_logreg(data, TrainConfig(tol=1e-12, max_outer_iters=1000))
+    assert report.converged
+    assert abs(best - report.log_joint_trace[-1]) <= 1e-10 * max(1.0, abs(best))
+
+
+def test_logreg_ascent_runs_over_the_labeled_documents_features():
+    # features 3 and 5 occur only in unlabeled documents, 6 and 7 nowhere
+    docs = [([0, 1], 0), ([0, 2], 0), ([1, 4], 1), ([2, 4], 1), ([0, 4], 1),
+            ([3, 5], None), ([1, 3], None)]
+    data = make_dataset(docs, num_classes=2, num_features=8)
+    disc, report = train_logreg(data, TrainConfig(tol=1e-12, max_outer_iters=1000))
+    assert disc.w.shape == (2, 8)
+    assert np.all(disc.w[:, [3, 5, 6, 7]] == 0.0)
+    # the oracle ascends over all 8 columns
+    best = _lbfgsb_logreg_optimum(data)
+    assert abs(best - report.log_joint_trace[-1]) <= 1e-10 * max(1.0, abs(best))
+    # no labeled document holds a feature: b alone fits the class frequencies
+    empty = make_dataset([([], 0), ([], 0), ([], 1), ([2], None)], num_classes=2,
+                         num_features=3)
+    disc, report = train_logreg(empty, TrainConfig(tol=1e-12, max_outer_iters=1000))
+    assert report.converged
+    assert np.all(disc.w == 0.0)
+    assert_allclose(disc.b[0] - disc.b[1], math.log(2.0), rtol=1e-8)
+
+
+def test_logreg_ascent_is_monotone_and_deterministic():
+    for seed in (1, 2, 3):
+        train_set, _ = small_corpus(seed)
+        disc, report = train_logreg(train_set, TrainConfig())
+        assert np.all(np.diff(report.log_joint_trace) >= 0.0)
+        assert report.outer_iters_run == len(report.log_joint_trace)
+        # the seed feeds no part of the fit
+        disc2, report2 = train_logreg(train_set, TrainConfig(seed=seed + 10))
+        assert np.array_equal(disc.b, disc2.b)
+        assert np.array_equal(disc.w, disc2.w)
+        assert report.log_joint_trace == report2.log_joint_trace
+
+
+def test_logreg_converges_on_every_criterion_7_cell():
+    # the lam = 1 cells of the criterion-7 grid, built as run_sweep builds
+    # them; with one L-BFGS iteration per outer iteration the seed-3, u=0
+    # cell stopped 1.3e-5 short of the optimum
+    spec = SweepSpec(lambdas=(0.0, 0.25, 0.5, 0.75, 1.0), unlabeled_counts=(0, 500),
+                     labeled_per_class=10, seeds=(1, 2, 3, 4, 5),
+                     coupling_kind=CouplingKind.BETA,
+                     synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=0))
+    corpus = spec.load_corpus()
+    for seed in spec.seeds:
+        for count_index, count in enumerate(spec.unlabeled_counts):
+            split = SplitSpec(labeled_per_class=spec.labeled_per_class, unlabeled_total=count,
+                              seed=cell_seed(seed, spec.lambdas.index(1.0), count_index))
+            train_set, _ = sample_split(corpus, split)
+            _, _, report = train(train_set, CouplingConfig.from_lambda(1.0), spec.train_config)
+            assert report.converged, (seed, count)
+            assert np.all(np.diff(report.log_joint_trace) >= 0.0)
+            best = _lbfgsb_logreg_optimum(train_set)
+            assert best - report.log_joint_trace[-1] <= 1e-5 * max(1.0, abs(best)), (seed, count)
+
+
 def test_train_requires_labeled_data():
     unlabeled = make_dataset([([0], None)] * 4, num_classes=2, num_features=2)
     with pytest.raises(ConfigError):
@@ -572,7 +666,12 @@ def test_hybrid_mid_lambda_requires_strength():
 @pytest.mark.parametrize("lam, mode", [(0.5, EndpointMode.HYBRID),
                                        (1.0, EndpointMode.PURE_DISCRIMINATIVE)])
 def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
-    monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
+    if mode is EndpointMode.HYBRID:
+        monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
+    else:
+        # the lam = 1 L-BFGS ascent has no learning rate, so its objective
+        # is made non-finite instead
+        monkeypatch.setattr(trainer, "_label_log_likelihood", lambda scores, labels: math.nan)
     train_set, _ = small_corpus()
     cfg = TrainConfig(max_outer_iters=5)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,7 +7,7 @@ Run it against each checkout's sources and compare the printed lines:
 
 Each line is "<name> <sha256>". Sweep rows are digested as repr(rows);
 the "-json" lines digest the two benchmark grids' rows as the benchmark
-does, json.dumps of their dicts with sorted keys (b60dcc123eb44717... for
+does, json.dumps of their dicts with sorted keys (d736c1cce8d16922... for
 the criterion-7 grid, ae04df130418f7dd... for grid-gauss at seed 0).
 A fit is digested as pi, theta_tilde, b and w (dtype, shape and raw
 bytes, since an array's repr elides its middle) followed by repr(report).
