@@ -14,10 +14,10 @@ from .errors import (BoundsError, ConfigError, DomainError, HybridSslError,
 from .expfam import (beta_prior_log_density, beta_prior_moments, digamma,
                      log_partition, logit, natural_from_mean, sigmoid)
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    EndpointMode, GenerativeParams, Instance, LogJointBlocks, load_model,
-                    log_joint, log_joint_blocks, lr_scores_matrix, nb_scores_matrix,
-                    save_model, uniform_generative_params)
-from .trainer import (TrainConfig, TrainReport, coupling_gradient_w, discriminative_gradient,
+                    EndpointMode, GenerativeParams, Instance, LogJointBlocks,
+                    coupling_gradient_w, load_model, log_joint, log_joint_blocks,
+                    lr_scores_matrix, nb_scores_matrix, save_model, uniform_generative_params)
+from .trainer import (TrainConfig, TrainReport, discriminative_gradient,
                       generative_update_beta, generative_update_gauss, train, train_logreg,
                       train_nb_em)
 from .data import (SplitSpec, generate_synthetic, load_corpus, sample_split,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoundsError, ConfigError, DomainError, ParseError
 from .model import _DIGITS_RE, Dataset
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, seed_in_range
 
 _HEADER_RE = re.compile(r"^#\s+hybridssl-corpus\s+v1\s+K=([0-9]+)\s+M=([0-9]+)\s*$",
                         re.ASCII)
@@ -154,8 +154,7 @@ class SplitSpec:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if self.unlabeled_total < 0:
             raise ConfigError(f"unlabeled_total must be >= 0, got {self.unlabeled_total}")
-        # derive_seed folds a seed modulo 2**64, so only that range is distinct
-        if not 0 <= self.seed < 2 ** 64:
+        if not seed_in_range(self.seed):
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 

@@ -27,7 +27,7 @@ from .data import SplitSpec, generate_synthetic, load_corpus, sample_split
 from .errors import ConfigError, NumericError, QueryError
 from .expfam import beta_prior_log_density, beta_prior_moments, logit
 from .model import CouplingConfig, CouplingKind, Dataset, lr_scores_matrix, nb_scores_matrix
-from .rng import derive_seed
+from .rng import derive_seed, seed_in_range
 from .trainer import TrainConfig, train
 
 RESULTS_HEADER = "lambda,unlabeled,seed,accuracy,gen_accuracy,outer_iters,converged,wall_ms"
@@ -93,8 +93,7 @@ class SweepSpec:
             raise ConfigError("unlabeled count grid contains duplicates")
         if not self.seeds:
             raise ConfigError("seed list is empty")
-        # the cell seed hashes a seed modulo 2**64, so only that range is distinct
-        if not all(0 <= s < 2 ** 64 for s in self.seeds):
+        if not all(map(seed_in_range, self.seeds)):
             raise ConfigError("seeds must lie in [0, 2**64)")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seed list contains duplicates")

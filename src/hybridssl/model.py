@@ -20,7 +20,10 @@ by log_joint_blocks, which the trainer evaluates once per outer iteration:
     generative      sum over all documents of log sum_y p(y, x | pi, theta_tilde)
 
 Labels enter only through the discriminative block; the generative block
-always marginalizes the class.
+always marginalizes the class and does not involve (w, b). The (w, b)
+gradient sits beside the values: _disc_terms gives the prior and
+discriminative blocks with the gradient of their sum, coupling_gradient_w
+the coupling block's.
 """
 
 from __future__ import annotations
@@ -351,10 +354,9 @@ def nb_scores_matrix(gen: GenerativeParams, data: Dataset) -> np.ndarray:
     return (gen.log_pi + gen.absence_base)[None, :] + data.scores(gen.theta_tilde)
 
 
-def lr_scores_matrix(disc: DiscriminativeParams, data: Dataset,
-                     positions: Optional[np.ndarray] = None) -> np.ndarray:
-    """Logistic scores for the given instance positions (default: all)."""
-    return disc.b[None, :] + data.scores(disc.w, positions)
+def lr_scores_matrix(disc: DiscriminativeParams, data: Dataset) -> np.ndarray:
+    """Logistic scores for every instance, shape (N, K)."""
+    return disc.b[None, :] + data.scores(disc.w)
 
 
 def _label_log_likelihood(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -377,6 +379,21 @@ class LogJointBlocks:
         return self.prior + self.coupling + self.discriminative + self.generative
 
 
+def _disc_terms(data: Dataset, rows: Optional[np.ndarray], w: np.ndarray,
+                b: np.ndarray, sigma2: float) -> tuple:
+    """(prior, disc, grad_w, grad_b): the Gaussian log prior on w, the label
+    log-likelihood of the documents at positions rows (data.labeled_positions,
+    or None when all of data is labeled) and the (w, b) gradient of their sum,
+    from one scoring of those documents."""
+    scores = b + data.scores(w, rows)
+    resid = -_softmax(scores)
+    resid[np.arange(len(data.labels)), data.labels] += 1.0
+    grad_w = data.counts(resid, rows)
+    grad_w -= w / sigma2
+    return (float(-0.5 / sigma2 * np.sum(w * w)), _label_log_likelihood(scores, data.labels),
+            grad_w, resid.sum(axis=0))
+
+
 def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
                     coupling: CouplingConfig) -> float:
     if coupling.kind is CouplingKind.DECOUPLED:
@@ -388,6 +405,33 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
     return float(np.sum(expfam._blockwise(
         lambda tt, w: expfam.beta_prior_log_density(tt, w, coupling.gamma),
         gen.theta_tilde, disc.w)))
+
+
+def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
+                        coupling: CouplingConfig) -> np.ndarray:
+    """d(coupling block)/dw, shape (K, M).
+
+    BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
+    a = gamma * s + 1 and b = gamma - gamma * s + 1,
+
+        gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
+
+    which combines the log-normalizer derivative and the linear term.
+    GAUSSIAN: (theta_tilde - w) / sigma_c2. DECOUPLED: zero.
+    """
+    if coupling.kind is CouplingKind.DECOUPLED:
+        return np.zeros_like(disc.w)
+    if coupling.kind is CouplingKind.GAUSSIAN:
+        return (gen.theta_tilde - disc.w) / coupling.sigma_c2
+    gamma = coupling.gamma
+
+    def grad(tt, w):
+        s = expfam.sigmoid(w)
+        a, b = expfam._beta_shapes(gamma * s, gamma)
+        psi_diff = expfam.digamma(a) - expfam.digamma(b)
+        return gamma * s * (1.0 - s) * (tt - psi_diff)
+
+    return expfam._blockwise(grad, gen.theta_tilde, disc.w)
 
 
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
@@ -402,17 +446,12 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
     """
     if nb_scores is None:
         nb_scores = nb_scores_matrix(gen, data)
-    prior = float(-0.5 / coupling.disc_prior_sigma2 * np.sum(disc.w * disc.w))
-
-    disc_block = _label_log_likelihood(
-        lr_scores_matrix(disc, data, data.labeled_positions), data.labels)
-
-    gen_block = float(_logsumexp_rows(nb_scores).sum())
-
+    prior, disc_block, _, _ = _disc_terms(data, data.labeled_positions, disc.w, disc.b,
+                                          coupling.disc_prior_sigma2)
     return LogJointBlocks(prior=prior,
                           coupling=_coupling_block(gen, disc, coupling),
                           discriminative=disc_block,
-                          generative=gen_block)
+                          generative=float(_logsumexp_rows(nb_scores).sum()))
 
 
 def log_joint(gen: GenerativeParams, disc: DiscriminativeParams,

@@ -33,6 +33,11 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
+def seed_in_range(seed: int) -> bool:
+    """Whether seed lies in [0, 2**64), the seeds derive_seed tells apart."""
+    return 0 <= seed <= _MASK64
+
+
 class SplitMix64:
     """Sequential splitmix64 stream seeded by a 64-bit value."""
 

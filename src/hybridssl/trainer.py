@@ -33,8 +33,11 @@ One outer iteration alternates two moves:
      because numpy reduces a (K, n) C-ordered gather pairwise instead,
      which moves the low bits of every fit.
 
-The objective is model.log_joint_blocks, evaluated once per outer
-iteration on the scores that feed the next E-step.
+model.py owns the objective's value and (w, b) gradient; this module only
+ascends them. The hybrid evaluates log_joint_blocks once per outer
+iteration, on the scores that feed the next E-step. Only the SGD kernel
+writes gradient terms out itself, for speed: each example's data term and
+the per-epoch prior step -w/sigma^2.
 
 CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
 of 0 or 1 short-circuits to the standalone trainers, naive Bayes EM at
@@ -60,10 +63,10 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    EndpointMode, GenerativeParams, _label_log_likelihood, _logsumexp_rows,
-                    _softmax, log_joint_blocks, lr_scores_matrix, nb_scores_matrix,
+                    EndpointMode, GenerativeParams, _disc_terms, _logsumexp_rows, _softmax,
+                    coupling_gradient_w, log_joint_blocks, nb_scores_matrix,
                     uniform_generative_params)
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, seed_in_range
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
 _EM_SMOOTHING = 1e-2
@@ -110,8 +113,7 @@ class TrainConfig:
             raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (self.tol > 0.0):
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        # derive_seed folds a seed modulo 2**64, so only that range is distinct
-        if not 0 <= self.seed < 2 ** 64:
+        if not seed_in_range(self.seed):
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
@@ -206,58 +208,20 @@ def generative_update_gauss(data: Dataset, resp: np.ndarray, gen_old: Generative
         outside = ~((t >= lo) & (t <= hi))
         t[outside] = 0.5 * (lo[outside] + hi[outside])
     raise NumericError(
-        f"gaussian generative step did not reach tolerance {_GAUSS_TOL} "
-        f"within {_GAUSS_MAX_STEPS} Newton steps",
-        snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max())})
+        f"gaussian generative step did not reach tolerance {_GAUSS_TOL} within "
+        f"{_GAUSS_MAX_STEPS} Newton steps at sigma_c2={sigma_c2!r} (gamma={1.0 / sigma_c2!r})",
+        snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max()),
+                  "sigma_c2": sigma_c2, "gamma": 1.0 / sigma_c2})
 
 
-def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
-                        coupling: CouplingConfig) -> np.ndarray:
-    """d(coupling block)/dw, shape (K, M).
-
-    BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
-    a = gamma * s + 1 and b = gamma - gamma * s + 1,
-
-        gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
-
-    which combines the log-normalizer derivative and the linear term.
-    GAUSSIAN: (theta_tilde - w) / sigma_c2. DECOUPLED: zero.
-    """
-    if coupling.kind is CouplingKind.DECOUPLED:
-        return np.zeros_like(disc.w)
-    if coupling.kind is CouplingKind.GAUSSIAN:
-        return (gen.theta_tilde - disc.w) / coupling.sigma_c2
-    gamma = coupling.gamma
-
-    def grad(tt, w):
-        s = expfam.sigmoid(w)
-        a, b = expfam._beta_shapes(gamma * s, gamma)
-        psi_diff = expfam.digamma(a) - expfam.digamma(b)
-        return gamma * s * (1.0 - s) * (tt - psi_diff)
-
-    return expfam._blockwise(grad, gen.theta_tilde, disc.w)
-
-
-def discriminative_gradient(data: Dataset, gen: GenerativeParams,
-                            disc: DiscriminativeParams,
+def discriminative_gradient(data: Dataset, gen: GenerativeParams, disc: DiscriminativeParams,
                             coupling: CouplingConfig):
-    """Full-batch gradient of the log joint w.r.t. (w, b).
-
-    The generative block does not involve (w, b), so the gradient is the
-    Gaussian prior term -w/sigma^2, the coupling term, and the labeled
-    data term sum_x x_d (1{t=y} - p(y | x, w, b)).
-    """
-    grad_w = -disc.w / coupling.disc_prior_sigma2 + coupling_gradient_w(gen, disc, coupling)
-    resid = _label_residual(lr_scores_matrix(disc, data, data.labeled_positions), data.labels)
-    grad_w += data.counts(resid, data.labeled_positions)
-    return grad_w, resid.sum(axis=0)
-
-
-def _label_residual(scores, labels):
-    """1{t = y} - p(y | x, w, b) for each labeled document's scores."""
-    resid = -_softmax(scores)
-    resid[np.arange(len(labels)), labels] += 1.0
-    return resid
+    """Full-batch (w, b) gradient of the log joint: model._disc_terms' plus
+    coupling_gradient_w, since the generative block does not involve (w, b)."""
+    _, _, grad_w, grad_b = _disc_terms(data, data.labeled_positions, disc.w, disc.b,
+                                       coupling.disc_prior_sigma2)
+    grad_w += coupling_gradient_w(gen, disc, coupling)
+    return grad_w, grad_b
 
 
 def _coupling_stiffness(coupling: CouplingConfig) -> float:
@@ -463,11 +427,9 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     """Standalone L2-regularized logistic regression (the lam = 1 endpoint).
 
     Maximizes the labeled log-likelihood minus ||w||^2 / (2 sigma^2), which
-    is concave, by _lbfgs_ascent on the flat vector [w.ravel(), b],
-    _LBFGS_ITERS_PER_STEP L-BFGS iterations per outer iteration. The
-    gradient is discriminative_gradient's under DECOUPLED coupling,
-    computed from the objective's own scores. The fit is deterministic and
-    does not read cfg.seed.
+    is concave and is model._disc_terms' value, by _lbfgs_ascent on the flat
+    vector [w.ravel(), b], _LBFGS_ITERS_PER_STEP L-BFGS iterations per outer
+    iteration. The fit is deterministic and does not read cfg.seed.
 
     A weight of a feature that no labeled document holds has gradient
     -w / sigma^2 and stays at its start, 0. So the ascent runs over the
@@ -486,14 +448,9 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     labeled = Dataset(indptr, np.searchsorted(features, indices), data.labels, k, m)
 
     def objective_and_gradient(x):
-        w, b = x[:k * m].reshape(k, m), x[k * m:]
-        scores = b + labeled.scores(w)
-        objective = float(_label_log_likelihood(scores, labeled.labels)
-                          - 0.5 / disc_prior_sigma2 * np.sum(w * w))
-        # discriminative_gradient under DECOUPLED coupling, from these scores
-        resid = _label_residual(scores, labeled.labels)
-        grad_w = labeled.counts(resid) - w / disc_prior_sigma2
-        return objective, np.concatenate([grad_w.ravel(), resid.sum(axis=0)])
+        prior, disc_block, grad_w, grad_b = _disc_terms(
+            labeled, None, x[:k * m].reshape(k, m), x[k * m:], disc_prior_sigma2)
+        return prior + disc_block, np.concatenate([grad_w.ravel(), grad_b])
 
     x = np.zeros(k * m + k)
     # the ascent updates x in place, and w_fit, b_fit are views of it

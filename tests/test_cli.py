@@ -403,6 +403,18 @@ def test_train_at_an_overflowing_gamma_exits_3(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_train_gauss_step_failure_names_the_coupling_variance(tmp_path, capsys):
+    # at sigma_c2 = 1e-306 the gaussian generative step's bracket holds no
+    # float near the root, so its Newton budget runs out
+    path = tmp_path / "m.txt"
+    code, _, err = run(capsys, "train", "--synthetic", "2,20,0.5,30", "--coupling", "gauss",
+                       "--gamma", "1e306", "--max-iters", "2", "--out", str(path))
+    assert code == 3
+    assert "numeric error: gaussian generative step did not reach tolerance" in err
+    assert "sigma_c2=1e-306 (gamma=1e+306)" in err
+    assert not path.exists()
+
+
 def test_prior_curves_at_an_extreme_center_stay_finite(tmp_path, capsys):
     # theta = logit(1e-300): both Beta shapes stay at least 1, so the
     # matched normal's variance is finite

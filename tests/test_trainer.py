@@ -195,6 +195,17 @@ def test_generative_update_gauss_step_budget_error():
     assert snap is not None and "theta_tilde" in snap and "grad_inf_norm" in snap
 
 
+def test_generative_update_gauss_step_budget_error_names_the_coupling_variance():
+    train_set, _ = small_corpus()
+    gen0 = uniform_generative_params(2, 10)
+    disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
+    with pytest.raises(NumericError, match=r"at sigma_c2=1e-300 \(gamma=") as exc:
+        generative_update_gauss(train_set, _responsibilities(gen0, train_set), gen0, disc,
+                                1e-300)
+    assert exc.value.snapshot["sigma_c2"] == 1e-300
+    assert exc.value.snapshot["gamma"] == 1.0 / 1e-300
+
+
 def test_generative_update_gauss_matches_brute_force_maximizer():
     train_set, _ = small_corpus()
     gen0 = uniform_generative_params(2, 10)
@@ -380,6 +391,46 @@ def test_decoupled_flat_prior_approaches_pure_data_gradient():
     assert_allclose(grad_w, ref_w, atol=1e-10)
 
 
+@pytest.mark.parametrize("storage", ["dense", "compressed"])
+@pytest.mark.parametrize("k", [2, 20])
+def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, storage, k):
+    """model._disc_terms is the one source of the prior and discriminative
+    blocks and their gradient: log_joint_blocks reports its blocks and
+    discriminative_gradient under DECOUPLED coupling its gradient, bit for
+    bit, and train_logreg's trace ends at the log joint of the fit it
+    returns."""
+    if storage == "compressed":
+        monkeypatch.setattr(model, "_DENSE_MAX_CELLS", 0)
+    rng = np.random.default_rng(k)
+    for _ in range(4):
+        m = int(rng.integers(5, 40))
+        docs = [(np.flatnonzero(rng.random(m) < 0.3),
+                 int(rng.integers(k)) if i == 0 or rng.random() < 0.6 else None)
+                for i in range(int(rng.integers(2 * k, 4 * k)))]
+        data = make_dataset(docs, k, m)
+        assert (data._dense_matrix is None) == (storage == "compressed")
+        gen = GenerativeParams(pi=rng.dirichlet(np.ones(k)),
+                               theta_tilde=rng.normal(0.0, 1.0, (k, m)))
+        disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(size=(k, m)))
+        sigma2 = float(rng.uniform(0.5, 50.0))
+        prior, disc_block, grad_w, grad_b = model._disc_terms(
+            data, data.labeled_positions, disc.w, disc.b, sigma2)
+        for kind in CouplingKind:
+            coupling = CouplingConfig(kind=kind, disc_prior_sigma2=sigma2,
+                                      gamma=None if kind is CouplingKind.DECOUPLED else 2.0)
+            blocks = model.log_joint_blocks(gen, disc, coupling, data)
+            assert _same_bits(np.array([blocks.prior, blocks.discriminative]),
+                              np.array([prior, disc_block]))
+        decoupled = CouplingConfig(kind=CouplingKind.DECOUPLED, disc_prior_sigma2=sigma2)
+        got_w, got_b = discriminative_gradient(data, gen, disc, decoupled)
+        assert _same_bits(got_w, grad_w) and _same_bits(got_b, grad_b)
+
+        fit, report = train_logreg(data, TrainConfig(max_outer_iters=3), sigma2)
+        blocks = model.log_joint_blocks(gen, fit, decoupled, data)
+        assert_allclose(report.log_joint_trace[-1], blocks.prior + blocks.discriminative,
+                        rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # endpoint trainers
 
@@ -409,7 +460,7 @@ def _lbfgsb_logreg_optimum(data, sigma2=100.0):
 
     def negated(x):
         disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
-        scores = lr_scores_matrix(disc, data, data.labeled_positions)
+        scores = disc.b + data.scores(disc.w, data.labeled_positions)
         f = model._label_log_likelihood(scores, data.labels) - 0.5 / sigma2 * np.sum(disc.w ** 2)
         grad_w, grad_b = discriminative_gradient(data, None, disc, prior_only)
         return -f, -np.concatenate([grad_w.ravel(), grad_b])
@@ -671,7 +722,7 @@ def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
     else:
         # the lam = 1 L-BFGS ascent has no learning rate, so its objective
         # is made non-finite instead
-        monkeypatch.setattr(trainer, "_label_log_likelihood", lambda scores, labels: math.nan)
+        monkeypatch.setattr(model, "_label_log_likelihood", lambda scores, labels: math.nan)
     train_set, _ = small_corpus()
     cfg = TrainConfig(max_outer_iters=5)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,13 +15,23 @@ The "prior-curves-" lines digest the beta_density and normal_density
 columns of prior_curve_rows() at its default arguments, one line each.
 The script uses only names every recent version of the package exports,
 and takes about half a minute on one core.
+
+tools/output_digests.txt holds the lines of the current outputs.
+
+    PYTHONPATH=src python tools/output_digest.py --check tools/output_digests.txt
+
+compares against it: it prints every line that moved, is missing or is
+new, and exits 1 on any difference, 0 when all lines match. A change
+that moves outputs on purpose updates that file in the same commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -90,27 +100,59 @@ def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(Co
         for lam in lambdas:
             gen, disc, report = train(data, CouplingConfig.from_lambda(lam, kind),
                                       TrainConfig(max_outer_iters=max_outer_iters))
-            print(f"{name}-{kind.value}-lam{lam}",
-                  digest(gen.pi, gen.theta_tilde, disc.b, disc.w, report), flush=True)
+            yield (f"{name}-{kind.value}-lam{lam}",
+                   digest(gen.pi, gen.theta_tilde, disc.b, disc.w, report))
+
+
+def digest_lines():
+    """(name, sha256) of every output, in print order."""
+    rows = run_sweep(grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5)))
+    yield "criterion-7-rows", digest(rows)
+    yield "criterion-7-rows-json", json_digest(rows)
+    rows = run_sweep(grid(CouplingKind.GAUSSIAN, (0.25, 0.5), tuple(range(1, 11))))
+    yield "grid-gauss-seed0-rows", digest(rows)
+    yield "grid-gauss-seed0-rows-json", json_digest(rows)
+    rows = run_sweep(grid(CouplingKind.DECOUPLED, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2)))
+    yield "decoupled-rows", digest(rows)
+    yield from fits("dense-fit", dense_split(), LAMBDAS, 4)
+    yield from fits("compressed-fit", compressed_corpus(), (0.5,), 3)
+    # K=20, the text-cli class count: numpy sums 8 or more contiguous values
+    # pairwise, so only this fit's softmax normalizer is not a sequential sum
+    yield from fits("compressed-k20-fit", compressed_corpus(20, 60), (0.5,), 3,
+                    (CouplingKind.BETA,))
+    rows = prior_curve_rows()
+    yield "prior-curves-beta", digest(np.array([r[3] for r in rows]))
+    yield "prior-curves-normal", digest(np.array([r[4] for r in rows]))
+
+
+def check(path) -> int:
+    """Compare the outputs with the "<name> <sha256>" lines of path; print
+    each difference and return the exit status."""
+    with open(path, encoding="ascii") as fh:
+        expected = dict(line.split() for line in fh if line.strip())
+    differences = 0
+    for name, value in digest_lines():
+        want = expected.pop(name, None)
+        if want != value:
+            differences += 1
+            print(f"new {name} {value}" if want is None else f"moved {name} {want} -> {value}",
+                  flush=True)
+    for name, want in expected.items():
+        differences += 1
+        print(f"missing {name} {want}")
+    print(f"{differences} difference(s) from {path}")
+    return 1 if differences else 0
 
 
 def main():
-    rows = run_sweep(grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5)))
-    print("criterion-7-rows", digest(rows), flush=True)
-    print("criterion-7-rows-json", json_digest(rows), flush=True)
-    rows = run_sweep(grid(CouplingKind.GAUSSIAN, (0.25, 0.5), tuple(range(1, 11))))
-    print("grid-gauss-seed0-rows", digest(rows), flush=True)
-    print("grid-gauss-seed0-rows-json", json_digest(rows), flush=True)
-    rows = run_sweep(grid(CouplingKind.DECOUPLED, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2)))
-    print("decoupled-rows", digest(rows), flush=True)
-    fits("dense-fit", dense_split(), LAMBDAS, 4)
-    fits("compressed-fit", compressed_corpus(), (0.5,), 3)
-    # K=20, the text-cli class count: numpy sums 8 or more contiguous values
-    # pairwise, so only this fit's softmax normalizer is not a sequential sum
-    fits("compressed-k20-fit", compressed_corpus(20, 60), (0.5,), 3, (CouplingKind.BETA,))
-    rows = prior_curve_rows()
-    print("prior-curves-beta", digest(np.array([r[3] for r in rows])), flush=True)
-    print("prior-curves-normal", digest(np.array([r[4] for r in rows])), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digest lines in FILE instead of printing them")
+    args = parser.parse_args()
+    if args.check:
+        sys.exit(check(args.check))
+    for name, value in digest_lines():
+        print(name, value, flush=True)
 
 
 if __name__ == "__main__":
