@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .data import generate_synthetic, load_corpus, write_corpus
+from .data import load_corpus, write_corpus
 from .errors import ConfigError, NumericError
 from .harness import (DEFAULT_CURVE_GAMMAS, SweepSpec, SyntheticSpec, aggregate,
                       best_lambda, export_prior_curves, run_sweep,

@@ -21,15 +21,17 @@ by log_joint_blocks, which the trainer evaluates once per outer iteration:
 
 Labels enter only through the discriminative block; the generative block
 always marginalizes the class and does not involve (w, b). The (w, b)
-gradient sits beside the values: _disc_terms gives the prior and
-discriminative blocks with the gradient of their sum, coupling_gradient_w
-the coupling block's.
+gradient sits beside the values: _disc_values gives the prior and
+discriminative blocks, _disc_terms adds the gradient of their sum, and
+_coupling_gradient is the coupling block's, one block of coordinates at a
+time. log_joint_blocks computes values only.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -379,19 +381,26 @@ class LogJointBlocks:
         return self.prior + self.coupling + self.discriminative + self.generative
 
 
+def _disc_values(data: Dataset, rows: Optional[np.ndarray], w: np.ndarray,
+                 b: np.ndarray, sigma2: float) -> tuple:
+    """(prior, disc, scores): the Gaussian log prior on w, the label
+    log-likelihood of the documents at positions rows (data.labeled_positions,
+    or None when all of data is labeled) and their scores b + X[rows] @ w.T."""
+    scores = b + data.scores(w, rows)
+    prior = -0.5 / sigma2 * expfam._blockwise_sum(lambda v: v * v, w)
+    return prior, _label_log_likelihood(scores, data.labels), scores
+
+
 def _disc_terms(data: Dataset, rows: Optional[np.ndarray], w: np.ndarray,
                 b: np.ndarray, sigma2: float) -> tuple:
-    """(prior, disc, grad_w, grad_b): the Gaussian log prior on w, the label
-    log-likelihood of the documents at positions rows (data.labeled_positions,
-    or None when all of data is labeled) and the (w, b) gradient of their sum,
-    from one scoring of those documents."""
-    scores = b + data.scores(w, rows)
+    """(prior, disc, grad_w, grad_b): _disc_values' two blocks and the (w, b)
+    gradient of their sum, from the same scoring of the documents."""
+    prior, disc, scores = _disc_values(data, rows, w, b, sigma2)
     resid = -_softmax(scores)
     resid[np.arange(len(data.labels)), data.labels] += 1.0
     grad_w = data.counts(resid, rows)
     grad_w -= w / sigma2
-    return (float(-0.5 / sigma2 * np.sum(w * w)), _label_log_likelihood(scores, data.labels),
-            grad_w, resid.sum(axis=0))
+    return prior, disc, grad_w, resid.sum(axis=0)
 
 
 def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
@@ -399,17 +408,16 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
     if coupling.kind is CouplingKind.DECOUPLED:
         return 0.0
     if coupling.kind is CouplingKind.GAUSSIAN:
-        diff = gen.theta_tilde - disc.w
-        return float(-0.5 / coupling.sigma_c2 * np.sum(diff * diff))
-    # summed once over the whole array, so the sum's order is unblocked
-    return float(np.sum(expfam._blockwise(
+        return -0.5 / coupling.sigma_c2 * expfam._blockwise_sum(
+            lambda tt, w: np.square(tt - w), gen.theta_tilde, disc.w)
+    return expfam._blockwise_sum(
         lambda tt, w: expfam.beta_prior_log_density(tt, w, coupling.gamma),
-        gen.theta_tilde, disc.w)))
+        gen.theta_tilde, disc.w)
 
 
-def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
-                        coupling: CouplingConfig) -> np.ndarray:
-    """d(coupling block)/dw, shape (K, M).
+def _coupling_gradient(coupling: CouplingConfig):
+    """The coupling block's derivative in w as an elementwise function of
+    aligned (theta_tilde, w) blocks, or None when DECOUPLED.
 
     BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
     a = gamma * s + 1 and b = gamma - gamma * s + 1,
@@ -417,12 +425,13 @@ def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
         gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
 
     which combines the log-normalizer derivative and the linear term.
-    GAUSSIAN: (theta_tilde - w) / sigma_c2. DECOUPLED: zero.
+    GAUSSIAN: (theta_tilde - w) / sigma_c2.
     """
     if coupling.kind is CouplingKind.DECOUPLED:
-        return np.zeros_like(disc.w)
+        return None
     if coupling.kind is CouplingKind.GAUSSIAN:
-        return (gen.theta_tilde - disc.w) / coupling.sigma_c2
+        sigma_c2 = coupling.sigma_c2
+        return lambda tt, w: (tt - w) / sigma_c2
     gamma = coupling.gamma
 
     def grad(tt, w):
@@ -431,6 +440,16 @@ def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
         psi_diff = expfam.digamma(a) - expfam.digamma(b)
         return gamma * s * (1.0 - s) * (tt - psi_diff)
 
+    return grad
+
+
+def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
+                        coupling: CouplingConfig) -> np.ndarray:
+    """d(coupling block)/dw, shape (K, M): _coupling_gradient's formula,
+    zero when DECOUPLED."""
+    grad = _coupling_gradient(coupling)
+    if grad is None:
+        return np.zeros_like(disc.w)
     return expfam._blockwise(grad, gen.theta_tilde, disc.w)
 
 
@@ -446,8 +465,8 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
     """
     if nb_scores is None:
         nb_scores = nb_scores_matrix(gen, data)
-    prior, disc_block, _, _ = _disc_terms(data, data.labeled_positions, disc.w, disc.b,
-                                          coupling.disc_prior_sigma2)
+    prior, disc_block, _ = _disc_values(data, data.labeled_positions, disc.w, disc.b,
+                                        coupling.disc_prior_sigma2)
     return LogJointBlocks(prior=prior,
                           coupling=_coupling_block(gen, disc, coupling),
                           discriminative=disc_block,
@@ -520,13 +539,25 @@ def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
 
 def load_model(path):
     """Read save_model's file back into a (gen, disc) pair, one row at a
-    time; lines end where str.splitlines() ends them."""
+    time into one array per section; lines end where str.splitlines()
+    ends them.
+
+    The header's K and M are untrusted. A section is allocated once its
+    first row has parsed, and only when the bytes left in the file could
+    hold its rows * cols values, each a token and a blank or line end: at
+    least 2 bytes, less one for the file's last value. A section the file
+    cannot fill is still read row by row, unstored, up to the error that
+    ends it."""
     with open(path, "r", encoding="utf-8") as fh:
+        # a character takes at least one byte, so the size less the characters
+        # read bounds the bytes left from above
+        left = os.fstat(fh.fileno()).st_size
         lines = (piece for line in fh for piece in line.splitlines())
         header = next(lines, None)
         if header is None:
             raise ParseError("empty model file", line=1)
         k, m = _parse_header(header)
+        left -= len(header)
 
         sections = {"pi": (1, k), "theta_tilde": (k, m), "b": (1, k), "w": (k, m)}
         lineno = 1
@@ -536,11 +567,18 @@ def load_model(path):
             line = next(lines, None)
             if line is None or line.strip() != name:
                 raise ParseError(f"expected section '{name}'", line=lineno)
-            block = []  # grown as rows are read: the header's K and M are untrusted
-            for _ in range(rows):
+            left -= len(line)
+            block = None
+            for r in range(rows):
                 lineno += 1
-                block.append(_parse_row(next(lines, None), name, cols, lineno))
-            parsed[name] = np.array(block).reshape(rows, cols)
+                row = next(lines, None)
+                values = _parse_row(row, name, cols, lineno)
+                if r == 0:  # cols is now known to fit in one line of the file
+                    block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
+                if r < len(block):
+                    block[r] = values
+                left -= len(row)
+            parsed[name] = np.empty((0, cols)) if block is None else block
 
     gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
     disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])

@@ -37,7 +37,9 @@ model.py owns the objective's value and (w, b) gradient; this module only
 ascends them. The hybrid evaluates log_joint_blocks once per outer
 iteration, on the scores that feed the next E-step. Only the SGD kernel
 writes gradient terms out itself, for speed: each example's data term and
-the per-epoch prior step -w/sigma^2.
+the per-epoch step w += eta * (-w/sigma^2 + coupling gradient), applied
+in place one block at a time with the coupling term from
+model._coupling_gradient, so that no K x M gradient array is built.
 
 CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
 of 0 or 1 short-circuits to the standalone trainers, naive Bayes EM at
@@ -63,9 +65,9 @@ import numpy as np
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    EndpointMode, GenerativeParams, _disc_terms, _logsumexp_rows, _softmax,
-                    coupling_gradient_w, log_joint_blocks, nb_scores_matrix,
-                    uniform_generative_params)
+                    EndpointMode, GenerativeParams, _coupling_gradient, _disc_terms,
+                    _logsumexp_rows, _softmax, coupling_gradient_w, log_joint_blocks,
+                    nb_scores_matrix, uniform_generative_params)
 from .rng import SplitMix64, derive_seed, seed_in_range
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
@@ -166,9 +168,11 @@ def generative_update_beta(data: Dataset, resp: np.ndarray,
         pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
         return expfam.natural_from_mean((c + pseudo) / (n + gamma))
 
+    counts = data.counts(resp)
+    # each block of counts is read once, then overwritten by its theta_tilde
     return GenerativeParams(
         pi=_mixing_weights(resp.sum(axis=0)),
-        theta_tilde=expfam._blockwise(theta_tilde, data.counts(resp), disc.w))
+        theta_tilde=expfam._blockwise(theta_tilde, counts, disc.w, out=counts))
 
 
 def generative_update_gauss(data: Dataset, resp: np.ndarray, gen_old: GenerativeParams,
@@ -246,7 +250,9 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     """Run _SGD_EPOCHS SGD epochs in place on (disc.b, disc.w).
 
     Per example: the data-term gradient of that example alone. Per epoch:
-    one full prior(+coupling) step. Every outer iteration makes the same
+    one full prior(+coupling) step, written into w block by block
+    (expfam._blockwise with out=w), with the values of the full-array step
+    and none of its K x M temporaries. Every outer iteration makes the same
     number of example updates, so the global step count starts at
     outer_iter * _SGD_EPOCHS * (labeled documents).
 
@@ -273,7 +279,17 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     order = list(range(n_docs))
     stiffness = _coupling_stiffness(coupling)
     sigma2 = coupling.disc_prior_sigma2
-    grad = np.empty_like(w)
+    coupling_gradient = _coupling_gradient(coupling)
+
+    def prior_step(w_block, tt_block):
+        """w + prior_eta * (-w / sigma^2 + coupling gradient) on one block."""
+        g = w_block / -sigma2
+        if coupling_gradient is not None:
+            g += coupling_gradient(tt_block, w_block)
+        g *= prior_eta
+        g += w_block
+        return g
+
     step = outer_iter * _SGD_EPOCHS * n_docs
     add, maximum, exp, negative = np.add, np.maximum, np.exp, np.negative
     for epoch in range(_SGD_EPOCHS):
@@ -296,12 +312,8 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
         step += n_docs
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             return  # blowup; reported as NumericError by the caller
-        eta = min(_learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
-        np.divide(w, -sigma2, out=grad)
-        if coupling.kind is not CouplingKind.DECOUPLED:
-            grad += coupling_gradient_w(gen, disc, coupling)
-        grad *= eta
-        w += grad
+        prior_eta = min(_learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
+        expfam._blockwise(prior_step, w, gen.theta_tilde, out=w)
 
 
 def _lbfgs_ascent(objective_and_gradient, x):

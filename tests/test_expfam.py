@@ -270,3 +270,31 @@ def test_prior_moments_stay_finite_at_extreme_parameters():
     # gamma -> 0 leaves Beta(1, 1): mean 0, variance 2 psi'(1) = pi^2/3
     assert_allclose(expfam.beta_prior_moments(0.0, 1e-200), (0.0, math.pi ** 2 / 3.0),
                     rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# blockwise kernels
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_blockwise_out_may_alias_an_input_over_a_ragged_tail():
+    # 3 x 5001 spans one full block and a ragged tail; out is the second input
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 5001))
+    y = rng.normal(size=(3, 5001))
+    assert x.size > expfam._BLOCK and x.size % expfam._BLOCK
+    expected = x * y + y
+    y_id = id(y)
+    result = expfam._blockwise(lambda a, b: a * b + b, x, y, out=y)
+    assert id(result) == y_id and _same_bits(y, expected)
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (8192,), (8193,), (65_543,), (3, 50_001)])
+def test_blockwise_sum_matches_numpy_sum_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=shape) * 10.0 ** rng.normal(0.0, 3.0, shape)
+    b = rng.normal(size=shape)
+    assert _same_bits(expfam._blockwise_sum(lambda u, v: u * v, a, b), np.sum(a * b))

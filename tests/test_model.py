@@ -440,7 +440,9 @@ def test_load_model_error_lines(tmp_path):
 
 
 @pytest.mark.parametrize("header, line", [("K=2 M=1000000000000", 5),
-                                          ("K=1000000000000 M=2", 3)])
+                                          ("K=1000000000000 M=2", 3),
+                                          ("K=2 M=1" + "0" * 23, 5),
+                                          ("K=1" + "0" * 23 + " M=2", 3)])
 def test_load_model_allocates_only_rows_it_has_read(tmp_path, header, line):
     # the header's sizes alone would ask for terabytes
     with pytest.raises(ParseError) as exc:
