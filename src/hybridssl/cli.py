@@ -101,7 +101,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    gen, disc = load_model(args.model)
+    """Score a corpus with the (w, b) of a saved model. The model file is
+    checked whole, but its K x M theta_tilde is never stored: prediction
+    does not read it."""
+    _, disc = load_model(args.model, generative=False)
     corpus = load_corpus(args.corpus)
     if corpus.num_features != disc.num_features:
         raise ConfigError(f"corpus has M={corpus.num_features} features, model "

@@ -88,11 +88,10 @@ def _match_input(x, value):
 def sigmoid(x):
     """Logistic function 1/(1+e^-x), overflow-free for |x| >= 700."""
     x_arr = np.asarray(x, dtype=float)
-    out = np.empty_like(x_arr)
-    pos = x_arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x_arr[pos]))
-    ex = np.exp(x_arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e^-|x| never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x_arr))
+    out = np.where(x_arr >= 0, 1.0, e)
+    out /= 1.0 + e
     return _match_input(x, out)
 
 

@@ -162,14 +162,22 @@ class Dataset:
 
 
 def _csr_scores(indptr: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """X @ t.T for X in compressed rows: one bincount per row of t. Each
-    document's entries are added in feature order, as a per-document sum
-    would add them."""
+    """X @ t.T for X in compressed rows: one bincount per row of t over each
+    run of whole documents, a run starting at the first document at or past
+    every multiple of expfam._BLOCK entries. Each document's entries are
+    added in feature order, as a per-document sum would add them, so no
+    value depends on the runs; only the temporaries shrink from nnz to
+    about _BLOCK entries."""
     n = indptr.size - 1
-    doc_of_entry = np.repeat(np.arange(n), np.diff(indptr))
     out = np.empty((n, t.shape[0]))
-    for k in range(t.shape[0]):
-        out[:, k] = np.bincount(doc_of_entry, weights=t[k, indices], minlength=n)
+    starts = np.searchsorted(indptr, np.arange(expfam._BLOCK, indptr[-1], expfam._BLOCK))
+    cuts = [0, *starts.tolist(), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        ids = indices[indptr[lo]:indptr[hi]]
+        doc_of_entry = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+        for k in range(t.shape[0]):
+            out[lo:hi, k] = np.bincount(doc_of_entry, weights=t[k].take(ids),
+                                         minlength=hi - lo)
     return out
 
 
@@ -203,10 +211,7 @@ class GenerativeParams:
         object.__setattr__(self, "theta_tilde", tt)
         if pi.ndim != 1 or tt.ndim != 2 or tt.shape[0] != pi.shape[0]:
             raise ConfigError(f"shape mismatch: pi {pi.shape}, theta_tilde {tt.shape}")
-        if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= _PI_TOL):
-            raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
-        if not np.all(np.isfinite(tt)):
-            raise ConfigError("theta_tilde must be finite")
+        _check_generative_values(pi, bool(np.all(np.isfinite(tt))))
 
     @property
     def num_classes(self):
@@ -222,8 +227,20 @@ class GenerativeParams:
 
     @cached_property
     def absence_base(self) -> np.ndarray:
-        """Per-class sum_d log(1 - v_yd) = -sum_d A(t_yd), shape (K,)."""
-        return -np.logaddexp(0.0, self.theta_tilde).sum(axis=1)
+        """Per-class sum_d log(1 - v_yd) = -sum_d A(t_yd), shape (K,): one
+        expfam._blockwise_sum per class, bit for bit the row sums of the
+        full K x M array of A values, which is never built."""
+        return -np.array([expfam._blockwise_sum(expfam.log_partition, row)
+                          for row in self.theta_tilde])
+
+
+def _check_generative_values(pi: np.ndarray, theta_tilde_finite: bool) -> None:
+    """GenerativeParams' value checks, in its order: pi, then whether every
+    theta_tilde value is finite."""
+    if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= _PI_TOL):
+        raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
+    if not theta_tilde_finite:
+        raise ConfigError("theta_tilde must be finite")
 
 
 def uniform_generative_params(num_classes: int, num_features: int) -> GenerativeParams:
@@ -537,10 +554,30 @@ def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
                          line=lineno) from None
 
 
-def load_model(path):
-    """Read save_model's file back into a (gen, disc) pair, one row at a
-    time into one array per section; lines end where str.splitlines()
-    ends them.
+def load_model(path, generative: bool = True):
+    """Read save_model's file back into a (gen, disc) pair.
+
+    generative=False stores only b and w and returns (None, disc): pi and
+    theta_tilde are still parsed, row by row, and checked as
+    GenerativeParams checks them, so a file is accepted or refused, with
+    the same message, either way. Prediction reads only (w, b), and the
+    K x M theta_tilde is never held."""
+    store = ("pi", "theta_tilde", "b", "w") if generative else ("pi", "b", "w")
+    parsed = _read_model(path, store)
+    gen = None
+    if generative:
+        gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
+    else:
+        _check_generative_values(parsed["pi"][0], parsed["theta_tilde"])
+    disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])
+    return gen, disc
+
+
+def _read_model(path, store) -> dict:
+    """The sections of a model file, one row at a time into one array per
+    section named in store; lines end where str.splitlines() ends them. A
+    section outside store is parsed row by row and not kept: its entry is
+    instead whether every one of its values is finite.
 
     The header's K and M are untrusted. A section is allocated once its
     first row has parsed, and only when the bytes left in the file could
@@ -568,18 +605,22 @@ def load_model(path):
             if line is None or line.strip() != name:
                 raise ParseError(f"expected section '{name}'", line=lineno)
             left -= len(line)
-            block = None
+            keep = name in store
+            block, finite = None, True
             for r in range(rows):
                 lineno += 1
                 row = next(lines, None)
                 values = _parse_row(row, name, cols, lineno)
-                if r == 0:  # cols is now known to fit in one line of the file
-                    block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
-                if r < len(block):
-                    block[r] = values
+                if keep:
+                    if r == 0:  # cols is now known to fit in one line of the file
+                        block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
+                    if r < len(block):
+                        block[r] = values
+                else:
+                    finite = finite and bool(np.isfinite(values).all())
                 left -= len(row)
-            parsed[name] = np.empty((0, cols)) if block is None else block
-
-    gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
-    disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])
-    return gen, disc
+            if keep:
+                parsed[name] = np.empty((0, cols)) if block is None else block
+            else:
+                parsed[name] = finite
+    return parsed

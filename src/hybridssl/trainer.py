@@ -267,14 +267,13 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     b, w = disc.b, disc.w
     k, m = w.shape
     indptr, indices = data._take(data.labeled_positions)
-    cells = indices[:, None] + np.arange(k) * m
-    bounds = indptr.tolist()
-    # one small array per document, so the K x nnz block is freed before the
-    # epochs allocate their K x M temporaries: held across them (as views) it
-    # raised peak RSS by about 8 MB in `hybridssl train` at K=20, M=50,000
-    docs = [(cells[lo:hi].copy(), y)
-            for lo, hi, y in zip(bounds, bounds[1:], data.labels.tolist())]
-    del cells, indices
+    offsets = np.arange(k) * m
+    # one small (n, K) cell array per document, built from its feature ids:
+    # a K x nnz array of every document's cells, sliced and copied, would
+    # coexist with the copies
+    docs = [(ids[:, None] + offsets, y)
+            for ids, y in zip(np.split(indices, indptr[1:-1]), data.labels.tolist())]
+    del indices
     n_docs = len(docs)
     order = list(range(n_docs))
     stiffness = _coupling_stiffness(coupling)
@@ -518,11 +517,18 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     resp = _responsibilities(gen, data)
 
     def hybrid_step(it):
+        """Outer iteration it: the generative step from resp, the SGD epochs,
+        then the objective, whose document scores give the next resp. Under
+        BETA and DECOUPLED coupling at most one theta_tilde is alive."""
         nonlocal gen, resp
         if coupling.kind is CouplingKind.GAUSSIAN:
+            # the previous theta_tilde is the Newton start
             gen = generative_update_gauss(data, resp, gen, disc, coupling.sigma_c2)
         else:
-            # a DECOUPLED config has no gamma, and gamma = 0 drops the coupling
+            # the closed form reads only resp and disc, so the previous
+            # theta_tilde is freed before the new one is built. A DECOUPLED
+            # config has no gamma, and gamma = 0 drops the coupling.
+            gen = None
             gen = generative_update_beta(data, resp, disc, coupling.gamma or 0.0)
 
         _sgd_epochs(data, gen, disc, coupling, cfg.seed, it)

@@ -252,6 +252,27 @@ def test_predict_oversized_model_header_exits_2(tmp_path, capsys):
     assert "section 'theta_tilde' row has 2 values, expected 1000000000000 (line 5)" in err
 
 
+@pytest.mark.parametrize("section, row, message", [
+    ("pi", "0.3 0.3", "pi must be positive and sum to 1"),
+    ("theta_tilde", "0 1e999" + " 0" * 8, "theta_tilde must be finite"),
+], ids=["pi-sum", "theta-overflow"])
+def test_predict_checks_the_generative_half_it_does_not_keep(tmp_path, capsys, section,
+                                                             row, message):
+    # predict stores only (b, w), yet refuses a model whose pi or theta_tilde
+    # GenerativeParams refuses; float("1e999") is inf
+    corpus = make_corpus(tmp_path, capsys)
+    model_path = tmp_path / "bad.model"
+    save_model(uniform_generative_params(2, 10),
+               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10))), model_path)
+    lines = model_path.read_text().splitlines()
+    lines[lines.index(section) + 1] = row
+    model_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "predict", "--model", str(model_path),
+                         "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -36,6 +36,26 @@ def test_sigmoid_stable_at_extremes():
     assert out[0] == 0.0 and out[-1] == 1.0
 
 
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, each branch on
+    # its own elements: the formula sigmoid used to scatter through masks
+    tiny = np.finfo(float).smallest_subnormal
+    special_values = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                      tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308]
+    rng = np.random.default_rng(21)
+    xs = np.concatenate([special_values, rng.normal(0.0, 30.0, 8192),
+                         rng.uniform(-1.0, 1.0, 100)])
+    want = np.empty_like(xs)
+    pos = xs >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+    want[~pos] = np.exp(xs[~pos]) / (1.0 + np.exp(xs[~pos]))
+    got = expfam.sigmoid(xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert [expfam.sigmoid(x) for x in special_values] == want[:len(special_values)].tolist()
+    assert np.isnan(expfam.sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 def test_logit_round_trip_and_domain():
     grid = np.linspace(0.01, 0.99, 99)
     assert_allclose(expfam.sigmoid(expfam.logit(grid)), grid, rtol=1e-12)

@@ -1,15 +1,20 @@
 """Memory guards: the model file is streamed one row at a time into one
 array per section, the K x M coupling kernels work in blocks instead of
-full-size temporaries, and a hybrid fit holds few K x M arrays at once.
+full-size temporaries, a hybrid fit holds few K x M arrays at once, and
+predict never holds theta_tilde.
 
 The peaks are tracemalloc's traced peaks, which count numpy's buffers
 along with Python objects and do not depend on the machine."""
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hybridssl import cli
+from hybridssl.data import write_corpus
 from hybridssl.errors import ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                              GenerativeParams, load_model, save_model)
@@ -116,3 +121,36 @@ def test_hybrid_fit_holds_few_k_by_m_arrays(coupling):
     data = _compressed_corpus()
     _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
     assert peak < 4 * 8 * data.num_classes * data.num_features
+
+
+def test_beta_hybrid_fit_peaks_below_three_k_by_m_arrays():
+    # theta_tilde and w, plus the generative step's counts once the previous
+    # theta_tilde is gone: 2.50 arrays at the peak. Keeping the previous
+    # theta_tilde through the generative step and a K x nnz cell array
+    # through the SGD set-up took 3.35.
+    data = _compressed_corpus()
+    coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)
+    _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
+    assert peak < 3 * 8 * data.num_classes * data.num_features
+
+
+def test_predict_never_holds_theta_tilde(tmp_path):
+    # predict stores only (b, w). Its peak is w, the corpus and the parsing
+    # of one model row: the file iterator's line, its splitlines() piece, its
+    # bytes and 50,000 token strings, about 6.5 times the row's text. That
+    # reads 5.30 arrays here, against a bound of 5.71; holding theta_tilde
+    # as well took 6.30.
+    data = _compressed_corpus()
+    k, m = data.num_classes, data.num_features
+    rng = np.random.default_rng(8)
+    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=rng.normal(0.0, 3.0, (k, m)))
+    disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(0.0, 0.1, (k, m)))
+    model_path, corpus_path = tmp_path / "model.txt", tmp_path / "corpus.txt"
+    save_model(gen, disc, model_path)
+    write_corpus(data, corpus_path)
+    row_chars = max(len(line) for line in model_path.read_text(encoding="utf-8").splitlines())
+    argv = ["predict", "--model", str(model_path), "--corpus", str(corpus_path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code, peak, _ = _traced(lambda: cli.main(argv))
+    assert code == 0
+    assert peak < disc.w.nbytes + corpus_path.stat().st_size + 7 * row_chars

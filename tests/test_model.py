@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hybridssl import cli, model
+from hybridssl import cli, expfam, model
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, EndpointMode, GenerativeParams, load_model,
@@ -227,6 +227,46 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
         sub_counts[:, ids[pos]] += r[pos][:, None]
     assert_allclose(data.counts(r[rows], rows), sub_counts, atol=1e-12)
     assert np.array_equal(model._csr_counts(*sub, r[rows], m), sub_counts)
+
+
+def test_run_wise_csr_scores_equal_the_whole_array_bincount():
+    """_csr_scores bincounts runs of whole documents of about
+    expfam._BLOCK entries; every score equals the one-bincount product and a
+    sequential per-document sum bit for bit. The lengths put empty documents
+    first, last and between runs, end a document exactly on the first run
+    boundary, give one document more entries than a run and leave the last
+    run ragged."""
+    block = expfam._BLOCK
+    rng = np.random.default_rng(17)
+    k, m = 3, 3 * block
+    lengths = [0, 0, 100, block - 100, 0, 7, 2 * block + 5, 0, 1, 300, block // 2, 0]
+    ids = [np.sort(rng.choice(m, n, replace=False)) for n in lengths]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.concatenate(ids)
+    assert block in indptr.tolist() and indptr[-1] % block
+    t = rng.normal(0.0, 1.0, (k, m))
+
+    got = model._csr_scores(indptr, indices, t)
+    doc_of_entry = np.repeat(np.arange(len(lengths)), lengths)
+    whole = np.stack([np.bincount(doc_of_entry, weights=t[c, indices],
+                                  minlength=len(lengths)) for c in range(k)], axis=1)
+    # cumsum adds one entry after another, as the bincount does
+    sequential = np.array([[np.cumsum(t[c, i])[-1] if i.size else 0.0 for c in range(k)]
+                           for i in ids])
+    assert np.array_equal(got, whole) and np.array_equal(got, sequential)
+    assert np.array_equal(model._csr_scores(np.zeros(4, np.int64), indices[:0], t),
+                          np.zeros((3, k)))
+    assert model._csr_scores(np.zeros(1, np.int64), indices[:0], t).shape == (0, k)
+
+
+@pytest.mark.parametrize("k", [2, 20])
+@pytest.mark.parametrize("m", [8193, 16385])
+def test_absence_base_equals_the_full_array_row_sums(k, m):
+    # blockwise per class, against the K x M array it no longer builds
+    rng = np.random.default_rng(k * m)
+    theta_tilde = rng.normal(0.0, 5.0, (k, m))
+    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
+    assert np.array_equal(gen.absence_base, -np.logaddexp(0.0, theta_tilde).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +519,42 @@ def test_model_file_line_semantics(tmp_path, text, expected):
         assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
     else:
         assert load_text(tmp_path, text)[1].w.tolist() == expected
+
+
+_GOOD_MODEL = ("hybridssl-model v1 K=2 M=3\npi\n0.25 0.75\ntheta_tilde\n0 1 2\n3 4 5\n"
+               "b\n0.5 -0.5\nw\n1 2 3\n4 5 6\n")
+
+
+@pytest.mark.parametrize("text", [
+    _GOOD_MODEL,
+    _GOOD_MODEL.replace("0.25 0.75", "0.3 0.3"),
+    _GOOD_MODEL.replace("3 4 5", "3 1e999 5"),
+    _GOOD_MODEL.replace("3 4 5", "3 -1e999 5").replace("0.25 0.75", "0 1"),
+    _GOOD_MODEL.replace("0 1 2", "0 1e999 2").replace("4 5 6", "4 5"),
+    _GOOD_MODEL.replace("0 1 2", "0 1 x"),
+    _GOOD_MODEL.replace("0 1 2\n", ""),
+    _GOOD_MODEL.replace("4 5 6", "4 1e999 6"),
+    _GOOD_MODEL.replace("0.5 -0.5", "1e999 0"),
+    "hybridssl-model v1 K=0 M=3\npi\n\ntheta_tilde\nb\n\nw\n",
+    "hybridssl-model v1 K=2 M=1000000000000\npi\n0.5 0.5\ntheta_tilde\n0 0\n",
+])
+def test_load_model_without_the_generative_half_refuses_what_load_model_refuses(
+        tmp_path, text):
+    """generative=False keeps only (b, w) but accepts and refuses the same
+    files as the full reader, with the same message: parse errors first,
+    then pi, then theta_tilde, then (b, w)."""
+    path = tmp_path / "m.model"
+    path.write_text(text, encoding="utf-8")
+    try:
+        gen, disc = load_model(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_model(path, generative=False)
+        assert str(got.value) == str(exc)
+    else:
+        none, disc_only = load_model(path, generative=False)
+        assert none is None
+        assert np.array_equal(disc_only.b, disc.b) and np.array_equal(disc_only.w, disc.w)
 
 
 def test_save_model_rejects_shape_mismatch_and_keeps_the_file(tmp_path):
