@@ -88,11 +88,14 @@ def _build_coupling(args) -> CouplingConfig:
 
 
 def cmd_train(args) -> int:
+    """Fit one model and save its classifier (b, w): at every lambda the
+    trained (b, w) is what predict scores with, so the generative half is
+    not written."""
     data = _load_training_corpus(args)
     coupling = _build_coupling(args)
     cfg = TrainConfig(max_outer_iters=args.max_iters, tol=args.tol, seed=args.seed)
-    gen, disc, report = train(data, coupling, cfg)
-    save_model(gen, disc, args.out)
+    disc, report = train(data, coupling, cfg)[1:]  # theta_tilde is freed here
+    save_model(disc, args.out)
     print(f"mode={report.endpoint_mode.value} outer_iters={report.outer_iters_run} "
           f"converged={str(report.converged).lower()} "
           f"objective={report.log_joint_trace[-1]:.6f} model={args.out}",
@@ -101,10 +104,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Score a corpus with the (w, b) of a saved model. The model file is
-    checked whole, but its K x M theta_tilde is never stored: prediction
-    does not read it."""
-    _, disc = load_model(args.model, generative=False)
+    """Score a corpus with the classifier (b, w) of a saved model file."""
+    disc = load_model(args.model)
     corpus = load_corpus(args.corpus)
     if corpus.num_features != disc.num_features:
         raise ConfigError(f"corpus has M={corpus.num_features} features, model "

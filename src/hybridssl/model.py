@@ -211,7 +211,10 @@ class GenerativeParams:
         object.__setattr__(self, "theta_tilde", tt)
         if pi.ndim != 1 or tt.ndim != 2 or tt.shape[0] != pi.shape[0]:
             raise ConfigError(f"shape mismatch: pi {pi.shape}, theta_tilde {tt.shape}")
-        _check_generative_values(pi, bool(np.all(np.isfinite(tt))))
+        if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= _PI_TOL):
+            raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
+        if not np.all(np.isfinite(tt)):
+            raise ConfigError("theta_tilde must be finite")
 
     @property
     def num_classes(self):
@@ -232,15 +235,6 @@ class GenerativeParams:
         full K x M array of A values, which is never built."""
         return -np.array([expfam._blockwise_sum(expfam.log_partition, row)
                           for row in self.theta_tilde])
-
-
-def _check_generative_values(pi: np.ndarray, theta_tilde_finite: bool) -> None:
-    """GenerativeParams' value checks, in its order: pi, then whether every
-    theta_tilde value is finite."""
-    if not (np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= _PI_TOL):
-        raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
-    if not theta_tilde_finite:
-        raise ConfigError("theta_tilde must be finite")
 
 
 def uniform_generative_params(num_classes: int, num_features: int) -> GenerativeParams:
@@ -500,23 +494,23 @@ def log_joint(gen: GenerativeParams, disc: DiscriminativeParams,
 # serialization
 
 _MODEL_MAGIC = "hybridssl-model"
-_MODEL_VERSION = "v1"
+_MODEL_VERSION = "v2"
 
 
-def save_model(gen: GenerativeParams, disc: DiscriminativeParams, path) -> None:
-    """Write the model pair to path, one row per write; round-trips bit-exactly.
+def save_model(disc: DiscriminativeParams, path) -> None:
+    """Write the classifier (b, w) to path, one row per write; round-trips
+    bit-exactly.
 
-    Layout: a header line "hybridssl-model v1 K=<K> M=<M>", then the
-    sections pi, theta_tilde, b, w in that order. Matrix sections are
-    row-major, one class per line. All values carry 17 significant digits.
-    Mismatched shapes raise ConfigError before path is opened.
+    Layout: a header line "hybridssl-model v2 K=<K> M=<M>", then the
+    sections b (one row of K values) and w (K rows of M values), each after
+    a line holding its name. All values carry 17 significant digits. The
+    generative half is not written: it only regularizes training, which
+    leaves the classifier in (b, w) at every lambda, and no command reads
+    it back.
     """
-    if gen.num_classes != disc.num_classes or gen.num_features != disc.num_features:
-        raise ConfigError("generative and discriminative shapes disagree")
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={gen.num_classes} M={gen.num_features}\n")
-        for name, block in (("pi", gen.pi[None]), ("theta_tilde", gen.theta_tilde),
-                            ("b", disc.b[None]), ("w", disc.w)):
+        out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={disc.num_classes} M={disc.num_features}\n")
+        for name, block in (("b", disc.b[None]), ("w", disc.w)):
             out.write(name + "\n")
             row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
             for row in block:
@@ -525,13 +519,21 @@ def save_model(gen: GenerativeParams, disc: DiscriminativeParams, path) -> None:
 
 def _parse_header(line: str):
     parts = line.split()
-    if (len(parts) != 4 or parts[0] != _MODEL_MAGIC or parts[1] != _MODEL_VERSION
+    if len(parts) >= 2 and parts[0] == _MODEL_MAGIC and parts[1] != _MODEL_VERSION:
+        raise ParseError(f"model file is version {parts[1]}, expected {_MODEL_VERSION}: "
+                         f"retrain to write a {_MODEL_VERSION} file", line=1)
+    if (len(parts) != 4 or parts[0] != _MODEL_MAGIC
             or not parts[2].startswith("K=") or not parts[3].startswith("M=")):
         raise ParseError(f"bad model header: expected "
                          f"'{_MODEL_MAGIC} {_MODEL_VERSION} K=<K> M=<M>'", line=1)
     if not (_DIGITS_RE.fullmatch(parts[2][2:]) and _DIGITS_RE.fullmatch(parts[3][2:])):
         raise ParseError("model header K/M must be integers", line=1)
-    return int(parts[2][2:]), int(parts[3][2:])
+    k, m = int(parts[2][2:]), int(parts[3][2:])
+    if k < 2:
+        raise ParseError(f"model declares K={k}, need K >= 2", line=1)
+    if m < 1:
+        raise ParseError(f"model declares M={m}, need M >= 1", line=1)
+    return k, m
 
 
 def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
@@ -554,30 +556,10 @@ def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
                          line=lineno) from None
 
 
-def load_model(path, generative: bool = True):
-    """Read save_model's file back into a (gen, disc) pair.
-
-    generative=False stores only b and w and returns (None, disc): pi and
-    theta_tilde are still parsed, row by row, and checked as
-    GenerativeParams checks them, so a file is accepted or refused, with
-    the same message, either way. Prediction reads only (w, b), and the
-    K x M theta_tilde is never held."""
-    store = ("pi", "theta_tilde", "b", "w") if generative else ("pi", "b", "w")
-    parsed = _read_model(path, store)
-    gen = None
-    if generative:
-        gen = GenerativeParams(pi=parsed["pi"][0], theta_tilde=parsed["theta_tilde"])
-    else:
-        _check_generative_values(parsed["pi"][0], parsed["theta_tilde"])
-    disc = DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])
-    return gen, disc
-
-
-def _read_model(path, store) -> dict:
-    """The sections of a model file, one row at a time into one array per
-    section named in store; lines end where str.splitlines() ends them. A
-    section outside store is parsed row by row and not kept: its entry is
-    instead whether every one of its values is finite.
+def load_model(path) -> DiscriminativeParams:
+    """Read save_model's file back into the classifier (b, w), one row at a
+    time into one array per section; lines end where str.splitlines() ends
+    them. A file of any other version, v1 included, is refused at line 1.
 
     The header's K and M are untrusted. A section is allocated once its
     first row has parsed, and only when the bytes left in the file could
@@ -596,31 +578,22 @@ def _read_model(path, store) -> dict:
         k, m = _parse_header(header)
         left -= len(header)
 
-        sections = {"pi": (1, k), "theta_tilde": (k, m), "b": (1, k), "w": (k, m)}
         lineno = 1
         parsed = {}
-        for name, (rows, cols) in sections.items():
+        for name, (rows, cols) in (("b", (1, k)), ("w", (k, m))):
             lineno += 1
             line = next(lines, None)
             if line is None or line.strip() != name:
                 raise ParseError(f"expected section '{name}'", line=lineno)
             left -= len(line)
-            keep = name in store
-            block, finite = None, True
             for r in range(rows):
                 lineno += 1
                 row = next(lines, None)
                 values = _parse_row(row, name, cols, lineno)
-                if keep:
-                    if r == 0:  # cols is now known to fit in one line of the file
-                        block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
-                    if r < len(block):
-                        block[r] = values
-                else:
-                    finite = finite and bool(np.isfinite(values).all())
+                if r == 0:  # cols is now known to fit in one line of the file
+                    block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
+                if r < len(block):
+                    block[r] = values
                 left -= len(row)
-            if keep:
-                parsed[name] = np.empty((0, cols)) if block is None else block
-            else:
-                parsed[name] = finite
-    return parsed
+            parsed[name] = block
+    return DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])

@@ -9,16 +9,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import hybridssl
 from hybridssl import cli
 from hybridssl.data import load_corpus
 from hybridssl.errors import NumericError
 from hybridssl.harness import ResultRow
-from hybridssl.model import (DiscriminativeParams, load_model,
-                             lr_scores_matrix, save_model,
-                             uniform_generative_params)
+from hybridssl.model import DiscriminativeParams, load_model, lr_scores_matrix, save_model
 
 SYN = "2,10,0.6,30"
 
@@ -73,8 +70,8 @@ def test_train_writes_model_and_summary(tmp_path, capsys):
     assert out == ""  # stdout carries only data; summary goes to stderr
     assert "mode=hybrid" in err
     assert "converged=" in err and "objective=" in err
-    gen, disc = load_model(model_path)
-    assert gen.num_features == 10
+    disc = load_model(model_path)
+    assert disc.num_features == 10
 
 
 def test_train_is_deterministic(tmp_path, capsys):
@@ -172,7 +169,7 @@ def test_train_predict_round_trip(tmp_path, capsys):
     assert code == 0
 
     corpus_data = load_corpus(corpus)
-    gen, disc = load_model(model_path)
+    disc = load_model(model_path)
     scores = lr_scores_matrix(disc, corpus_data)
     want_preds = np.argmax(scores, axis=1)
 
@@ -194,10 +191,9 @@ def test_train_predict_round_trip(tmp_path, capsys):
 
 def test_predict_uniform_model_probability(tmp_path, capsys):
     corpus = make_corpus(tmp_path, capsys)
-    gen = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10)))
     model_path = tmp_path / "uniform.model"
-    save_model(gen, disc, model_path)
+    save_model(disc, model_path)
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
     assert code == 0
@@ -207,16 +203,14 @@ def test_predict_uniform_model_probability(tmp_path, capsys):
 
 def test_predict_shape_mismatches_exit_2(tmp_path, capsys):
     corpus = make_corpus(tmp_path, capsys)  # K=2, M=10
-    gen = uniform_generative_params(2, 7)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 7)))
-    save_model(gen, disc, tmp_path / "narrow.model")
+    save_model(disc, tmp_path / "narrow.model")
     code, _, err = run(capsys, "predict", "--model", str(tmp_path / "narrow.model"),
                        "--corpus", str(corpus))
     assert code == 2 and "M=" in err
 
-    gen3 = uniform_generative_params(3, 10)
     disc3 = DiscriminativeParams(b=np.zeros(3), w=np.zeros((3, 10)))
-    save_model(gen3, disc3, tmp_path / "threeclass.model")
+    save_model(disc3, tmp_path / "threeclass.model")
     code, _, err = run(capsys, "predict", "--model", str(tmp_path / "threeclass.model"),
                        "--corpus", str(corpus))
     assert code == 2 and "K=" in err
@@ -229,48 +223,37 @@ def test_predict_shape_mismatches_exit_2(tmp_path, capsys):
 def test_predict_non_finite_prior_model_exits_2(tmp_path, capsys):
     corpus = make_corpus(tmp_path, capsys)
     model_path = tmp_path / "nan.model"
-    save_model(uniform_generative_params(2, 10),
-               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10))), model_path)
+    save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10))), model_path)
     lines = model_path.read_text().splitlines()
-    lines[lines.index("pi") + 1] = "nan nan"
+    lines[lines.index("b") + 1] = "nan 0"
     model_path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
     # "nan" is outside the ASCII decimal grammar of model values
     assert code == 2 and out == ""
-    assert "section 'pi' has a token that is not an ASCII decimal (line 3)" in err
+    assert "section 'b' has a token that is not an ASCII decimal (line 3)" in err
 
 
 def test_predict_oversized_model_header_exits_2(tmp_path, capsys):
     corpus = make_corpus(tmp_path, capsys)
     model_path = tmp_path / "huge.model"
-    model_path.write_text("hybridssl-model v1 K=2 M=1000000000000\npi\n0.5 0.5\n"
-                          "theta_tilde\n0 0\n")
+    model_path.write_text("hybridssl-model v2 K=2 M=1000000000000\nb\n0.5 0.5\nw\n0 0\n")
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
     assert code == 2 and out == ""
-    assert "section 'theta_tilde' row has 2 values, expected 1000000000000 (line 5)" in err
+    assert "section 'w' row has 2 values, expected 1000000000000 (line 5)" in err
 
 
-@pytest.mark.parametrize("section, row, message", [
-    ("pi", "0.3 0.3", "pi must be positive and sum to 1"),
-    ("theta_tilde", "0 1e999" + " 0" * 8, "theta_tilde must be finite"),
-], ids=["pi-sum", "theta-overflow"])
-def test_predict_checks_the_generative_half_it_does_not_keep(tmp_path, capsys, section,
-                                                             row, message):
-    # predict stores only (b, w), yet refuses a model whose pi or theta_tilde
-    # GenerativeParams refuses; float("1e999") is inf
+def test_predict_refuses_a_v1_model_file(tmp_path, capsys):
+    # v1 files also held pi and theta_tilde; they are refused, not read
     corpus = make_corpus(tmp_path, capsys)
-    model_path = tmp_path / "bad.model"
-    save_model(uniform_generative_params(2, 10),
-               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 10))), model_path)
-    lines = model_path.read_text().splitlines()
-    lines[lines.index(section) + 1] = row
-    model_path.write_text("\n".join(lines) + "\n")
+    model_path = tmp_path / "v1.model"
+    model_path.write_text("hybridssl-model v1 K=2 M=10\npi\n0.5 0.5\ntheta_tilde\n"
+                          + ("0 " * 10 + "\n") * 2 + "b\n0 0\nw\n" + ("0 " * 10 + "\n") * 2)
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: model file is version v1, expected v2") and "(line 1)" in err
 
 
 # ---------------------------------------------------------------------------

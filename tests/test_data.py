@@ -9,7 +9,7 @@ from hybridssl.data import (SplitSpec, generate_synthetic, load_corpus,
                             sample_split, synthetic_true_params, write_corpus)
 from hybridssl.errors import BoundsError, ConfigError, ParseError
 from hybridssl.model import (DiscriminativeParams, GenerativeParams, load_model,
-                             nb_scores_matrix, save_model, uniform_generative_params)
+                             nb_scores_matrix, save_model)
 
 from helpers import make_dataset
 
@@ -123,7 +123,7 @@ def test_bad_feature_token_location(tmp_path):
     assert exc.value.line == 2 and exc.value.column == 7
 
 
-_MODEL_HEAD = "hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n"
+_MODEL_HEAD = "hybridssl-model v2 K=2 M=2\nb\n"
 
 
 @pytest.mark.parametrize("kind, text, line, column", [
@@ -132,19 +132,18 @@ _MODEL_HEAD = "hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n"
     ("corpus", "# hybridssl-corpus v1 K=2 M=3\n0 \u0661:1\n", 2, 3),
     ("corpus", "# hybridssl-corpus v1 K=2 M=3\n0 0:01\n", 2, 3),
     ("corpus", "# hybridssl-corpus v1 K=\u0662 M=3\n0 0:1\n", 1, None),
-    ("model", "hybridssl-model v1 K=+2 M=3\n", 1, None),
-    ("model", "hybridssl-model v1 K=2 M=\u0663\n", 1, None),
-    ("model", _MODEL_HEAD + "0 0\n0 0\nb\n0 0\nw\n1_0 \u0661.5\n0 0\n", 10, None),
-    ("model", _MODEL_HEAD + "0 0\n0 0\nb\n0 nan\nw\n0 0\n0 0\n", 8, None),
-    ("model", _MODEL_HEAD + "0 \uff11\n0 0\nb\n0 0\nw\n0 0\n0 0\n", 5, None),
+    ("model", "hybridssl-model v2 K=+2 M=3\n", 1, None),
+    ("model", "hybridssl-model v2 K=2 M=\u0663\n", 1, None),
+    ("model", _MODEL_HEAD + "0 0\nw\n1_0 \u0661.5\n0 0\n", 5, None),
+    ("model", _MODEL_HEAD + "0 nan\nw\n0 0\n0 0\n", 3, None),
+    ("model", _MODEL_HEAD + "0 0\nw\n0 0\n0 \uff11\n", 6, None),
 ])
 def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line, column):
     """Signs, underscores, other scripts' digits and values other than the
     literal 1 are parse errors with their location, and exit 2."""
     bad = write(tmp_path, text, name="bad.txt")
     good_model = tmp_path / "good.model"
-    save_model(uniform_generative_params(2, 3),
-               DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))), good_model)
+    save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))), good_model)
     good_corpus = write(tmp_path, "# hybridssl-corpus v1 K=2 M=3\n0 0:1\n")
     with pytest.raises(ParseError) as exc:
         if kind == "corpus":
@@ -161,10 +160,10 @@ def test_only_ascii_digit_grammar_is_accepted(tmp_path, capsys, kind, text, line
 
 
 def test_model_values_accept_decimal_and_exponent_notation(tmp_path):
-    gen, disc = load_model(write(tmp_path, _MODEL_HEAD + "-1.5e-3 +2.\n.25 1E+2\nb\n0 0\nw\n"
-                                 "7 -0\n3e0 1e-300\n", name="m.model"))
-    assert gen.theta_tilde.tolist() == [[-1.5e-3, 2.0], [0.25, 100.0]]
-    assert disc.w.tolist() == [[7.0, 0.0], [3.0, 1e-300]]
+    disc = load_model(write(tmp_path, "hybridssl-model v2 K=2 M=4\nb\n-1.5e-3 +2.\nw\n"
+                            ".25 1E+2 7 -0\n3e0 1e-300 0 0\n", name="m.model"))
+    assert disc.b.tolist() == [-1.5e-3, 2.0]
+    assert disc.w.tolist() == [[0.25, 100.0, 7.0, 0.0], [3.0, 1e-300, 0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Memory guards: the model file is streamed one row at a time into one
 array per section, the K x M coupling kernels work in blocks instead of
 full-size temporaries, a hybrid fit holds few K x M arrays at once, and
-predict never holds theta_tilde.
+predict holds one K x M array, w.
 
 The peaks are tracemalloc's traced peaks, which count numpy's buffers
 along with Python objects and do not depend on the machine."""
@@ -36,19 +36,18 @@ def _traced(fn):
 def test_model_file_is_written_and_read_a_row_at_a_time(tmp_path):
     # Holding the whole file's text takes at least the file's size. One row
     # costs a few times its text in Python floats and token strings, which at
-    # K = 4 (eight rows of 50,000 values) is 0.4 (save) and 0.8 (load) of
+    # K = 8 (eight rows of 50,000 values) is 0.4 (save) and 0.8 (load) of
     # the file; the whole-file writer and reader took 2.0 and 3.0.
     rng = np.random.default_rng(4)
-    k, m = 4, 50_000
-    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=rng.normal(0.0, 3.0, (k, m)))
-    disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(0.0, 0.1, (k, m)))
+    k, m = 8, 50_000
+    disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(0.0, 3.0, (k, m)))
     path = tmp_path / "model.txt"
-    _, save_peak, _ = _traced(lambda: save_model(gen, disc, path))
+    _, save_peak, _ = _traced(lambda: save_model(disc, path))
     size = path.stat().st_size
     assert save_peak < size
-    (gen2, disc2), load_peak, retained = _traced(lambda: load_model(path))
-    assert np.array_equal(gen2.theta_tilde, gen.theta_tilde) and np.array_equal(disc2.w, disc.w)
-    assert retained >= gen.theta_tilde.nbytes + disc.w.nbytes
+    disc2, load_peak, retained = _traced(lambda: load_model(path))
+    assert np.array_equal(disc2.b, disc.b) and np.array_equal(disc2.w, disc.w)
+    assert retained >= disc.w.nbytes
     assert load_peak - retained < size
 
 
@@ -69,22 +68,21 @@ def test_tall_model_sections_are_read_without_a_second_copy(tmp_path):
     # of row arrays and then an np.array copy of it took 1.4.
     rng = np.random.default_rng(6)
     k, m = 2000, 50
-    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=rng.normal(0.0, 3.0, (k, m)))
     disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(0.0, 0.1, (k, m)))
     path = tmp_path / "model.txt"
-    save_model(gen, disc, path)
-    (gen2, disc2), peak, retained = _traced(lambda: load_model(path))
-    assert np.array_equal(gen2.theta_tilde, gen.theta_tilde) and np.array_equal(disc2.w, disc.w)
+    save_model(disc, path)
+    disc2, peak, retained = _traced(lambda: load_model(path))
+    assert np.array_equal(disc2.b, disc.b) and np.array_equal(disc2.w, disc.w)
     assert peak - retained < 0.5 * disc.w.nbytes
 
 
 def test_a_section_the_file_cannot_fill_is_never_allocated(tmp_path):
-    # the header promises a 40 MB theta_tilde; the file ends after two of
-    # its rows, and the error is the truncation's, at the line it happens
+    # the header promises a 40 MB w; the file ends after two of its rows,
+    # and the error is the truncation's, at the line it happens
     k, m = 1000, 5000
     path = tmp_path / "short.model"
-    path.write_text(f"hybridssl-model v1 K={k} M={m}\npi\n" + " ".join(["0.001"] * k)
-                    + "\ntheta_tilde\n" + (" ".join(["0"] * m) + "\n") * 2, encoding="utf-8")
+    path.write_text(f"hybridssl-model v2 K={k} M={m}\nb\n" + " ".join(["0.001"] * k)
+                    + "\nw\n" + (" ".join(["0"] * m) + "\n") * 2, encoding="utf-8")
     tracemalloc.start()
     try:
         with pytest.raises(ParseError) as exc:
@@ -92,7 +90,7 @@ def test_a_section_the_file_cannot_fill_is_never_allocated(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == "section 'theta_tilde' truncated (line 7)"
+    assert str(exc.value) == "section 'w' truncated (line 7)"
     assert peak < 8 * k * m / 20
 
 
@@ -135,18 +133,17 @@ def test_beta_hybrid_fit_peaks_below_three_k_by_m_arrays():
 
 
 def test_predict_never_holds_theta_tilde(tmp_path):
-    # predict stores only (b, w). Its peak is w, the corpus and the parsing
-    # of one model row: the file iterator's line, its splitlines() piece, its
-    # bytes and 50,000 token strings, about 6.5 times the row's text. That
-    # reads 5.30 arrays here, against a bound of 5.71; holding theta_tilde
-    # as well took 6.30.
+    # The model file holds only (b, w). Predict's peak is w, the corpus and
+    # the parsing of one model row: the file iterator's line, its
+    # splitlines() piece, its bytes and 50,000 token strings, about 6.5
+    # times the row's text. That reads 5.30 arrays here, against a bound of
+    # 5.71; a reader that also held theta_tilde took 6.30.
     data = _compressed_corpus()
     k, m = data.num_classes, data.num_features
     rng = np.random.default_rng(8)
-    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=rng.normal(0.0, 3.0, (k, m)))
     disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(0.0, 0.1, (k, m)))
     model_path, corpus_path = tmp_path / "model.txt", tmp_path / "corpus.txt"
-    save_model(gen, disc, model_path)
+    save_model(disc, model_path)
     write_corpus(data, corpus_path)
     row_chars = max(len(line) for line in model_path.read_text(encoding="utf-8").splitlines())
     argv = ["predict", "--model", str(model_path), "--corpus", str(corpus_path)]

@@ -313,8 +313,7 @@ def test_predict_ties_and_argmax(tmp_path, capsys):
                         ([0.1, 0.0], [-1.0, 0.0], ["0", "1"])):
         w = np.zeros((2, 3))
         w[:, 0] = w0
-        save_model(uniform_generative_params(2, 3),
-                   DiscriminativeParams(b=np.array(b), w=w), tmp_path / "m.model")
+        save_model(DiscriminativeParams(b=np.array(b), w=w), tmp_path / "m.model")
         assert cli.main(["predict", "--model", str(tmp_path / "m.model"),
                          "--corpus", str(corpus)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -421,18 +420,17 @@ def test_unlabeled_instance_touches_only_generative_block():
 
 def test_model_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    gen = GenerativeParams(pi=rng.dirichlet(np.ones(3)),
-                           theta_tilde=rng.normal(0.0, 4.0, (3, 5)))
     disc = DiscriminativeParams(b=rng.normal(size=3), w=rng.normal(size=(3, 5)))
-    save_model(gen, disc, tmp_path / "a.model")
+    save_model(disc, tmp_path / "a.model")
     text = (tmp_path / "a.model").read_text(encoding="utf-8")
-    assert text.splitlines()[0] == "hybridssl-model v1 K=3 M=5"
-    gen2, disc2 = load_model(tmp_path / "a.model")
-    assert np.array_equal(gen.pi, gen2.pi)
-    assert np.array_equal(gen.theta_tilde, gen2.theta_tilde)
+    lines = text.splitlines()
+    # the header, b and its row, w and its three rows
+    assert len(lines) == 7 and lines[0] == "hybridssl-model v2 K=3 M=5"
+    assert (lines[1], lines[3]) == ("b", "w")
+    disc2 = load_model(tmp_path / "a.model")
     assert np.array_equal(disc.b, disc2.b)
     assert np.array_equal(disc.w, disc2.w)
-    save_model(gen2, disc2, tmp_path / "b.model")
+    save_model(disc2, tmp_path / "b.model")
     assert (tmp_path / "b.model").read_text(encoding="utf-8") == text
 
 
@@ -444,9 +442,8 @@ def load_text(tmp_path, text):
 
 
 def test_load_model_error_lines(tmp_path):
-    gen = uniform_generative_params(2, 2)
-    disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))
-    save_model(gen, disc, tmp_path / "good.model")
+    save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))),
+               tmp_path / "good.model")
     lines = (tmp_path / "good.model").read_text(encoding="utf-8").splitlines()
 
     with pytest.raises(ParseError) as exc:
@@ -454,22 +451,28 @@ def test_load_model_error_lines(tmp_path):
     assert exc.value.line == 1
 
     broken = list(lines)
-    broken[1] = "notpi"
+    broken[1] = "notb"
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 2
 
     broken = list(lines)
-    broken[2] = "0.5"  # wrong arity for pi
+    broken[2] = "0.5"  # wrong arity for b
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 3
 
     broken = list(lines)
-    broken[4] = "0.0 oops"
+    broken[4] = "0.0 oops 0"
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, "\n".join(broken))
     assert exc.value.line == 5
+
+    broken = list(lines)
+    broken[5] = "0 0"  # a short w row
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, "\n".join(broken))
+    assert exc.value.line == 6 and "section 'w' row has 2 values, expected 3" in str(exc.value)
 
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, "\n".join(lines[:4]))
@@ -477,6 +480,28 @@ def test_load_model_error_lines(tmp_path):
 
     with pytest.raises(ParseError):
         load_text(tmp_path, "")
+
+    # float("1e999") is inf: the grammar takes it, DiscriminativeParams does not
+    for at, row in ((2, "1e999 0"), (5, "0 1e999 0")):
+        broken = list(lines)
+        broken[at] = row
+        with pytest.raises(ConfigError, match="discriminative parameters must be finite"):
+            load_text(tmp_path, "\n".join(broken))
+
+
+@pytest.mark.parametrize("header, message", [
+    # no corpus has fewer than two classes or one feature, so none could be
+    # scored with such a model
+    ("v2 K=0 M=3", "model declares K=0, need K >= 2"),
+    ("v2 K=1 M=3", "model declares K=1, need K >= 2"),
+    ("v2 K=2 M=0", "model declares M=0, need M >= 1"),
+    # v1 files held pi and theta_tilde before b and w; they are not read
+    ("v1 K=2 M=3", "model file is version v1, expected v2: retrain to write a v2 file"),
+])
+def test_load_model_refuses_a_header_it_cannot_serve(tmp_path, header, message):
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, f"hybridssl-model {header}\nb\n0 0\nw\n0 0 0\n0 0 0\n")
+    assert str(exc.value) == f"{message} (line 1)"
 
 
 @pytest.mark.parametrize("header, line", [("K=2 M=1000000000000", 5),
@@ -486,13 +511,12 @@ def test_load_model_error_lines(tmp_path):
 def test_load_model_allocates_only_rows_it_has_read(tmp_path, header, line):
     # the header's sizes alone would ask for terabytes
     with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, f"hybridssl-model v1 {header}\npi\n0.5 0.5\ntheta_tilde\n0 0\n")
+        load_text(tmp_path, f"hybridssl-model v2 {header}\nb\n0.5 0.5\nw\n0 0\n")
     assert exc.value.line == line
     assert "row has 2 values, expected 1000000000000" in str(exc.value)
 
 
-_LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\n"
-                "b\n0 0\nw\n")
+_LINES_MODEL = "hybridssl-model v2 K=2 M=2\nb\n0 0\nw\n"
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -503,11 +527,11 @@ _LINES_MODEL = ("hybridssl-model v1 K=2 M=2\npi\n0.5 0.5\ntheta_tilde\n0 0\n0 0\
     # \x85 and \x0c end a line, as str.splitlines() has it
     (_LINES_MODEL + "1 2\x853 4\n", [[1.0, 2.0], [3.0, 4.0]]),
     (_LINES_MODEL + "1 2\x0c3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
-    (_LINES_MODEL + "1\x0c2\n3 4\n", ("section 'w' row has 1 values, expected 2", 10)),
-    (_LINES_MODEL + "1 2\x0c\n3 4\n", ("section 'w' row has 0 values, expected 2", 11)),
-    (_LINES_MODEL + "1 2\n", ("section 'w' truncated", 11)),
-    (_LINES_MODEL + "1 2", ("section 'w' truncated", 11)),
-    (_LINES_MODEL[:_LINES_MODEL.index("b\n")], ("expected section 'b'", 7)),
+    (_LINES_MODEL + "1\x0c2\n3 4\n", ("section 'w' row has 1 values, expected 2", 5)),
+    (_LINES_MODEL + "1 2\x0c\n3 4\n", ("section 'w' row has 0 values, expected 2", 6)),
+    (_LINES_MODEL + "1 2\n", ("section 'w' truncated", 6)),
+    (_LINES_MODEL + "1 2", ("section 'w' truncated", 6)),
+    (_LINES_MODEL[:_LINES_MODEL.index("w\n")], ("expected section 'w'", 4)),
 ])
 def test_model_file_line_semantics(tmp_path, text, expected):
     """load_model splits lines as str.splitlines() does, and names the line
@@ -518,50 +542,4 @@ def test_model_file_line_semantics(tmp_path, text, expected):
             load_text(tmp_path, text)
         assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
     else:
-        assert load_text(tmp_path, text)[1].w.tolist() == expected
-
-
-_GOOD_MODEL = ("hybridssl-model v1 K=2 M=3\npi\n0.25 0.75\ntheta_tilde\n0 1 2\n3 4 5\n"
-               "b\n0.5 -0.5\nw\n1 2 3\n4 5 6\n")
-
-
-@pytest.mark.parametrize("text", [
-    _GOOD_MODEL,
-    _GOOD_MODEL.replace("0.25 0.75", "0.3 0.3"),
-    _GOOD_MODEL.replace("3 4 5", "3 1e999 5"),
-    _GOOD_MODEL.replace("3 4 5", "3 -1e999 5").replace("0.25 0.75", "0 1"),
-    _GOOD_MODEL.replace("0 1 2", "0 1e999 2").replace("4 5 6", "4 5"),
-    _GOOD_MODEL.replace("0 1 2", "0 1 x"),
-    _GOOD_MODEL.replace("0 1 2\n", ""),
-    _GOOD_MODEL.replace("4 5 6", "4 1e999 6"),
-    _GOOD_MODEL.replace("0.5 -0.5", "1e999 0"),
-    "hybridssl-model v1 K=0 M=3\npi\n\ntheta_tilde\nb\n\nw\n",
-    "hybridssl-model v1 K=2 M=1000000000000\npi\n0.5 0.5\ntheta_tilde\n0 0\n",
-])
-def test_load_model_without_the_generative_half_refuses_what_load_model_refuses(
-        tmp_path, text):
-    """generative=False keeps only (b, w) but accepts and refuses the same
-    files as the full reader, with the same message: parse errors first,
-    then pi, then theta_tilde, then (b, w)."""
-    path = tmp_path / "m.model"
-    path.write_text(text, encoding="utf-8")
-    try:
-        gen, disc = load_model(path)
-    except ValueError as exc:
-        with pytest.raises(type(exc)) as got:
-            load_model(path, generative=False)
-        assert str(got.value) == str(exc)
-    else:
-        none, disc_only = load_model(path, generative=False)
-        assert none is None
-        assert np.array_equal(disc_only.b, disc.b) and np.array_equal(disc_only.w, disc.w)
-
-
-def test_save_model_rejects_shape_mismatch_and_keeps_the_file(tmp_path):
-    gen = uniform_generative_params(2, 3)
-    disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))
-    path = tmp_path / "m.model"
-    path.write_text("previous model\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        save_model(gen, disc, path)
-    assert path.read_text(encoding="utf-8") == "previous model\n"
+        assert load_text(tmp_path, text).w.tolist() == expected

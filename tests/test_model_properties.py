@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybridssl.model import (DiscriminativeParams, GenerativeParams, _logsumexp_rows,
-                             _softmax, load_model, save_model)
+from hybridssl.model import (DiscriminativeParams, _logsumexp_rows, _softmax, load_model,
+                             save_model)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -21,18 +21,14 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 def models(draw):
     k = draw(st.integers(2, 3))
     m = draw(st.integers(1, 4))
-    values = draw(st.lists(_FINITE, min_size=k * (2 * m + 1), max_size=k * (2 * m + 1)))
-    theta_tilde = np.array(values[:k * m]).reshape(k, m)
-    w = np.array(values[k * m:2 * k * m]).reshape(k, m)
-    weights = np.array(draw(st.lists(st.floats(1e-300, 1.0), min_size=k, max_size=k)))
-    return (GenerativeParams(pi=weights / weights.sum(), theta_tilde=theta_tilde),
-            DiscriminativeParams(b=np.array(values[2 * k * m:]), w=w))
+    values = draw(st.lists(_FINITE, min_size=k * (m + 1), max_size=k * (m + 1)))
+    return DiscriminativeParams(b=np.array(values[k * m:]),
+                                w=np.array(values[:k * m]).reshape(k, m))
 
 
 def _edge_model():
     edges = np.array(_EDGES)
-    return (GenerativeParams(pi=np.array([0.25, 0.75]), theta_tilde=np.stack([edges, -edges])),
-            DiscriminativeParams(b=edges[[1, 2]], w=np.stack([-edges, edges])))
+    return DiscriminativeParams(b=edges[[1, 2]], w=np.stack([-edges, edges]))
 
 
 def _same_bits(a, b):
@@ -40,16 +36,14 @@ def _same_bits(a, b):
 
 
 @PROPERTY
-@given(pair=models())
-@example(pair=_edge_model())
-def test_model_file_round_trips_every_finite_value(tmp_path, pair):
-    gen, disc = pair
+@given(disc=models())
+@example(disc=_edge_model())
+def test_model_file_round_trips_every_finite_value(tmp_path, disc):
     path = tmp_path / "model.txt"
-    save_model(gen, disc, path)
-    gen2, disc2 = load_model(path)
-    assert _same_bits(gen2.pi, gen.pi) and _same_bits(gen2.theta_tilde, gen.theta_tilde)
+    save_model(disc, path)
+    disc2 = load_model(path)
     assert _same_bits(disc2.b, disc.b) and _same_bits(disc2.w, disc.w)
-    save_model(gen2, disc2, tmp_path / "again.txt")
+    save_model(disc2, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 

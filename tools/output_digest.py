@@ -11,6 +11,8 @@ does, json.dumps of their dicts with sorted keys (d736c1cce8d16922... for
 the criterion-7 grid, ae04df130418f7dd... for grid-gauss at seed 0).
 A fit is digested as pi, theta_tilde, b and w (dtype, shape and raw
 bytes, since an array's repr elides its middle) followed by repr(report).
+The "-model-file" line digests the bytes save_model writes for the
+compressed beta fit, so a change of the model file format shows too.
 The "prior-curves-" lines digest the beta_density and normal_density
 columns of prior_curve_rows() at its default arguments, one line each.
 The script uses only names every recent version of the package exports,
@@ -31,7 +33,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -95,13 +99,30 @@ def compressed_corpus(k: int = 3, n_labeled: int = 30) -> Dataset:
     return data
 
 
-def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(CouplingKind)):
+def model_file_digest(gen, disc) -> str:
+    """sha256 of the bytes save_model writes for the fit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        try:
+            model.save_model(disc, path)
+        except TypeError:  # before v2 model files, save_model took (gen, disc, path)
+            model.save_model(gen, disc, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(CouplingKind),
+         model_files=()):
+    """A line per fit; the fits of the kinds in model_files are followed by
+    their "-model-file" line."""
     for kind in kinds:
         for lam in lambdas:
             gen, disc, report = train(data, CouplingConfig.from_lambda(lam, kind),
                                       TrainConfig(max_outer_iters=max_outer_iters))
-            yield (f"{name}-{kind.value}-lam{lam}",
-                   digest(gen.pi, gen.theta_tilde, disc.b, disc.w, report))
+            fit = f"{name}-{kind.value}-lam{lam}"
+            yield fit, digest(gen.pi, gen.theta_tilde, disc.b, disc.w, report)
+            if kind in model_files:
+                yield fit + "-model-file", model_file_digest(gen, disc)
 
 
 def digest_lines():
@@ -115,7 +136,8 @@ def digest_lines():
     rows = run_sweep(grid(CouplingKind.DECOUPLED, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2)))
     yield "decoupled-rows", digest(rows)
     yield from fits("dense-fit", dense_split(), LAMBDAS, 4)
-    yield from fits("compressed-fit", compressed_corpus(), (0.5,), 3)
+    yield from fits("compressed-fit", compressed_corpus(), (0.5,), 3,
+                    model_files=(CouplingKind.BETA,))
     # K=20, the text-cli class count: numpy sums 8 or more contiguous values
     # pairwise, so only this fit's softmax normalizer is not a sequential sum
     yield from fits("compressed-k20-fit", compressed_corpus(20, 60), (0.5,), 3,
