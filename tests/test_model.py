@@ -441,52 +441,58 @@ def load_text(tmp_path, text):
     return load_model(path)
 
 
-def test_load_model_error_lines(tmp_path):
+def _replace(at, row):
+    """An edit of the good model file's lines: line index at becomes row."""
+    return lambda lines: "\n".join(lines[:at] + [row] + lines[at + 1:])
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    pytest.param(lambda lines: "garbage header\n", 1,
+                 "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'",
+                 id="garbage-header"),
+    pytest.param(_replace(1, "notb"), 2, "expected section 'b'", id="not-b"),
+    pytest.param(_replace(2, "0.5"), 3,  # wrong arity for b
+                 "section 'b' row has 1 values, expected 2", id="short-b-row"),
+    pytest.param(_replace(4, "0.0 oops 0"), 5,
+                 "section 'w' has a token that is not an ASCII decimal", id="bad-w-token"),
+    pytest.param(_replace(5, "0 0"), 6,
+                 "section 'w' row has 2 values, expected 3", id="short-w-row"),
+    pytest.param(lambda lines: "\n".join(lines[:4]), 5, "section 'w' truncated",
+                 id="no-w-rows"),
+    pytest.param(lambda lines: "", 1, "empty model file", id="empty-file"),
+])
+def test_load_model_error_lines(tmp_path, edit, line, message):
     save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))),
                tmp_path / "good.model")
     lines = (tmp_path / "good.model").read_text(encoding="utf-8").splitlines()
-
     with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "garbage header\n")
-    assert exc.value.line == 1
+        load_text(tmp_path, edit(lines))
+    assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
 
-    broken = list(lines)
-    broken[1] = "notb"
-    with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "\n".join(broken))
-    assert exc.value.line == 2
 
-    broken = list(lines)
-    broken[2] = "0.5"  # wrong arity for b
-    with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "\n".join(broken))
-    assert exc.value.line == 3
-
-    broken = list(lines)
-    broken[4] = "0.0 oops 0"
-    with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "\n".join(broken))
-    assert exc.value.line == 5
-
-    broken = list(lines)
-    broken[5] = "0 0"  # a short w row
-    with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "\n".join(broken))
-    assert exc.value.line == 6 and "section 'w' row has 2 values, expected 3" in str(exc.value)
-
-    with pytest.raises(ParseError) as exc:
-        load_text(tmp_path, "\n".join(lines[:4]))
-    assert exc.value.line == 5
-
-    with pytest.raises(ParseError):
-        load_text(tmp_path, "")
-
+@pytest.mark.parametrize("at, row", [(2, "1e999 0"), (5, "0 1e999 0")], ids=["b", "w"])
+def test_load_model_refuses_an_overflowing_value(tmp_path, at, row):
     # float("1e999") is inf: the grammar takes it, DiscriminativeParams does not
-    for at, row in ((2, "1e999 0"), (5, "0 1e999 0")):
-        broken = list(lines)
-        broken[at] = row
-        with pytest.raises(ConfigError, match="discriminative parameters must be finite"):
-            load_text(tmp_path, "\n".join(broken))
+    save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))),
+               tmp_path / "good.model")
+    lines = (tmp_path / "good.model").read_text(encoding="utf-8").splitlines()
+    with pytest.raises(ConfigError, match="discriminative parameters must be finite"):
+        load_text(tmp_path, _replace(at, row)(lines))
+
+
+@pytest.mark.parametrize("header, message", [
+    ("hybridssl-model", "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'"),
+    ("hybridssl-model v2 K=2", "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'"),
+    ("hybridssl-model v2 M=3 K=2", "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'"),
+    ("hybridssl-model v2 K=2 M=3 x", "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'"),
+    ("hybridssl-corpus v2 K=2 M=3", "bad model header: expected 'hybridssl-model v2 K=<K> M=<M>'"),
+    ("hybridssl-model v2 K=two M=3", "model header K/M must be integers"),
+    ("hybridssl-model v2 K=2 M=-3", "model header K/M must be integers"),
+])
+def test_load_model_refuses_a_malformed_header(tmp_path, header, message):
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, f"{header}\nb\n0 0\nw\n0 0 0\n0 0 0\n")
+    assert str(exc.value) == f"{message} (line 1)"
 
 
 @pytest.mark.parametrize("header, message", [
@@ -497,6 +503,7 @@ def test_load_model_error_lines(tmp_path):
     ("v2 K=2 M=0", "model declares M=0, need M >= 1"),
     # v1 files held pi and theta_tilde before b and w; they are not read
     ("v1 K=2 M=3", "model file is version v1, expected v2: retrain to write a v2 file"),
+    ("v3 K=2 M=3", "model file is version v3, expected v2: retrain to write a v2 file"),
 ])
 def test_load_model_refuses_a_header_it_cannot_serve(tmp_path, header, message):
     with pytest.raises(ParseError) as exc:
