@@ -193,8 +193,8 @@ def sample_split(full: Dataset, spec: SplitSpec):
     rest = full.row_labels >= 0
     rest[train_rows] = False
     test_rows = np.flatnonzero(rest)
-    return (Dataset(*full._take(train_rows), train_labels, k, full.num_features),
-            Dataset(*full._take(test_rows), full.row_labels[test_rows], k, full.num_features))
+    return (full._subset(train_rows, train_labels),
+            full._subset(test_rows, full.row_labels[test_rows]))
 
 
 def synthetic_true_params(num_classes: int, num_features: int, class_separation: float):

@@ -22,9 +22,9 @@ by log_joint_blocks, which the trainer evaluates once per outer iteration:
 Labels enter only through the discriminative block; the generative block
 always marginalizes the class and does not involve (w, b). The (w, b)
 gradient sits beside the values: _disc_values gives the prior and
-discriminative blocks, _disc_terms adds the gradient of their sum, and
-_coupling_gradient is the coupling block's, one block of coordinates at a
-time. log_joint_blocks computes values only.
+discriminative blocks over Dataset.labeled, _disc_terms adds the gradient
+of their sum, and _coupling_gradient is the coupling block's, one block of
+coordinates at a time. log_joint_blocks computes values only.
 """
 
 from __future__ import annotations
@@ -43,8 +43,12 @@ from . import expfam
 from .errors import ConfigError, DomainError, ParseError
 
 _PI_TOL = 1e-12
-# Above this many cells (N * M) a Dataset keeps X in compressed rows only.
-_DENSE_MAX_CELLS = 20_000_000
+# X is cached densely when N * M <= this many times nnz, so a dense copy
+# costs at most this many times the memory of indices. Dense and compressed
+# products cost the same at 20-33 cells per entry at K=4 and at 100 or more
+# at K=20; at 33, dense was 1.1-1.2x slower at K=4 and 2.3-3.1x faster on
+# every other shape of tools/storage_crossover.py (2-core x86 sandbox).
+_DENSE_CELLS_PER_ENTRY = 32
 # K, M, labels and feature ids in corpus and model files are ASCII digits;
 # int() alone would also take signs, underscores and non-ASCII digits.
 _DIGITS_RE = re.compile("[0-9]+")
@@ -72,8 +76,9 @@ class Dataset:
     them, and iterating yields each row as an Instance view.
 
     The 0/1 design matrix X (N, M) is read only through the two products
-    scores and counts, which choose its storage: a cached dense array when
-    N * M <= _DENSE_MAX_CELLS, the compressed rows otherwise.
+    scores and counts, which choose its storage from its density: a cached
+    dense array when N * M <= _DENSE_CELLS_PER_ENTRY * nnz, the compressed
+    rows otherwise. A subset, such as the labeled view, reads its own.
     """
 
     indptr: np.ndarray
@@ -114,38 +119,43 @@ class Dataset:
         for ids, label in zip(np.split(self.indices, self.indptr[1:-1]), self.row_labels.tolist()):
             yield Instance(ids, None if label < 0 else label)
 
-    def _take(self, rows=None) -> tuple:
-        """(indptr, indices) of the documents at positions rows (default: all)."""
-        if rows is None:
-            return self.indptr, self.indices
+    def _subset(self, rows: np.ndarray, row_labels: np.ndarray) -> "Dataset":
+        """The documents at positions rows, in that order, labeled row_labels."""
         lengths = np.diff(self.indptr)[rows]
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         entries = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], lengths)
-        return indptr, self.indices[entries]
+        return Dataset(indptr, self.indices[entries], row_labels, self.num_classes,
+                       self.num_features)
 
     @cached_property
     def _dense_matrix(self) -> Optional[np.ndarray]:
-        if len(self) * self.num_features > _DENSE_MAX_CELLS:
+        if len(self) * self.num_features > _DENSE_CELLS_PER_ENTRY * self.indices.size:
             return None
         x = np.zeros((len(self), self.num_features))
         x[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = 1.0
         return x
 
-    def scores(self, t: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """X[rows] @ t.T: each document (default: all) summed over the
-        columns of t at its present features, shape (len(rows), t.shape[0])."""
+    def scores(self, t: np.ndarray) -> np.ndarray:
+        """X @ t.T: each document summed over the columns of t at its present
+        features, shape (N, t.shape[0])."""
         x = self._dense_matrix
         if x is not None:
-            return (x if rows is None else x[rows]) @ t.T
-        return _csr_scores(*self._take(rows), t)
+            return x @ t.T
+        return _csr_scores(self.indptr, self.indices, t)
 
-    def counts(self, r: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """r.T @ X[rows]: the column-wise mass of r over each feature, shape
-        (r.shape[1], M); r has one row per selected document."""
+    def counts(self, r: np.ndarray) -> np.ndarray:
+        """r.T @ X: the column-wise mass of r over each feature, shape
+        (r.shape[1], M); r has one row per document."""
         x = self._dense_matrix
         if x is not None:
-            return r.T @ (x if rows is None else x[rows])
-        return _csr_counts(*self._take(rows), r, self.num_features)
+            return r.T @ x
+        return _csr_counts(self.indptr, self.indices, r, self.num_features)
+
+    @cached_property
+    def labeled(self) -> "Dataset":
+        """The labeled documents alone, in corpus order: the documents the
+        discriminative block and its gradient read. Built once."""
+        return self._subset(self.labeled_positions, self.labels)
 
     @cached_property
     def labeled_positions(self) -> np.ndarray:
@@ -215,14 +225,6 @@ class GenerativeParams:
             raise ConfigError(f"pi must be positive and sum to 1 within {_PI_TOL}")
         if not np.all(np.isfinite(tt)):
             raise ConfigError("theta_tilde must be finite")
-
-    @property
-    def num_classes(self):
-        return self.pi.shape[0]
-
-    @property
-    def num_features(self):
-        return self.theta_tilde.shape[1]
 
     @cached_property
     def log_pi(self) -> np.ndarray:
@@ -392,24 +394,22 @@ class LogJointBlocks:
         return self.prior + self.coupling + self.discriminative + self.generative
 
 
-def _disc_values(data: Dataset, rows: Optional[np.ndarray], w: np.ndarray,
-                 b: np.ndarray, sigma2: float) -> tuple:
+def _disc_values(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -> tuple:
     """(prior, disc, scores): the Gaussian log prior on w, the label
-    log-likelihood of the documents at positions rows (data.labeled_positions,
-    or None when all of data is labeled) and their scores b + X[rows] @ w.T."""
-    scores = b + data.scores(w, rows)
+    log-likelihood of the documents of labeled, all of which carry a label
+    (Dataset.labeled), and their scores b + X @ w.T."""
+    scores = b + labeled.scores(w)
     prior = -0.5 / sigma2 * expfam._blockwise_sum(lambda v: v * v, w)
-    return prior, _label_log_likelihood(scores, data.labels), scores
+    return prior, _label_log_likelihood(scores, labeled.row_labels), scores
 
 
-def _disc_terms(data: Dataset, rows: Optional[np.ndarray], w: np.ndarray,
-                b: np.ndarray, sigma2: float) -> tuple:
+def _disc_terms(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -> tuple:
     """(prior, disc, grad_w, grad_b): _disc_values' two blocks and the (w, b)
     gradient of their sum, from the same scoring of the documents."""
-    prior, disc, scores = _disc_values(data, rows, w, b, sigma2)
+    prior, disc, scores = _disc_values(labeled, w, b, sigma2)
     resid = -_softmax(scores)
-    resid[np.arange(len(data.labels)), data.labels] += 1.0
-    grad_w = data.counts(resid, rows)
+    resid[np.arange(len(labeled)), labeled.row_labels] += 1.0
+    grad_w = labeled.counts(resid)
     grad_w -= w / sigma2
     return prior, disc, grad_w, resid.sum(axis=0)
 
@@ -476,8 +476,7 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
     """
     if nb_scores is None:
         nb_scores = nb_scores_matrix(gen, data)
-    prior, disc_block, _ = _disc_values(data, data.labeled_positions, disc.w, disc.b,
-                                        coupling.disc_prior_sigma2)
+    prior, disc_block, _ = _disc_values(data.labeled, disc.w, disc.b, coupling.disc_prior_sigma2)
     return LogJointBlocks(prior=prior,
                           coupling=_coupling_block(gen, disc, coupling),
                           discriminative=disc_block,

@@ -222,8 +222,7 @@ def discriminative_gradient(data: Dataset, gen: GenerativeParams, disc: Discrimi
                             coupling: CouplingConfig):
     """Full-batch (w, b) gradient of the log joint: model._disc_terms' plus
     coupling_gradient_w, since the generative block does not involve (w, b)."""
-    _, _, grad_w, grad_b = _disc_terms(data, data.labeled_positions, disc.w, disc.b,
-                                       coupling.disc_prior_sigma2)
+    _, _, grad_w, grad_b = _disc_terms(data.labeled, disc.w, disc.b, coupling.disc_prior_sigma2)
     grad_w += coupling_gradient_w(gen, disc, coupling)
     return grad_w, grad_b
 
@@ -266,14 +265,11 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     """
     b, w = disc.b, disc.w
     k, m = w.shape
-    indptr, indices = data._take(data.labeled_positions)
     offsets = np.arange(k) * m
     # one small (n, K) cell array per document, built from its feature ids:
     # a K x nnz array of every document's cells, sliced and copied, would
     # coexist with the copies
-    docs = [(ids[:, None] + offsets, y)
-            for ids, y in zip(np.split(indices, indptr[1:-1]), data.labels.tolist())]
-    del indices
+    docs = [(ids[:, None] + offsets, y) for ids, y in data.labeled]
     n_docs = len(docs)
     order = list(range(n_docs))
     stiffness = _coupling_stiffness(coupling)
@@ -449,18 +445,18 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     """
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
-    k = data.num_classes
-    indptr, indices = data._take(data.labeled_positions)
+    k, labeled = data.num_classes, data.labeled
     # np.unique would import numpy.ma, 1.7 MB of resident memory
-    features = np.flatnonzero(np.bincount(indices, minlength=data.num_features))
+    features = np.flatnonzero(np.bincount(labeled.indices, minlength=data.num_features))
     # a Dataset needs one feature; when no labeled document holds any, the
     # one column is empty and its weight stays 0
     m = max(features.size, 1)
-    labeled = Dataset(indptr, np.searchsorted(features, indices), data.labels, k, m)
+    restricted = Dataset(labeled.indptr, np.searchsorted(features, labeled.indices),
+                         labeled.row_labels, k, m)
 
     def objective_and_gradient(x):
         prior, disc_block, grad_w, grad_b = _disc_terms(
-            labeled, None, x[:k * m].reshape(k, m), x[k * m:], disc_prior_sigma2)
+            restricted, x[:k * m].reshape(k, m), x[k * m:], disc_prior_sigma2)
         return prior + disc_block, np.concatenate([grad_w.ravel(), grad_b])
 
     x = np.zeros(k * m + k)

@@ -1,7 +1,8 @@
 """Memory guards: the model file is streamed one row at a time into one
 array per section, the K x M coupling kernels work in blocks instead of
-full-size temporaries, a hybrid fit holds few K x M arrays at once, and
-predict holds one K x M array, w.
+full-size temporaries, a hybrid fit holds few K x M arrays at once, the
+lam = 1 fit keeps a sparse labeled set in compressed rows, and predict
+holds one K x M array, w.
 
 The peaks are tracemalloc's traced peaks, which count numpy's buffers
 along with Python objects and do not depend on the machine."""
@@ -94,13 +95,13 @@ def test_a_section_the_file_cannot_fill_is_never_allocated(tmp_path):
     assert peak < 8 * k * m / 20
 
 
-def _compressed_corpus():
-    """420 documents of 40 features over K = 4, M = 50,000, 40 of them
-    labeled: N * M is above the dense-cache threshold."""
+def _compressed_corpus(n_labeled=40):
+    """420 documents of 40 features over K = 4, M = 50,000, the first
+    n_labeled of them labeled: at 0.08% density X stays in compressed rows."""
     k, m, n, nnz = 4, 50_000, 420, 40
     rng = np.random.default_rng(6)
     indices = np.concatenate([np.sort(rng.choice(m, nnz, replace=False)) for _ in range(n)])
-    labels = np.where(np.arange(n) < 40, np.arange(n) % k, -1)
+    labels = np.where(np.arange(n) < n_labeled, np.arange(n) % k, -1)
     data = Dataset(np.arange(n + 1) * nnz, indices, labels, k, m)
     assert data._dense_matrix is None
     return data
@@ -130,6 +131,16 @@ def test_beta_hybrid_fit_peaks_below_three_k_by_m_arrays():
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)
     _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
     assert peak < 3 * 8 * data.num_classes * data.num_features
+
+
+def test_logreg_fit_holds_no_dense_x():
+    # The 200 labeled documents restricted to their 7,415 features are a
+    # set at 0.5% density, so the lam = 1 fit scores them in compressed
+    # rows. Its peak is w and the L-BFGS curvature pairs, 4.14 arrays; a
+    # dense copy of that set is 7.4 arrays, and storing it took 11.56.
+    data = _compressed_corpus(n_labeled=200)
+    _, peak, _ = _traced(lambda: train(data, CouplingConfig.from_lambda(1.0), TrainConfig()))
+    assert peak < 5 * 8 * data.num_classes * data.num_features
 
 
 def test_predict_never_holds_theta_tilde(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hybridssl import cli, expfam, model
+from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, EndpointMode, GenerativeParams, load_model,
@@ -142,7 +143,7 @@ def test_from_lambda_sets_gamma_only_in_hybrid_mode(kind):
 
 def nb_row(gen, ids):
     """nb_scores_matrix's row for one document with present features ids."""
-    doc = make_dataset([(ids, None)], gen.num_classes, gen.num_features)
+    doc = make_dataset([(ids, None)], *gen.theta_tilde.shape)
     return nb_scores_matrix(gen, doc)[0]
 
 
@@ -219,14 +220,79 @@ def test_nb_scores_matrix_sparse_fallback_agrees():
     assert np.array_equal(model._csr_counts(data.indptr, data.indices, r, m), want_counts)
 
     rows = np.array([8, 2, 5])
-    sub = data._take(rows)
-    assert_allclose(data.scores(t, rows), want_scores[rows], atol=1e-12)
-    assert np.array_equal(model._csr_scores(*sub, t), want_scores[rows])
+    sub = data._subset(rows, np.full(rows.size, -1))
+    assert_allclose(sub.scores(t), want_scores[rows], atol=1e-12)
+    assert np.array_equal(model._csr_scores(sub.indptr, sub.indices, t), want_scores[rows])
     sub_counts = np.zeros((k, m))
     for pos in rows:
         sub_counts[:, ids[pos]] += r[pos][:, None]
-    assert_allclose(data.counts(r[rows], rows), sub_counts, atol=1e-12)
-    assert np.array_equal(model._csr_counts(*sub, r[rows], m), sub_counts)
+    assert_allclose(sub.counts(r[rows]), sub_counts, atol=1e-12)
+    assert np.array_equal(model._csr_counts(sub.indptr, sub.indices, r[rows], m), sub_counts)
+
+
+def test_storage_rule_reads_density():
+    """X is cached densely exactly when N * M is at most
+    _DENSE_CELLS_PER_ENTRY cells per present entry. A 200 x 50,000 labeled
+    set at 0.2% density, text-cli's shape, stays in compressed rows, where
+    a cell cap of 2e7 stored it as an 80 MB array; the criterion-7 corpus,
+    its splits and their labeled views are dense."""
+    c = model._DENSE_CELLS_PER_ENTRY
+    assert make_dataset([([0], 0)], 2, c)._dense_matrix is not None
+    assert make_dataset([([0], 0)], 2, c + 1)._dense_matrix is None
+    rng = np.random.default_rng(21)
+    n, m, nnz = 200, 50_000, 100
+    indices = np.concatenate([np.sort(rng.choice(m, nnz, replace=False)) for _ in range(n)])
+    labels = np.arange(n) % 20
+    assert Dataset(np.arange(n + 1) * nnz, indices, labels, 20, m)._dense_matrix is None
+    corpus = Dataset(np.arange(2 * n + 1) * nnz, np.tile(indices, 2),
+                     np.concatenate([labels, np.full(n, -1)]), 20, m)
+    assert corpus.labeled._dense_matrix is None
+
+    full = generate_synthetic(2, 50, 500, 0.5, seed=0)
+    assert full._dense_matrix is not None
+    for unlabeled in (0, 500):
+        train_set, test_set = sample_split(full, SplitSpec(10, unlabeled, seed=1))
+        for data in (train_set, train_set.labeled, test_set):
+            assert data._dense_matrix is not None
+
+
+@pytest.mark.parametrize("storage", ["dense", "compressed"])
+def test_labeled_view_is_built_once_and_scores_the_labeled_rows(monkeypatch, storage):
+    """Dataset.labeled is one _subset per Dataset, holding the labeled
+    documents in corpus order with their labels. Its products equal the
+    labeled rows of the whole set's: bit for bit in compressed rows, where
+    each document's entries are added in the same order, and within
+    rounding when dense."""
+    if storage == "compressed":
+        monkeypatch.setattr(model, "_DENSE_CELLS_PER_ENTRY", 0)
+    subsets = []
+    subset = Dataset._subset
+    monkeypatch.setattr(Dataset, "_subset",
+                        lambda self, *args: subsets.append(args) or subset(self, *args))
+    rng = np.random.default_rng(22)
+    k, m = 3, 30
+    docs = [(np.flatnonzero(rng.random(m) < 0.3), int(rng.integers(k)) if i % 3 else None)
+            for i in range(40)]
+    data = make_dataset(docs, k, m)
+    view = data.labeled
+    assert data.labeled is view and len(subsets) == 1
+    compressed = storage == "compressed"
+    assert (data._dense_matrix is None) == (view._dense_matrix is None) == compressed
+    pos = data.labeled_positions
+    assert np.array_equal(view.row_labels, data.labels)
+    assert all(np.array_equal(a.features, docs[i][0]) for a, i in zip(view, pos))
+
+    t = rng.normal(size=(k, m))
+    r = rng.random((len(view), k))
+    padded = np.zeros((len(data), k))
+    padded[pos] = r
+    if compressed:
+        assert np.array_equal(view.scores(t), data.scores(t)[pos])
+        assert np.array_equal(view.counts(r), data.counts(padded))
+    else:
+        x = data._dense_matrix[pos]
+        assert_allclose(view.scores(t), x @ t.T, rtol=0.0, atol=1e-12)
+        assert_allclose(view.counts(r), r.T @ x, rtol=0.0, atol=1e-12)
 
 
 def test_run_wise_csr_scores_equal_the_whole_array_bincount():

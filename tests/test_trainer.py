@@ -400,7 +400,7 @@ def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, 
     bit, and train_logreg's trace ends at the log joint of the fit it
     returns."""
     if storage == "compressed":
-        monkeypatch.setattr(model, "_DENSE_MAX_CELLS", 0)
+        monkeypatch.setattr(model, "_DENSE_CELLS_PER_ENTRY", 0)
     rng = np.random.default_rng(k)
     for _ in range(4):
         m = int(rng.integers(5, 40))
@@ -414,7 +414,7 @@ def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, 
         disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(size=(k, m)))
         sigma2 = float(rng.uniform(0.5, 50.0))
         prior, disc_block, grad_w, grad_b = model._disc_terms(
-            data, data.labeled_positions, disc.w, disc.b, sigma2)
+            data.labeled, disc.w, disc.b, sigma2)
         for kind in CouplingKind:
             coupling = CouplingConfig(kind=kind, disc_prior_sigma2=sigma2,
                                       gamma=None if kind is CouplingKind.DECOUPLED else 2.0)
@@ -460,7 +460,7 @@ def _lbfgsb_logreg_optimum(data, sigma2=100.0):
 
     def negated(x):
         disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
-        scores = disc.b + data.scores(disc.w, data.labeled_positions)
+        scores = disc.b + data.labeled.scores(disc.w)
         f = model._label_log_likelihood(scores, data.labels) - 0.5 / sigma2 * np.sum(disc.w ** 2)
         grad_w, grad_b = discriminative_gradient(data, None, disc, prior_only)
         return -f, -np.concatenate([grad_w.ravel(), grad_b])

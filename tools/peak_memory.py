@@ -14,13 +14,14 @@ highest traced memory while the phase ran, counting what was already
 allocated when it began. Train's phases are load_corpus, the generative
 step, the SGD epochs, the E-step scoring (every nb_scores_matrix call the
 trainer makes: the initial responsibilities and, each outer iteration,
-the scores that the log joint and the next E-step share), the log joint
-and save_model; predict's are load_model, load_corpus and scoring
-(lr_scores_matrix). The moments that set a command's peak lie inside
-these phases, so its line matches its highest phase line. A phase that
-runs more than once reports its highest peak. tracemalloc counts numpy's
-buffers along with Python objects, so the figures do not depend on the
-machine; the run is a few times slower than an untraced one.
+the scores that the log joint and the next E-step share), the log joint,
+train_logreg (the whole lam = 1 fit) and save_model; predict's are
+load_model, load_corpus and scoring (lr_scores_matrix). The moments that
+set a command's peak lie inside these phases, so its line matches its
+highest phase line. A phase that runs more than once reports its highest
+peak. tracemalloc counts numpy's buffers along with Python objects, so
+the figures do not depend on the machine; the run is a few times slower
+than an untraced one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ PHASES = {
               (trainer, "_sgd_epochs", "sgd_epochs"),
               (trainer, "nb_scores_matrix", "e_step_scoring"),
               (trainer, "log_joint_blocks", "log_joint"),
+              (trainer, "train_logreg", "train_logreg"),
               (cli, "save_model", "save_model")),
     "predict": ((cli, "load_model", "load_model"),
                 (cli, "load_corpus", "load_corpus"),
