@@ -131,7 +131,7 @@ def digamma(x):
     is applied at x + 6. Raises DomainError for x <= 0, NaN and infinity.
     """
     x_arr = np.asarray(x, dtype=float)
-    if not np.all((x_arr > 0.0) & (x_arr < np.inf)):  # NaN fails both comparisons
+    if not ((x_arr > 0.0) & (x_arr < np.inf)).all():  # NaN fails both comparisons
         raise DomainError(f"digamma requires x > 0, got {x}")
     lift = -1.0 / x_arr
     for i in range(1, 6):
@@ -214,8 +214,15 @@ def _check_gamma(gamma):
 
 
 def _beta_shapes(alpha, gamma):
-    """The coupling prior's Beta shapes (alpha + 1, gamma - alpha + 1)."""
-    return alpha + 1.0, gamma - alpha + 1.0
+    """The coupling prior's Beta shapes alpha + 1 and gamma - alpha + 1, in
+    one array of shape (2,) + alpha's shape, so that one digamma or _lgamma
+    call takes both. Its values are those of the two expressions."""
+    alpha = np.asarray(alpha, dtype=float)
+    shapes = np.empty((2,) + alpha.shape)
+    np.add(alpha, 1.0, out=shapes[:1])
+    np.subtract(gamma, alpha, out=shapes[1:])
+    shapes[1:] += 1.0
+    return shapes
 
 
 def beta_prior_log_density(theta_tilde, theta, gamma):
@@ -229,13 +236,13 @@ def beta_prior_log_density(theta_tilde, theta, gamma):
     gamma = _check_gamma(gamma)
     tt = np.asarray(theta_tilde, dtype=float)
     alpha = gamma * sigmoid(np.asarray(theta, dtype=float))
-    a, b = _beta_shapes(alpha, gamma)
     try:
         log_gamma_total = math.lgamma(gamma + 2.0)
     except OverflowError:
         raise NumericError(f"coupling prior normalizer lgamma(gamma + 2) overflows "
                            f"at gamma={gamma}", snapshot={"gamma": gamma}) from None
-    logm = log_gamma_total - _lgamma(a) - _lgamma(b)
+    lgamma_a, lgamma_b = _lgamma(_beta_shapes(alpha, gamma))
+    logm = log_gamma_total - lgamma_a - lgamma_b
     out = logm + tt * alpha - gamma * np.logaddexp(0.0, tt)
     if np.isscalar(theta_tilde) and np.isscalar(theta):
         return float(out)
@@ -246,5 +253,5 @@ def beta_prior_moments(theta, gamma):
     """(mean, variance) of theta_tilde under the coupling prior centred on
     the scalar theta: psi(a) - psi(b) and psi'(a) + psi'(b)."""
     gamma = _check_gamma(gamma)
-    a, b = _beta_shapes(gamma * sigmoid(float(theta)), gamma)
+    a, b = _beta_shapes(gamma * sigmoid(float(theta)), gamma).tolist()
     return digamma(a) - digamma(b), _trigamma(a) + _trigamma(b)

@@ -435,7 +435,9 @@ def _coupling_gradient(coupling: CouplingConfig):
 
         gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
 
-    which combines the log-normalizer derivative and the linear term.
+    which combines the log-normalizer derivative and the linear term. One
+    digamma call per block takes both shapes, as the (2, block) array of
+    expfam._beta_shapes, and gives the values of one call per shape.
     GAUSSIAN: (theta_tilde - w) / sigma_c2.
     """
     if coupling.kind is CouplingKind.DECOUPLED:
@@ -447,9 +449,8 @@ def _coupling_gradient(coupling: CouplingConfig):
 
     def grad(tt, w):
         s = expfam.sigmoid(w)
-        a, b = expfam._beta_shapes(gamma * s, gamma)
-        psi_diff = expfam.digamma(a) - expfam.digamma(b)
-        return gamma * s * (1.0 - s) * (tt - psi_diff)
+        psi_a, psi_b = expfam.digamma(expfam._beta_shapes(gamma * s, gamma))
+        return gamma * s * (1.0 - s) * (tt - (psi_a - psi_b))
 
     return grad
 

@@ -29,9 +29,11 @@ One outer iteration alternates two moves:
 
      Summation order is part of the output contract: an example's class
      score adds its weights one after another in increasing feature order,
-     then adds b. _sgd_epochs gathers the weights feature-major, (n, K),
-     because numpy reduces a (K, n) C-ordered gather pairwise instead,
-     which moves the low bits of every fit.
+     then adds b. _sgd_epochs runs on one flat buffer x = [w.ravel(), b]
+     and gathers each example's weights feature-major with b's row last,
+     (n + 1, K), so one reduction over rows makes the same sums; numpy
+     reduces a (K, n) C-ordered gather pairwise instead, which moves the
+     low bits of every fit.
 
 model.py owns the objective's value and (w, b) gradient; this module only
 ascends them. The hybrid evaluates log_joint_blocks once per outer
@@ -245,8 +247,22 @@ def _learning_rate(step):
     return _LEARNING_RATE0 / (1.0 + step / _LR_DECAY_STEPS)
 
 
-def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
-    """Run _SGD_EPOCHS SGD epochs in place on (disc.b, disc.w).
+def _sgd_cells(data):
+    """Each labeled document's cells in x = [w.ravel(), b], in corpus order:
+    (cells, onehot), cells an (n + 1, K) array whose row j holds the flat
+    ids of w[:, d_j] for its j-th feature d_j and whose last row holds b's,
+    and onehot the document's one-hot label row."""
+    k, m = data.num_classes, data.num_features
+    offsets = np.arange(k) * m
+    b_cells = k * m + np.arange(k)
+    onehot = np.eye(k)
+    return [(np.vstack((ids[:, None] + offsets, b_cells)), onehot[y])
+            for ids, y in data.labeled]
+
+
+def _sgd_epochs(x, docs, gen, coupling, seed, outer_iter):
+    """Run _SGD_EPOCHS SGD epochs in place on x = [w.ravel(), b], the
+    documents docs being _sgd_cells' list.
 
     Per example: the data-term gradient of that example alone. Per epoch:
     one full prior(+coupling) step, written into w block by block
@@ -257,19 +273,15 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
 
     Summation order, which fixes every output bit: an example's score for
     class y is its weights w[y, d] added one after another in increasing
-    feature order d, and b[y] is added to that sum. The example's weights
-    are gathered as an (n, K) array through flat cell ids in feature-major
-    order (row j holds w[:, d_j]), so the reduction over rows runs
-    sequentially; a (K, n) C-ordered gather would make numpy sum each row
-    pairwise instead.
+    feature order d, and b[y] is added to that sum. One take gathers the
+    weights feature-major (row j holds w[:, d_j]) with b's row last, so
+    the reduction over the rows runs sequentially through the weights and
+    then adds b; a (K, n) C-ordered gather would make numpy sum each row
+    pairwise instead. The step p = eta * (onehot - softmax) is added to
+    every gathered row, b's too, and one put writes them all back.
     """
-    b, w = disc.b, disc.w
-    k, m = w.shape
-    offsets = np.arange(k) * m
-    # one small (n, K) cell array per document, built from its feature ids:
-    # a K x nnz array of every document's cells, sliced and copied, would
-    # coexist with the copies
-    docs = [(ids[:, None] + offsets, y) for ids, y in data.labeled]
+    k, m = gen.theta_tilde.shape
+    w = x[:k * m].reshape(k, m)
     n_docs = len(docs)
     order = list(range(n_docs))
     stiffness = _coupling_stiffness(coupling)
@@ -286,26 +298,23 @@ def _sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
         return g
 
     step = outer_iter * _SGD_EPOCHS * n_docs
-    add, maximum, exp, negative = np.add, np.maximum, np.exp, np.negative
+    add, maximum, exp, subtract = np.add, np.maximum, np.exp, np.subtract
     for epoch in range(_SGD_EPOCHS):
         SplitMix64(derive_seed(seed, outer_iter, epoch)).shuffle(order)
         etas = _learning_rate(np.arange(step, step + n_docs)).tolist()
         for i, eta in zip(order, etas):
-            doc_cells, y = docs[i]
-            g = w.take(doc_cells)
+            cells, onehot = docs[i]
+            g = x.take(cells)
             p = add.reduce(g, 0)
-            p += b
             p -= maximum.reduce(p)
             exp(p, out=p)
             p /= add.reduce(p)
-            negative(p, out=p)
-            p[y] += 1.0
+            subtract(onehot, p, out=p)
             p *= eta
-            b += p
             g += p
-            w.put(doc_cells, g)
+            x.put(cells, g)
         step += n_docs
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not np.isfinite(x).all():
             return  # blowup; reported as NumericError by the caller
         prior_eta = min(_learning_rate(step), 1.0 / (1.0 + 1.0 / sigma2 + stiffness))
         expfam._blockwise(prior_step, w, gen.theta_tilde, out=w)
@@ -508,8 +517,10 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
 
     k, m = data.num_classes, data.num_features
     gen = uniform_generative_params(k, m)
-    # the SGD epochs update disc.b and disc.w in place
-    disc = DiscriminativeParams(b=np.zeros(k), w=np.zeros((k, m)))
+    # the SGD epochs update x in place, and disc.w, disc.b are views of it
+    x = np.zeros(k * m + k)
+    disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
+    docs = _sgd_cells(data)
     resp = _responsibilities(gen, data)
 
     def hybrid_step(it):
@@ -527,7 +538,7 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
             gen = None
             gen = generative_update_beta(data, resp, disc, coupling.gamma or 0.0)
 
-        _sgd_epochs(data, gen, disc, coupling, cfg.seed, it)
+        _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
         scores = nb_scores_matrix(gen, data)

@@ -19,7 +19,7 @@ from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, _softmax, load_model, log_joint,
                              lr_scores_matrix, nb_scores_matrix, save_model,
                              uniform_generative_params)
-from hybridssl.trainer import (TrainConfig, _responsibilities, _sgd_epochs,
+from hybridssl.trainer import (TrainConfig, _responsibilities, _sgd_cells, _sgd_epochs,
                                discriminative_gradient, generative_update_beta,
                                train, train_logreg, train_nb_em)
 
@@ -224,9 +224,12 @@ def test_criterion_6_coordinate_ascent_trace():
 
     # replay the exact training loop, checking each generative step
     # against the fixed-responsibility surrogate it maximizes
-    gen = uniform_generative_params(toy.num_classes, toy.num_features)
-    b = np.zeros(toy.num_classes)
-    w = np.zeros((toy.num_classes, toy.num_features))
+    k, m = toy.num_classes, toy.num_features
+    gen = uniform_generative_params(k, m)
+    # the SGD epochs update x = [w.ravel(), b] in place; w and b are views of it
+    x = np.zeros(k * m + k)
+    w, b = x[:k * m].reshape(k, m), x[k * m:]
+    docs = _sgd_cells(toy)
     resp = _responsibilities(gen, toy)
     trace = []
     worst = math.inf
@@ -238,7 +241,7 @@ def test_criterion_6_coordinate_ascent_trace():
         after = surrogate(gen, disc.w, resp, counts)
         worst = min(worst, after - before)
         assert after >= before - 1e-9
-        _sgd_epochs(toy, gen, DiscriminativeParams(b=b, w=w), coupling, cfg.seed, it)
+        _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
         trace.append(log_joint(gen, disc, coupling, toy))
         resp = _responsibilities(gen, toy)

@@ -122,6 +122,27 @@ def test_digamma_domain_errors():
             expfam.digamma(bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_stacked_special_functions_keep_their_domain_checks(bad):
+    # digamma on one value and inside an array; the coupling density on its
+    # concentration gamma
+    for x in (bad, np.array([[1.0, 2.0], [bad, 3.0]])):
+        with pytest.raises(DomainError):
+            expfam.digamma(x)
+    with pytest.raises(DomainError):
+        expfam.beta_prior_log_density(0.1, 0.0, bad)
+
+
+def test_special_functions_return_a_float_for_scalar_input():
+    assert type(expfam.digamma(2.5)) is float
+    assert type(expfam.digamma(np.float64(2.5))) is float
+    value = expfam.beta_prior_log_density(0.1, -0.3, 2.0)
+    assert type(value) is float
+    a, b = 2.0 * expfam.sigmoid(-0.3) + 1.0, 2.0 - 2.0 * expfam.sigmoid(-0.3) + 1.0
+    assert_allclose(value, math.lgamma(4.0) - math.lgamma(a) - math.lgamma(b)
+                    + 0.1 * (a - 1.0) - 2.0 * math.log1p(math.exp(0.1)), rtol=1e-13)
+
+
 def test_lgamma_matches_math_lgamma():
     """Over the prior's arguments, x >= 1: within 2e-14 of math.lgamma,
     relative where |lgamma| > 1, absolute near its roots at 1 and 2."""

@@ -21,7 +21,7 @@ from hybridssl.trainer import (EndpointMode, TrainConfig,
                                discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
-from hybridssl.trainer import _mixing_weights, _responsibilities, _sgd_epochs
+from hybridssl.trainer import _mixing_weights, _responsibilities, _sgd_cells, _sgd_epochs
 
 from helpers import make_dataset
 
@@ -290,6 +290,33 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
 
     block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
+
+
+@pytest.mark.parametrize("k, m", [(2, 50), (3, 8200)], ids=["grid", "ragged-blocks"])
+@pytest.mark.parametrize("gamma", [1.0, 9.0, 1e6])
+def test_stacked_beta_kernels_equal_the_per_shape_formulas_bit_for_bit(k, m, gamma):
+    """The BETA coupling gradient and block stack both Beta shapes into one
+    digamma or _lgamma call; their values are those of one call per shape.
+    K * M = 100 is the criterion-7 grid's; 3 * 8200 spans three full
+    blocks and a ragged fourth."""
+    assert k * m == 100 or (k * m > 3 * expfam._BLOCK and (k * m) % expfam._BLOCK)
+    rng = np.random.default_rng(k * m)
+    w = rng.normal(0.0, 4.0, (k, m))
+    theta_tilde = rng.normal(0.0, 3.0, (k, m))
+    gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
+    disc = DiscriminativeParams(b=np.zeros(k), w=w)
+    coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)
+
+    s = expfam.sigmoid(w)
+    alpha = gamma * s
+    a, b = alpha + 1.0, gamma - alpha + 1.0
+    grad = gamma * s * (1.0 - s) * (theta_tilde - (expfam.digamma(a) - expfam.digamma(b)))
+    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+
+    logm = math.lgamma(gamma + 2.0) - expfam._lgamma(a) - expfam._lgamma(b)
+    density = logm + theta_tilde * alpha - gamma * np.logaddexp(0.0, theta_tilde)
+    assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)),
+                      np.array(float(np.sum(density))))
 
 
 @pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN, CouplingKind.DECOUPLED])
@@ -800,22 +827,33 @@ def _kernel_corpora():
 
 def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
     """Run both loops from the same (b, w), comparing the two states after
-    every outer iteration; w starts at w0 if given, else small and random."""
+    every outer iteration; w starts at w0 if given, else small and random.
+
+    Finite states must agree in their raw bytes: np.array_equal takes -0.0
+    and +0.0 as equal, and the kernel's onehot - p and the loop's -p; p[y]
+    += 1 differ in sign only where a probability underflows to 0. Once the
+    kernel's state is not finite both loops have stopped on the blow-up
+    check, and NaNs are compared by position only."""
     k, m = data.num_classes, data.num_features
     coupling = CouplingConfig.from_lambda(0.5, kind)
     rng = np.random.default_rng(seed % 1000)
-    disc = DiscriminativeParams(b=rng.normal(0.0, 0.1, k),
-                                w=rng.normal(0.0, 0.1, (k, m)) if w0 is None else w0.copy())
-    ref = DiscriminativeParams(b=disc.b.copy(), w=disc.w.copy())
+    b0 = rng.normal(0.0, 0.1, k)
+    w0 = rng.normal(0.0, 0.1, (k, m)) if w0 is None else w0
+    x = np.concatenate([w0.ravel(), b0])
+    disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
+    ref = DiscriminativeParams(b=b0.copy(), w=w0.copy())
+    docs = _sgd_cells(data)
     gen = uniform_generative_params(k, m)
     for it in range(outer_iters):
         gen = generative_update_beta(data, _responsibilities(gen, data), disc, 1.0)
-        _sgd_epochs(data, gen, disc, coupling, seed, it)
+        _sgd_epochs(x, docs, gen, coupling, seed, it)
         _reference_sgd_epochs(data, gen, ref, coupling, seed, it)
-        assert np.array_equal(disc.b, ref.b, equal_nan=True)
-        assert np.array_equal(disc.w, ref.w, equal_nan=True)
-        if not (np.all(np.isfinite(disc.w)) and np.all(np.isfinite(disc.b))):
+        if not np.isfinite(x).all():
+            assert np.array_equal(disc.b, ref.b, equal_nan=True)
+            assert np.array_equal(disc.w, ref.w, equal_nan=True)
             break  # both stopped on the blow-up check
+        assert disc.b.tobytes() == ref.b.tobytes()
+        assert disc.w.tobytes() == ref.w.tobytes()
     return disc
 
 
@@ -837,6 +875,31 @@ def test_sgd_kernel_blows_up_like_the_per_example_loop(monkeypatch, kind):
     with np.errstate(over="ignore", invalid="ignore"):
         disc = _assert_kernel_matches_reference(data, kind, 3, outer_iters=5, w0=w0)
     assert not (np.all(np.isfinite(disc.w)) and np.all(np.isfinite(disc.b)))
+
+
+def test_sgd_cells_gather_each_labeled_document_then_b_and_are_built_once(monkeypatch):
+    # the first and the last document hold no feature, so their cells are
+    # b's row alone
+    data = make_dataset([([], 1), ([0, 3, 4], 0), ([2], None), ([1, 2, 4], 2), ([], 0)],
+                        3, 5)
+    k, m = data.num_classes, data.num_features
+    x = np.random.default_rng(5).normal(size=k * m + k)
+    w, b = x[:k * m].reshape(k, m), x[k * m:]
+    docs = _sgd_cells(data)
+    assert len(docs) == data.n_labeled
+    for (cells, onehot), (ids, y) in zip(docs, data.labeled):
+        assert cells.shape == (ids.size + 1, k)
+        assert x.take(cells).tobytes() == np.vstack([w[:, ids].T, b]).tobytes()
+        assert onehot.tolist() == np.eye(k)[y].tolist()
+
+    built = []
+    monkeypatch.setattr(trainer, "_sgd_cells",
+                        lambda data: built.append(data) or _sgd_cells(data))
+    coupling = CouplingConfig.from_lambda(0.5)
+    _, disc, report = train(data, coupling, TrainConfig(max_outer_iters=4, tol=1e-300))
+    assert report.outer_iters_run == 4 and built == [data]
+    # one buffer: disc.w and disc.b are views of the x the kernel updates
+    assert disc.w.base is disc.b.base and disc.w.base.shape == (k * m + k,)
 
 
 def test_learning_rate_of_an_array_equals_the_scalar_calls():
