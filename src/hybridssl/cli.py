@@ -76,13 +76,13 @@ def _load_training_corpus(args):
 
 
 def _build_coupling(args) -> CouplingConfig:
-    """--lambda or --gamma sets the strength; --coupling none needs neither."""
+    """--lambda or --gamma sets the strength."""
     kind = CouplingKind(args.coupling)
     if args.lam is not None:
         if args.gamma is not None:
             raise ConfigError("--lambda and --gamma are mutually exclusive")
         return CouplingConfig.from_lambda(args.lam, kind, args.disc_sigma2)
-    if kind is not CouplingKind.DECOUPLED and args.gamma is None:
+    if args.gamma is None:
         raise ConfigError("provide --lambda or --gamma to set the coupling strength")
     return CouplingConfig(kind=kind, gamma=args.gamma, disc_prior_sigma2=args.disc_sigma2)
 

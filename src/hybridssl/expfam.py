@@ -37,11 +37,14 @@ MEAN_FLOOR = 1e-10
 
 # Elements per block of the elementwise K x M pipelines: 1 << 13 float64
 # values are 64 KB, so the temporaries a pipeline makes for one block stay
-# in cache instead of each being a fresh K x M array. At K x M = 1M the
-# beta coupling gradient holds 0.66 MB of them in flight, against 5.2 MB at
-# 1 << 16, and the gradient plus log density take 244 ms against 224 ms
-# (medians of 8 interleaved runs on a 2-vCPU Xeon; 1 << 12 took 284 ms).
-# text-cli's peak RSS read 76-79 MB at every size from 1 << 12 to 1 << 16.
+# in cache instead of each being a fresh K x M array. The BETA kernels'
+# stacked shapes (_beta_shapes) and their special-function values are
+# (2, _BLOCK) arrays, 128 KB each; the timings below predate them. At
+# K x M = 1M the beta coupling gradient holds 0.66 MB of them in flight,
+# against 5.2 MB at 1 << 16, and the gradient plus log density take 244 ms
+# against 224 ms (medians of 8 interleaved runs on a 2-vCPU Xeon; 1 << 12
+# took 284 ms). text-cli's peak RSS read 76-79 MB at every size from
+# 1 << 12 to 1 << 16.
 _BLOCK = 1 << 13
 
 

@@ -110,8 +110,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One sweep cell. failed=True marks a numeric failure; its accuracy
-    fields are NaN and ``error`` carries the message."""
+    """One sweep cell. gen_accuracy is NaN at the lam = 1 endpoint, which
+    fits no generative half. failed=True marks a numeric failure; its
+    accuracy fields are NaN and ``error`` carries the message."""
 
     lam: float
     unlabeled: int
@@ -156,6 +157,10 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
         split = SplitSpec(labeled_per_class=spec.labeled_per_class,
                           unlabeled_total=count, seed=seed)
         train_set, test_set = sample_split(corpus, split)
+        if len(test_set) == 0:
+            raise ConfigError(f"the split leaves no test document: {count} unlabeled and "
+                              f"{spec.labeled_per_class} labeled per class take every "
+                              f"labeled document of the corpus")
         coupling = CouplingConfig.from_lambda(lam, spec.coupling_kind,
                                               spec.disc_prior_sigma2)
         cfg = replace(spec.train_config, seed=seed)
@@ -166,7 +171,8 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
         return ResultRow(
             lam=lam, unlabeled=count, seed=base_seed,
             accuracy=_accuracy(lr_scores_matrix(disc, test_set), labels),
-            gen_accuracy=_accuracy(nb_scores_matrix(gen, test_set), labels),
+            gen_accuracy=(math.nan if gen is None
+                          else _accuracy(nb_scores_matrix(gen, test_set), labels)),
             outer_iters=report.outer_iters_run, converged=report.converged,
             wall_ms=wall_ms)
     except NumericError as exc:

@@ -276,7 +276,6 @@ class DiscriminativeParams:
 class CouplingKind(enum.Enum):
     BETA = "beta"
     GAUSSIAN = "gauss"
-    DECOUPLED = "none"
 
 
 class EndpointMode(enum.Enum):
@@ -307,9 +306,8 @@ class CouplingConfig:
     concentration and the GAUSSIAN precision (variance sigma_c2 = 1/gamma).
     from_lambda sets gamma = ((1-lam)/lam)^2, so the coupling tightens as
     lam decreases; an explicit gamma bypasses lam, which then only decides
-    the mode and defaults to 0.5. gamma is set exactly when training reads
-    it: a BETA or GAUSSIAN config in HYBRID mode needs it, and every other
-    config rejects it. b and pi are never coupled.
+    the mode and defaults to 0.5. gamma is set exactly in HYBRID mode,
+    the one mode whose training reads it. b and pi are never coupled.
     """
 
     kind: CouplingKind
@@ -322,7 +320,7 @@ class CouplingConfig:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if not (self.disc_prior_sigma2 > 0.0):
             raise ConfigError(f"disc_prior_sigma2 must be > 0, got {self.disc_prior_sigma2}")
-        coupled = self.kind is not CouplingKind.DECOUPLED and self.mode is EndpointMode.HYBRID
+        coupled = self.mode is EndpointMode.HYBRID
         if (self.gamma is not None) != coupled:
             raise ConfigError(f"a {self.kind.name} config in mode {self.mode.value} "
                               f"{'needs' if coupled else 'takes no'} gamma, got {self.gamma}")
@@ -343,7 +341,7 @@ class CouplingConfig:
                     disc_prior_sigma2: float = 100.0) -> "CouplingConfig":
         lam = float(lam)
         gamma = None
-        if kind is not CouplingKind.DECOUPLED and _endpoint_mode(lam) is EndpointMode.HYBRID:
+        if _endpoint_mode(lam) is EndpointMode.HYBRID:
             gamma = ((1.0 - lam) / lam) ** 2
         return cls(kind=kind, lam=lam, gamma=gamma, disc_prior_sigma2=disc_prior_sigma2)
 
@@ -416,8 +414,6 @@ def _disc_terms(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -
 
 def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
                     coupling: CouplingConfig) -> float:
-    if coupling.kind is CouplingKind.DECOUPLED:
-        return 0.0
     if coupling.kind is CouplingKind.GAUSSIAN:
         return -0.5 / coupling.sigma_c2 * expfam._blockwise_sum(
             lambda tt, w: np.square(tt - w), gen.theta_tilde, disc.w)
@@ -428,7 +424,7 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
 
 def _coupling_gradient(coupling: CouplingConfig):
     """The coupling block's derivative in w as an elementwise function of
-    aligned (theta_tilde, w) blocks, or None when DECOUPLED.
+    aligned (theta_tilde, w) blocks.
 
     BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
     a = gamma * s + 1 and b = gamma - gamma * s + 1,
@@ -440,8 +436,6 @@ def _coupling_gradient(coupling: CouplingConfig):
     expfam._beta_shapes, and gives the values of one call per shape.
     GAUSSIAN: (theta_tilde - w) / sigma_c2.
     """
-    if coupling.kind is CouplingKind.DECOUPLED:
-        return None
     if coupling.kind is CouplingKind.GAUSSIAN:
         sigma_c2 = coupling.sigma_c2
         return lambda tt, w: (tt - w) / sigma_c2
@@ -457,12 +451,8 @@ def _coupling_gradient(coupling: CouplingConfig):
 
 def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
                         coupling: CouplingConfig) -> np.ndarray:
-    """d(coupling block)/dw, shape (K, M): _coupling_gradient's formula,
-    zero when DECOUPLED."""
-    grad = _coupling_gradient(coupling)
-    if grad is None:
-        return np.zeros_like(disc.w)
-    return expfam._blockwise(grad, gen.theta_tilde, disc.w)
+    """d(coupling block)/dw, shape (K, M): _coupling_gradient's formula."""
+    return expfam._blockwise(_coupling_gradient(coupling), gen.theta_tilde, disc.w)
 
 
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,

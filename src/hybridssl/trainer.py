@@ -13,11 +13,11 @@ One outer iteration alternates two moves:
      with N the total number of documents (labeled and unlabeled alike;
      labels never enter this step). Each coordinate's new value maximizes
      the separable surrogate (c + alpha) t - (N + gamma) A(t) exactly, so
-     the surrogate never decreases; DECOUPLED training runs it with
-     gamma = 0. Under GAUSSIAN coupling no closed form exists: the same
-     surrogate with a quadratic coupling term is separable and strictly
-     concave, and generative_update_gauss finds each coordinate's
-     stationary point by Newton's method safeguarded by bisection.
+     the surrogate never decreases. Under GAUSSIAN coupling no closed form
+     exists: the same surrogate with a quadratic coupling term is separable
+     and strictly concave, and generative_update_gauss finds each
+     coordinate's stationary point by Newton's method safeguarded by
+     bisection.
 
   2. Discriminative step. A few epochs of per-example SGD on the labeled
      documents update (w, b) against the data term; once per epoch the
@@ -159,15 +159,14 @@ def generative_update_beta(data: Dataset, resp: np.ndarray,
 
     resp holds the responsibilities p(y | x), shape (N, K); the trainer
     takes them from the document scores of the previous outer iteration's
-    objective evaluation. gamma = 0 gives the decoupled count update
-    v = c / N, which the DECOUPLED hybrid uses.
+    objective evaluation.
     """
-    if not (gamma >= 0.0) or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    if not (gamma > 0.0) or not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
     n = len(data)
 
     def theta_tilde(c, w):
-        pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
+        pseudo = gamma * expfam.sigmoid(w)
         return expfam.natural_from_mean((c + pseudo) / (n + gamma))
 
     counts = data.counts(resp)
@@ -237,9 +236,7 @@ def _coupling_stiffness(coupling: CouplingConfig) -> float:
     """
     if coupling.kind is CouplingKind.BETA:
         return coupling.gamma / 4.0
-    if coupling.kind is CouplingKind.GAUSSIAN:
-        return 1.0 / coupling.sigma_c2
-    return 0.0
+    return 1.0 / coupling.sigma_c2
 
 
 def _learning_rate(step):
@@ -291,8 +288,7 @@ def _sgd_epochs(x, docs, gen, coupling, seed, outer_iter):
     def prior_step(w_block, tt_block):
         """w + prior_eta * (-w / sigma^2 + coupling gradient) on one block."""
         g = w_block / -sigma2
-        if coupling_gradient is not None:
-            g += coupling_gradient(tt_block, w_block)
+        g += coupling_gradient(tt_block, w_block)
         g *= prior_eta
         g += w_block
         return g
@@ -493,7 +489,8 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
 
     coupling.mode picks the trainer: the standalone endpoint trainers
     for lam within model._LAMBDA_CLAMP of 0 or 1, the coupled loop
-    otherwise. The lam = 0 endpoint exposes its naive Bayes fit
+    otherwise. The lam = 1 endpoint fits no generative half, so its gen
+    is None. The lam = 0 endpoint exposes its naive Bayes fit
     through the discriminative slot in linear form (w = theta_tilde,
     b = log pi + per-class absence mass) so that prediction is always a
     function of (w, b) and matches the generative argmax instance-exactly.
@@ -512,8 +509,7 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         return gen, disc, report
     if mode is EndpointMode.PURE_DISCRIMINATIVE:
         disc, report = train_logreg(data, cfg, coupling.disc_prior_sigma2)
-        gen = uniform_generative_params(data.num_classes, data.num_features)
-        return gen, disc, report
+        return None, disc, report
 
     k, m = data.num_classes, data.num_features
     gen = uniform_generative_params(k, m)
@@ -526,17 +522,16 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     def hybrid_step(it):
         """Outer iteration it: the generative step from resp, the SGD epochs,
         then the objective, whose document scores give the next resp. Under
-        BETA and DECOUPLED coupling at most one theta_tilde is alive."""
+        BETA coupling at most one theta_tilde is alive."""
         nonlocal gen, resp
         if coupling.kind is CouplingKind.GAUSSIAN:
             # the previous theta_tilde is the Newton start
             gen = generative_update_gauss(data, resp, gen, disc, coupling.sigma_c2)
         else:
             # the closed form reads only resp and disc, so the previous
-            # theta_tilde is freed before the new one is built. A DECOUPLED
-            # config has no gamma, and gamma = 0 drops the coupling.
+            # theta_tilde is freed before the new one is built
             gen = None
-            gen = generative_update_beta(data, resp, disc, coupling.gamma or 0.0)
+            gen = generative_update_beta(data, resp, disc, coupling.gamma)
 
         _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from hybridssl import cli, expfam, testkit
+from hybridssl import cli, expfam, model, testkit
 from hybridssl.data import (SplitSpec, generate_synthetic, sample_split,
                             write_corpus)
 from hybridssl.harness import (SweepSpec, SyntheticSpec, aggregate,
@@ -84,26 +84,34 @@ def test_criterion_1_user_corpus_protocol(tmp_path):
 def test_criterion_2_gradient_matches_finite_differences():
     settings = [CouplingConfig(kind=CouplingKind.BETA, gamma=g) for g in (0.1, 1.0, 10.0)]
     settings += [CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=1.0 / s) for s in (0.5, 10.0)]
-    settings += [CouplingConfig(kind=CouplingKind.DECOUPLED)]
+    # None stands for the uncoupled prior and label blocks, the lam = 1
+    # objective: model._disc_values' value and model._disc_terms' gradient
+    settings += [None]
     t0 = time.perf_counter()
     checked = 0
     for seed in range(10):
         data, gen, disc = random_instance(seed)
         for coupling in settings:
-            grad_w, grad_b = discriminative_gradient(data, gen, disc, coupling)
-            fd_w = testkit.fd_gradient(
-                lambda w: log_joint(gen, DiscriminativeParams(b=disc.b, w=w),
-                                    coupling, data), disc.w)
-            fd_b = testkit.fd_gradient(
-                lambda b: log_joint(gen, DiscriminativeParams(b=b, w=disc.w),
-                                    coupling, data), disc.b)
+            if coupling is None:
+                grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, 100.0)[2:]
+
+                def objective(w, b):
+                    return sum(model._disc_values(data.labeled, w, b, 100.0)[:2])
+            else:
+                grad_w, grad_b = discriminative_gradient(data, gen, disc, coupling)
+
+                def objective(w, b):
+                    return log_joint(gen, DiscriminativeParams(b=b, w=w), coupling, data)
+            fd_w = testkit.fd_gradient(lambda w: objective(w, disc.b), disc.w)
+            fd_b = testkit.fd_gradient(lambda b: objective(disc.w, b), disc.b)
             assert np.all(np.abs(grad_w - fd_w) <= 1e-8 + 1e-4 * np.abs(fd_w))
             assert np.all(np.abs(grad_b - fd_b) <= 1e-8 + 1e-4 * np.abs(fd_b))
             checked += grad_w.size + grad_b.size
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"PASS criterion 2: {checked} gradient coordinates matched finite "
-          f"differences across 6 coupling settings in {elapsed:.2f}s")
+          f"differences across 5 coupling settings and the uncoupled lam = 1 "
+          f"objective in {elapsed:.2f}s")
 
 
 def test_criterion_3_closed_form_update_is_the_surrogate_argmax():

@@ -61,3 +61,7 @@ def test_coupling_config_holds_one_strength():
     assert tuple(f.name for f in dataclasses.fields(hybridssl.CouplingConfig)) == (
         "kind", "lam", "gamma", "disc_prior_sigma2")
     assert hybridssl.CouplingConfig(hybridssl.CouplingKind.GAUSSIAN, gamma=4.0).sigma_c2 == 0.25
+
+
+def test_coupling_families_are_beta_and_gauss():
+    assert [k.value for k in hybridssl.CouplingKind] == ["beta", "gauss"]

@@ -120,7 +120,7 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
 
     code, _, err = run(capsys, "train", "--corpus", str(corpus),
                        "--coupling", "none", "--gamma", "3.0", "--out", out_path)
-    assert code == 2
+    assert code == 2 and "argument --coupling: invalid choice: 'none'" in err
 
     code, _, err = run(capsys, "train", "--corpus", str(corpus),
                        "--synthetic", SYN, "--lambda", "0.5", "--out", out_path)
@@ -333,6 +333,17 @@ def test_sweep_corpus_file_and_jobs(tmp_path, capsys):
                        "--max-iters", "10", "--jobs", "2", "--out", prefix)
     assert code == 0
     assert out.splitlines()[0].startswith("unlabeled=0 best_lambda=")
+
+
+def test_sweep_refuses_a_split_that_leaves_no_test_document(tmp_path, capsys):
+    # 10 documents per class, all of them labeled by the split
+    code, out, err = run(capsys, "sweep", "--synthetic", "2,10,0.5,10",
+                         "--labeled-per-class", "10", "--unlabeled", "0",
+                         "--lambdas", "0.5,1", "--seeds", "1", "--out", str(tmp_path / "s"))
+    assert code == 2 and out == ""
+    assert ("error: the split leaves no test document: 0 unlabeled and 10 labeled "
+            "per class take every labeled document of the corpus") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_failed_cells_exit_3(tmp_path, capsys, monkeypatch):

@@ -104,8 +104,11 @@ def test_run_sweep_row_order_and_determinism():
 
 
 def test_run_sweep_jobs_parity():
+    # repr, not ==: a lam = 1 row's NaN gen_accuracy comes back from a
+    # worker as another float object, and NaN != NaN. Float repr round-trips,
+    # so this stays bit-exact and also tells -0.0 from +0.0.
     spec = quick_spec()
-    assert run_sweep(spec, jobs=2) == run_sweep(spec, jobs=1)
+    assert repr(run_sweep(spec, jobs=2)) == repr(run_sweep(spec, jobs=1))
     with pytest.raises(ConfigError):
         run_sweep(spec, jobs=0)
 
@@ -141,9 +144,10 @@ def test_run_sweep_measure_time_populates_wall_ms():
     assert rows[0].wall_ms > 0.0
 
 
-def test_sweep_endpoint_cells_match_direct_training():
+def test_sweep_endpoint_cells_match_direct_training(tmp_path):
     # A lambda = 1 sweep cell must reproduce the standalone run with the
-    # same protocol split and the cell-derived seed.
+    # same protocol split and the cell-derived seed. It fits no generative
+    # half, so its gen_accuracy is NaN.
     spec = quick_spec(lambdas=(0.0, 1.0))
     rows = run_sweep(spec)
     corpus = spec.synthetic.build()
@@ -155,6 +159,7 @@ def test_sweep_endpoint_cells_match_direct_training():
         corpus, SplitSpec(labeled_per_class=5, unlabeled_total=0, seed=seed))
     cfg = replace(spec.train_config, seed=seed)
     gen, disc, report = train(train_set, CouplingConfig.from_lambda(1.0), cfg)
+    assert gen is None
     preds = np.argmax(lr_scores_matrix(disc, test_set), axis=1)
     want = float(np.mean(preds == test_set.labels))
 
@@ -163,6 +168,10 @@ def test_sweep_endpoint_cells_match_direct_training():
     assert got[0].accuracy == want
     assert got[0].outer_iters == report.outer_iters_run
     assert got[0].converged == report.converged
+    assert math.isnan(got[0].gen_accuracy)
+    path = tmp_path / "r.csv"
+    write_results_csv(got, path)
+    assert path.read_text().splitlines()[1].split(",")[4] == "nan"
 
 
 def test_run_sweep_flags_failed_cells_and_continues(monkeypatch):

@@ -92,9 +92,7 @@ def test_coupling_config_validation():
 
 
 def test_coupling_config_rejects_a_gamma_training_ignores():
-    # DECOUPLED training and the endpoint trainers read no coupling strength
-    with pytest.raises(ConfigError):
-        CouplingConfig(kind=CouplingKind.DECOUPLED, gamma=3.0)
+    # the endpoint trainers read no coupling strength
     with pytest.raises(ConfigError):
         CouplingConfig(kind=CouplingKind.BETA, lam=0.9995, gamma=5.0)
     with pytest.raises(ConfigError):
@@ -102,8 +100,7 @@ def test_coupling_config_rejects_a_gamma_training_ignores():
     for kind in CouplingKind:
         for lam in (0.0, 5e-4, 0.25, 0.5, 0.75, 0.9995, 1.0):
             cfg = CouplingConfig.from_lambda(lam, kind)
-            coupled = kind is not CouplingKind.DECOUPLED and cfg.mode is EndpointMode.HYBRID
-            assert (cfg.gamma is not None) == coupled
+            assert (cfg.gamma is not None) == (cfg.mode is EndpointMode.HYBRID)
 
 
 def test_coupling_from_lambda_strength_map():
@@ -114,8 +111,8 @@ def test_coupling_from_lambda_strength_map():
     gauss = CouplingConfig.from_lambda(0.5, kind=CouplingKind.GAUSSIAN)
     assert gauss.sigma_c2 == 1.0
     assert CouplingConfig.from_lambda(0.1, kind=CouplingKind.GAUSSIAN).sigma_c2 == 1.0 / 81.0
-    none = CouplingConfig.from_lambda(0.5, kind=CouplingKind.DECOUPLED)
-    assert none.gamma is None and none.sigma_c2 is None
+    endpoint = CouplingConfig.from_lambda(1.0, kind=CouplingKind.GAUSSIAN)
+    assert endpoint.gamma is None and endpoint.sigma_c2 is None
 
 
 @pytest.mark.parametrize("kind", [CouplingKind.BETA, CouplingKind.GAUSSIAN])
@@ -440,16 +437,6 @@ def test_log_joint_blocks_from_scratch():
     assert_allclose(blocks.discriminative, disc_block, rtol=1e-12)
     assert_allclose(blocks.generative, gen_block, rtol=1e-12)
     assert_allclose(log_joint(gen, disc, cfg, data), blocks.total(), rtol=1e-15)
-
-
-def test_log_joint_decoupled_has_zero_coupling_block():
-    data = tiny_dataset()
-    gen = uniform_generative_params(2, 2)
-    disc = DiscriminativeParams(b=np.array([0.1, 0.0]), w=np.full((2, 2), 0.2))
-    cfg = CouplingConfig(kind=CouplingKind.DECOUPLED)
-    blocks = log_joint_blocks(gen, disc, cfg, data)
-    assert blocks.coupling == 0.0
-    assert blocks.total() == blocks.prior + blocks.discriminative + blocks.generative
 
 
 def test_log_joint_gaussian_coupling_peaks_at_equality():

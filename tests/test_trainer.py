@@ -106,21 +106,9 @@ def test_generative_update_beta_matches_closed_form():
     mass = resp.sum(axis=0)
     assert_allclose(gen1.pi, mass / mass.sum(), rtol=1e-15)
 
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             generative_update_beta(train_set, resp, disc, bad)
-
-
-def test_generative_update_beta_without_coupling_is_the_count_ratio():
-    train_set, _ = small_corpus()
-    rng = np.random.default_rng(2)
-    gen0 = GenerativeParams(pi=np.array([0.4, 0.6]),
-                            theta_tilde=rng.normal(0.0, 1.0, (2, 10)))
-    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(size=(2, 10)))
-    resp = _responsibilities(gen0, train_set)
-    gen1 = generative_update_beta(train_set, resp, disc, 0.0)
-    step = expfam.natural_from_mean(train_set.counts(resp) / len(train_set))
-    assert _same_bits(gen1.theta_tilde, step)
 
 
 def test_generative_update_beta_coordinate_maximizes_surrogate():
@@ -258,7 +246,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("gamma", [1e6, 1.0, 1e-3, 0.0])
+@pytest.mark.parametrize("gamma", [1e6, 1.0, 1e-3])
 def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
     """K * M = 150,003 spans two full blocks and a ragged tail."""
     k, m = 3, 50_001
@@ -272,13 +260,10 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
                          for p, label in ((0.3, 0), (0.5, 1), (0.1, None), (0.7, 2))], k, m)
     resp = rng.dirichlet(np.ones(k), size=len(data))
 
-    pseudo = gamma * expfam.sigmoid(w) if gamma > 0.0 else 0.0
     step = expfam.natural_from_mean(
-        (data.counts(resp) + pseudo) / (len(data) + gamma))
+        (data.counts(resp) + gamma * expfam.sigmoid(w)) / (len(data) + gamma))
     disc = DiscriminativeParams(b=np.zeros(k), w=w)
     assert _same_bits(generative_update_beta(data, resp, disc, gamma).theta_tilde, step)
-    if gamma == 0.0:
-        return
 
     s = expfam.sigmoid(w)
     alpha = gamma * s
@@ -319,10 +304,10 @@ def test_stacked_beta_kernels_equal_the_per_shape_formulas_bit_for_bit(k, m, gam
                       np.array(float(np.sum(density))))
 
 
-@pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN, CouplingKind.DECOUPLED])
+@pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN])
 def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
-    """The GAUSSIAN and DECOUPLED branches of coupling_gradient_w and
-    model._coupling_block, on the arrays of the BETA test above."""
+    """The GAUSSIAN branch of coupling_gradient_w and model._coupling_block,
+    on the arrays of the BETA test above."""
     k, m = 3, 50_001
     rng = np.random.default_rng(17)
     w = rng.normal(0.0, 4.0, (k, m))
@@ -331,14 +316,10 @@ def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
     theta_tilde = rng.normal(0.0, 3.0, (k, m))
     gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
     disc = DiscriminativeParams(b=np.zeros(k), w=w)
-    if kind is CouplingKind.GAUSSIAN:
-        coupling = CouplingConfig(kind=kind, gamma=0.3)
-        diff = theta_tilde - w
-        grad = diff / (1.0 / 0.3)
-        block = float(-0.5 / (1.0 / 0.3) * np.sum(diff * diff))
-    else:
-        coupling = CouplingConfig(kind=kind)
-        grad, block = np.zeros((k, m)), 0.0
+    coupling = CouplingConfig(kind=kind, gamma=0.3)
+    diff = theta_tilde - w
+    grad = diff / (1.0 / 0.3)
+    block = float(-0.5 / (1.0 / 0.3) * np.sum(diff * diff))
     assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
@@ -357,13 +338,6 @@ def test_beta_coupling_gradient_at_huge_gamma_does_not_warn():
     assert_allclose(grad, gamma * s * (1.0 - s) * (theta_tilde - w), rtol=1e-12)
 
 
-def test_coupling_gradient_decoupled_is_zero():
-    gen = uniform_generative_params(2, 3)
-    disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 3)))
-    cfg = CouplingConfig(kind=CouplingKind.DECOUPLED)
-    assert np.array_equal(coupling_gradient_w(gen, disc, cfg), np.zeros((2, 3)))
-
-
 def make_fd_instance(seed):
     rng = np.random.default_rng(seed)
     m = 3
@@ -380,11 +354,9 @@ def make_fd_instance(seed):
 
 
 def test_discriminative_gradient_matches_finite_differences():
-    for kind, kwargs in [(CouplingKind.BETA, {"gamma": 2.0}),
-                         (CouplingKind.GAUSSIAN, {"gamma": 1.0 / 0.7}),
-                         (CouplingKind.DECOUPLED, {})]:
-        cfg = CouplingConfig(kind=kind, lam=0.5, disc_prior_sigma2=5.0, **kwargs)
-        data, gen, disc = make_fd_instance(17)
+    data, gen, disc = make_fd_instance(17)
+    for gamma, kind in [(2.0, CouplingKind.BETA), (1.0 / 0.7, CouplingKind.GAUSSIAN)]:
+        cfg = CouplingConfig(kind=kind, lam=0.5, disc_prior_sigma2=5.0, gamma=gamma)
         grad_w, grad_b = discriminative_gradient(data, gen, disc, cfg)
 
         fd_w = testkit.fd_gradient(
@@ -396,11 +368,20 @@ def test_discriminative_gradient_matches_finite_differences():
         assert np.all(np.abs(grad_w - fd_w) <= fd_tolerance(fd_w))
         assert np.all(np.abs(grad_b - fd_b) <= fd_tolerance(fd_b))
 
+    # the uncoupled prior and label blocks, the lam = 1 objective
+    grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, 5.0)[2:]
+    fd_w = testkit.fd_gradient(
+        lambda w: sum(model._disc_values(data.labeled, w, disc.b, 5.0)[:2]), disc.w)
+    fd_b = testkit.fd_gradient(
+        lambda b: sum(model._disc_values(data.labeled, disc.w, b, 5.0)[:2]), disc.b)
+    assert np.all(np.abs(grad_w - fd_w) <= fd_tolerance(fd_w))
+    assert np.all(np.abs(grad_b - fd_b) <= fd_tolerance(fd_b))
+
 
 def test_decoupled_flat_prior_approaches_pure_data_gradient():
+    # model._disc_terms with no coupling term and a nearly flat prior
     data, gen, disc = make_fd_instance(23)
-    flat = CouplingConfig(kind=CouplingKind.DECOUPLED, disc_prior_sigma2=1e12)
-    grad_w, grad_b = discriminative_gradient(data, gen, disc, flat)
+    grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, 1e12)[2:]
 
     # hand-rolled multinomial logistic data gradient
     ref_w = np.zeros_like(disc.w)
@@ -422,9 +403,9 @@ def test_decoupled_flat_prior_approaches_pure_data_gradient():
 @pytest.mark.parametrize("k", [2, 20])
 def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, storage, k):
     """model._disc_terms is the one source of the prior and discriminative
-    blocks and their gradient: log_joint_blocks reports its blocks and
-    discriminative_gradient under DECOUPLED coupling its gradient, bit for
-    bit, and train_logreg's trace ends at the log joint of the fit it
+    blocks and their gradient: log_joint_blocks reports its blocks, and
+    discriminative_gradient its gradient plus coupling_gradient_w, bit for
+    bit, and train_logreg's trace ends at those blocks' value at the fit it
     returns."""
     if storage == "compressed":
         monkeypatch.setattr(model, "_DENSE_CELLS_PER_ENTRY", 0)
@@ -443,18 +424,17 @@ def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, 
         prior, disc_block, grad_w, grad_b = model._disc_terms(
             data.labeled, disc.w, disc.b, sigma2)
         for kind in CouplingKind:
-            coupling = CouplingConfig(kind=kind, disc_prior_sigma2=sigma2,
-                                      gamma=None if kind is CouplingKind.DECOUPLED else 2.0)
+            coupling = CouplingConfig(kind=kind, disc_prior_sigma2=sigma2, gamma=2.0)
             blocks = model.log_joint_blocks(gen, disc, coupling, data)
             assert _same_bits(np.array([blocks.prior, blocks.discriminative]),
                               np.array([prior, disc_block]))
-        decoupled = CouplingConfig(kind=CouplingKind.DECOUPLED, disc_prior_sigma2=sigma2)
-        got_w, got_b = discriminative_gradient(data, gen, disc, decoupled)
-        assert _same_bits(got_w, grad_w) and _same_bits(got_b, grad_b)
+            got_w, got_b = discriminative_gradient(data, gen, disc, coupling)
+            assert _same_bits(got_w, grad_w + coupling_gradient_w(gen, disc, coupling))
+            assert _same_bits(got_b, grad_b)
 
         fit, report = train_logreg(data, TrainConfig(max_outer_iters=3), sigma2)
-        blocks = model.log_joint_blocks(gen, fit, decoupled, data)
-        assert_allclose(report.log_joint_trace[-1], blocks.prior + blocks.discriminative,
+        fit_prior, fit_disc, _ = model._disc_values(data.labeled, fit.w, fit.b, sigma2)
+        assert_allclose(report.log_joint_trace[-1], fit_prior + fit_disc,
                         rtol=1e-12, atol=0.0)
 
 
@@ -483,13 +463,12 @@ def _lbfgsb_logreg_optimum(data, sigma2=100.0):
     """The lam = 1 objective's maximum, by scipy's L-BFGS-B run far past
     the trainer's stopping rule."""
     k, m = data.num_classes, data.num_features
-    prior_only = CouplingConfig(kind=CouplingKind.DECOUPLED, lam=1.0, disc_prior_sigma2=sigma2)
 
     def negated(x):
         disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
         scores = disc.b + data.labeled.scores(disc.w)
         f = model._label_log_likelihood(scores, data.labels) - 0.5 / sigma2 * np.sum(disc.w ** 2)
-        grad_w, grad_b = discriminative_gradient(data, None, disc, prior_only)
+        grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, sigma2)[2:]
         return -f, -np.concatenate([grad_w.ravel(), grad_b])
 
     result = minimize(negated, np.zeros(k * m + k), jac=True, method="L-BFGS-B",
@@ -609,6 +588,19 @@ def test_lambda_one_equals_standalone_logreg():
     assert report.log_joint_trace == report_ref.log_joint_trace
 
 
+def test_lambda_one_fits_no_generative_half(monkeypatch):
+    built = []
+    monkeypatch.setattr(trainer, "uniform_generative_params",
+                        lambda *shape: built.append(shape) or uniform_generative_params(*shape))
+    train_set, _ = small_corpus()
+    gen, disc, report = train(train_set, CouplingConfig.from_lambda(1.0), TrainConfig())
+    assert gen is None and built == []
+    assert report.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
+    # the counter sees the start state of the other trainers
+    train(train_set, CouplingConfig.from_lambda(0.5), TrainConfig(max_outer_iters=2))
+    assert built == [(2, 10)]
+
+
 def test_lambda_clamp_dispatches_endpoints():
     train_set, _ = small_corpus()
     cfg = TrainConfig(max_outer_iters=5)
@@ -672,10 +664,8 @@ def test_from_lambda_equals_explicit_gamma():
 def test_hybrid_runs_all_coupling_kinds():
     train_set, test_set = small_corpus()
     cfg = TrainConfig(max_outer_iters=40)
-    for cpl in (CouplingConfig.from_lambda(0.5, CouplingKind.BETA),
-                CouplingConfig.from_lambda(0.5, CouplingKind.GAUSSIAN),
-                CouplingConfig.from_lambda(0.5, CouplingKind.DECOUPLED)):
-        gen, disc, report = train(train_set, cpl, cfg)
+    for kind in CouplingKind:
+        gen, disc, report = train(train_set, CouplingConfig.from_lambda(0.5, kind), cfg)
         assert report.endpoint_mode is EndpointMode.HYBRID
         assert len(report.log_joint_trace) == report.outer_iters_run
         correct = np.sum(lr_scores_matrix(disc, test_set).argmax(axis=1)
@@ -803,8 +793,7 @@ def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
         eta = min(trainer._learning_rate(step),
                   1.0 / (1.0 + 1.0 / sigma2 + trainer._coupling_stiffness(coupling)))
         np.divide(w, -sigma2, out=grad)
-        if coupling.kind is not CouplingKind.DECOUPLED:
-            grad += coupling_gradient_w(gen, disc, coupling)
+        grad += coupling_gradient_w(gen, disc, coupling)
         grad *= eta
         w += grad
 
