@@ -59,7 +59,8 @@ class SweepSpec:
     Exactly one of corpus_path / synthetic supplies the corpus. The
     lambda grid and unlabeled counts are sorted ascending; seeds keep
     their given order but rows are emitted sorted. Every cell reuses
-    ``train`` with its cell seed substituted into train_config.
+    ``train`` with its cell seed substituted into train_config, whose own
+    seed must therefore be left at 0.
     """
 
     lambdas: tuple
@@ -101,6 +102,9 @@ class SweepSpec:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if (self.corpus_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of corpus_path / synthetic must be given")
+        if self.train_config.seed != 0:
+            raise ConfigError(f"train_config.seed must be 0, got {self.train_config.seed}: "
+                              f"each cell is seeded from its sweep seed and grid position")
 
     def load_corpus(self) -> Dataset:
         if self.corpus_path is not None:
@@ -138,12 +142,6 @@ class AggregateRow:
     n_seeds: int
 
 
-def cell_seed(base_seed: int, lambda_index: int, count_index: int) -> int:
-    """Deterministic per-cell seed: 64-bit mix of the sweep base seed
-    with the cell's position in the grid."""
-    return derive_seed(base_seed, lambda_index, count_index)
-
-
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == labels))
 
@@ -152,7 +150,7 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
               base_seed: int, measure_time: bool) -> ResultRow:
     lam = spec.lambdas[lambda_index]
     count = spec.unlabeled_counts[count_index]
-    seed = cell_seed(base_seed, lambda_index, count_index)
+    seed = derive_seed(base_seed, lambda_index, count_index)
     try:
         split = SplitSpec(labeled_per_class=spec.labeled_per_class,
                           unlabeled_total=count, seed=seed)

@@ -449,12 +449,6 @@ def _coupling_gradient(coupling: CouplingConfig):
     return grad
 
 
-def coupling_gradient_w(gen: GenerativeParams, disc: DiscriminativeParams,
-                        coupling: CouplingConfig) -> np.ndarray:
-    """d(coupling block)/dw, shape (K, M): _coupling_gradient's formula."""
-    return expfam._blockwise(_coupling_gradient(coupling), gen.theta_tilde, disc.w)
-
-
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
                      coupling: CouplingConfig, data: Dataset,
                      nb_scores: Optional[np.ndarray] = None) -> LogJointBlocks:
@@ -474,12 +468,6 @@ def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
                           generative=float(_logsumexp_rows(nb_scores).sum()))
 
 
-def log_joint(gen: GenerativeParams, disc: DiscriminativeParams,
-              coupling: CouplingConfig, data: Dataset) -> float:
-    """Scalar training objective: prior + coupling + discriminative + generative."""
-    return log_joint_blocks(gen, disc, coupling, data).total()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -497,14 +485,26 @@ def save_model(disc: DiscriminativeParams, path) -> None:
     generative half is not written: it only regularizes training, which
     leaves the classifier in (b, w) at every lambda, and no command reads
     it back.
+
+    The rows go to "<path>.<pid>.tmp" in the same directory, which then
+    replaces path, so a write that fails leaves any earlier file at path
+    whole. A symlink at path is replaced, not written through.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={disc.num_classes} M={disc.num_features}\n")
-        for name, block in (("b", disc.b[None]), ("w", disc.w)):
-            out.write(name + "\n")
-            row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
-            for row in block:
-                out.write(row_format % tuple(row.tolist()))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    out = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with out:
+            out.write(f"{_MODEL_MAGIC} {_MODEL_VERSION} K={disc.num_classes} "
+                      f"M={disc.num_features}\n")
+            for name, block in (("b", disc.b[None]), ("w", disc.w)):
+                out.write(name + "\n")
+                row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
+                for row in block:
+                    out.write(row_format % tuple(row.tolist()))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _parse_header(line: str):

@@ -68,8 +68,8 @@ from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     EndpointMode, GenerativeParams, _coupling_gradient, _disc_terms,
-                    _logsumexp_rows, _softmax, coupling_gradient_w, log_joint_blocks,
-                    nb_scores_matrix, uniform_generative_params)
+                    _logsumexp_rows, _softmax, log_joint_blocks, nb_scores_matrix,
+                    uniform_generative_params)
 from .rng import SplitMix64, derive_seed, seed_in_range
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
@@ -217,15 +217,6 @@ def generative_update_gauss(data: Dataset, resp: np.ndarray, gen_old: Generative
         f"{_GAUSS_MAX_STEPS} Newton steps at sigma_c2={sigma_c2!r} (gamma={1.0 / sigma_c2!r})",
         snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max()),
                   "sigma_c2": sigma_c2, "gamma": 1.0 / sigma_c2})
-
-
-def discriminative_gradient(data: Dataset, gen: GenerativeParams, disc: DiscriminativeParams,
-                            coupling: CouplingConfig):
-    """Full-batch (w, b) gradient of the log joint: model._disc_terms' plus
-    coupling_gradient_w, since the generative block does not involve (w, b)."""
-    _, _, grad_w, grad_b = _disc_terms(data.labeled, disc.w, disc.b, coupling.disc_prior_sigma2)
-    grad_w += coupling_gradient_w(gen, disc, coupling)
-    return grad_w, grad_b
 
 
 def _coupling_stiffness(coupling: CouplingConfig) -> float:

@@ -16,12 +16,11 @@ from hybridssl.data import (SplitSpec, generate_synthetic, sample_split,
 from hybridssl.harness import (SweepSpec, SyntheticSpec, aggregate,
                                best_lambda, prior_curve_rows, run_sweep)
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
-                             GenerativeParams, _softmax, load_model, log_joint,
+                             GenerativeParams, _softmax, load_model, log_joint_blocks,
                              lr_scores_matrix, nb_scores_matrix, save_model,
                              uniform_generative_params)
 from hybridssl.trainer import (TrainConfig, _responsibilities, _sgd_cells, _sgd_epochs,
-                               discriminative_gradient, generative_update_beta,
-                               train, train_logreg, train_nb_em)
+                               generative_update_beta, train, train_logreg, train_nb_em)
 
 from helpers import make_dataset
 
@@ -98,10 +97,16 @@ def test_criterion_2_gradient_matches_finite_differences():
                 def objective(w, b):
                     return sum(model._disc_values(data.labeled, w, b, 100.0)[:2])
             else:
-                grad_w, grad_b = discriminative_gradient(data, gen, disc, coupling)
+                # _disc_terms' gradient plus the coupling block's; the
+                # generative block does not involve (w, b)
+                grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b,
+                                                   coupling.disc_prior_sigma2)[2:]
+                grad_w += expfam._blockwise(model._coupling_gradient(coupling),
+                                            gen.theta_tilde, disc.w)
 
                 def objective(w, b):
-                    return log_joint(gen, DiscriminativeParams(b=b, w=w), coupling, data)
+                    return log_joint_blocks(gen, DiscriminativeParams(b=b, w=w),
+                                            coupling, data).total()
             fd_w = testkit.fd_gradient(lambda w: objective(w, disc.b), disc.w)
             fd_b = testkit.fd_gradient(lambda b: objective(disc.w, b), disc.b)
             assert np.all(np.abs(grad_w - fd_w) <= 1e-8 + 1e-4 * np.abs(fd_w))
@@ -251,7 +256,7 @@ def test_criterion_6_coordinate_ascent_trace():
         assert after >= before - 1e-9
         _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
-        trace.append(log_joint(gen, disc, coupling, toy))
+        trace.append(log_joint_blocks(gen, disc, coupling, toy).total())
         resp = _responsibilities(gen, toy)
         if it > 0:
             prev, curr = trace[-2], trace[-1]

@@ -14,7 +14,7 @@ from hybridssl.harness import (AGGREGATE_HEADER, CURVES_HEADER,
                                DEFAULT_CURVE_GAMMAS, RESULTS_HEADER,
                                AggregateRow, ResultRow, SweepSpec,
                                SyntheticSpec, aggregate, best_lambda,
-                               cell_seed, export_prior_curves,
+                               export_prior_curves,
                                prior_curve_rows, run_sweep,
                                write_aggregate_csv, write_results_csv)
 from hybridssl.model import CouplingConfig, CouplingKind, lr_scores_matrix
@@ -82,9 +82,15 @@ def test_sweep_spec_sorts_grids():
     assert spec.unlabeled_counts == (0, 20)
 
 
-def test_cell_seed_is_derive_seed():
-    assert cell_seed(7, 1, 2) == derive_seed(7, 1, 2)
-    seeds = {cell_seed(1, i, j) for i in range(3) for j in range(3)}
+def test_sweep_spec_refuses_a_training_seed():
+    # every cell trains with derive_seed(sweep seed, lambda index, count
+    # index) in place of train_config.seed, so any other value would be dropped
+    with pytest.raises(ConfigError, match="seeded from its sweep seed and grid position"):
+        quick_spec(train_config=TrainConfig(max_outer_iters=15, seed=1))
+
+
+def test_cell_seeds_of_a_grid_are_distinct():
+    seeds = {derive_seed(1, i, j) for i in range(3) for j in range(3)}
     assert len(seeds) == 9
 
 
@@ -154,7 +160,7 @@ def test_sweep_endpoint_cells_match_direct_training(tmp_path):
 
     lam_index = spec.lambdas.index(1.0)
     count_index = spec.unlabeled_counts.index(0)
-    seed = cell_seed(1, lam_index, count_index)
+    seed = derive_seed(1, lam_index, count_index)
     train_set, test_set = sample_split(
         corpus, SplitSpec(labeled_per_class=5, unlabeled_total=0, seed=seed))
     cfg = replace(spec.train_config, seed=seed)

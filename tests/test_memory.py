@@ -14,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridssl import cli
+from hybridssl import cli, expfam, model
 from hybridssl.data import write_corpus
 from hybridssl.errors import ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                             GenerativeParams, load_model, save_model)
-from hybridssl.trainer import TrainConfig, coupling_gradient_w, train
+                             load_model, save_model)
+from hybridssl.trainer import TrainConfig, train
 
 
 def _traced(fn):
@@ -57,9 +57,8 @@ def test_beta_coupling_gradient_peak_stays_below_four_arrays():
     theta_tilde = rng.normal(0.0, 3.0, (20, 50_000))
     w = rng.normal(0.0, 1.0, (20, 50_000))
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)
-    gen = GenerativeParams(pi=np.full(20, 0.05), theta_tilde=theta_tilde)
-    disc = DiscriminativeParams(b=np.zeros(20), w=w)
-    _, peak, _ = _traced(lambda: coupling_gradient_w(gen, disc, coupling))
+    _, peak, _ = _traced(
+        lambda: expfam._blockwise(model._coupling_gradient(coupling), theta_tilde, w))
     assert peak < 4 * w.nbytes
 
 
@@ -107,29 +106,31 @@ def _compressed_corpus(n_labeled=40):
     return data
 
 
-@pytest.mark.parametrize("coupling", [CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)],
-                         ids=["beta"])
-def test_hybrid_fit_holds_few_k_by_m_arrays(coupling):
-    # theta_tilde and w are two arrays; the generative step adds its counts,
-    # which it overwrites with the new theta_tilde, while the SGD epochs and
-    # the objective work in blocks. About 3.4 arrays at the peak; applying
-    # the epoch step and the generative step through full-size temporaries,
-    # and a discarded gradient in the objective, took 7.3.
+@pytest.mark.parametrize("kind, arrays", [(CouplingKind.BETA, 3), (CouplingKind.GAUSSIAN, 12)],
+                         ids=["beta", "gauss"])
+def test_hybrid_fit_holds_few_k_by_m_arrays(kind, arrays):
+    # BETA: see test_beta_hybrid_fit_peaks_below_three_k_by_m_arrays.
+    # GAUSSIAN: the Newton generative step keeps the previous theta_tilde as
+    # its start and builds full-size temporaries, 11.18 arrays at gamma = 1
+    # and at gamma = 9. The bound pins that and may only tighten.
     data = _compressed_corpus()
+    coupling = CouplingConfig(kind=kind, gamma=1.0)
     _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
-    assert peak < 4 * 8 * data.num_classes * data.num_features
+    assert peak < arrays * 8 * data.num_classes * data.num_features
 
 
 def test_beta_hybrid_fit_peaks_below_three_k_by_m_arrays():
-    # theta_tilde and w, plus the generative step's counts once the previous
-    # theta_tilde is gone: 2.50 arrays at the peak. Keeping the previous
-    # theta_tilde through the generative step and a K x nnz cell array
-    # through the SGD set-up took 3.35.
+    # theta_tilde and w, plus the generative step's counts, which it
+    # overwrites with the new theta_tilde, once the previous theta_tilde is
+    # gone; the SGD epochs and the objective work in blocks. 2.72 arrays at
+    # the peak. Keeping the previous theta_tilde through the generative
+    # step and a K x nnz cell array through the SGD set-up took 3.35;
+    # applying the epoch step and the generative step through full-size
+    # temporaries, and a discarded gradient in the objective, took 7.3.
     data = _compressed_corpus()
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=1.0)
     _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
     assert peak < 3 * 8 * data.num_classes * data.num_features
-
 
 def test_logreg_fit_holds_no_dense_x():
     # The 200 labeled documents restricted to their 7,415 features are a

@@ -12,7 +12,7 @@ from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, EndpointMode, GenerativeParams, load_model,
-                             log_joint, log_joint_blocks, lr_scores_matrix,
+                             log_joint_blocks, lr_scores_matrix,
                              nb_scores_matrix, save_model, uniform_generative_params)
 
 from helpers import make_dataset
@@ -436,7 +436,6 @@ def test_log_joint_blocks_from_scratch():
     assert_allclose(blocks.coupling, coupling, rtol=1e-12)
     assert_allclose(blocks.discriminative, disc_block, rtol=1e-12)
     assert_allclose(blocks.generative, gen_block, rtol=1e-12)
-    assert_allclose(log_joint(gen, disc, cfg, data), blocks.total(), rtol=1e-15)
 
 
 def test_log_joint_gaussian_coupling_peaks_at_equality():
@@ -485,6 +484,60 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert np.array_equal(disc.w, disc2.w)
     save_model(disc2, tmp_path / "b.model")
     assert (tmp_path / "b.model").read_text(encoding="utf-8") == text
+
+
+class _FailingFile:
+    """An open text file whose write number fail_at raises exc."""
+
+    def __init__(self, fh, fail_at, exc):
+        self.fh, self.fail_at, self.exc, self.writes = fh, fail_at, exc, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.exc
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+def test_a_failed_save_leaves_the_previous_model_whole(tmp_path, monkeypatch, exc):
+    rng = np.random.default_rng(14)
+    path = tmp_path / "run.model"
+    save_model(DiscriminativeParams(b=rng.normal(size=4), w=rng.normal(size=(4, 6))), path)
+    before = path.read_bytes()
+    new = DiscriminativeParams(b=rng.normal(size=4), w=rng.normal(size=(4, 6)))
+    # writes: the header, "b", b's row, "w", then w's rows; the sixth is w's
+    # second row, so the first has already been written
+    monkeypatch.setattr(model, "open", lambda *args, **kwargs: _FailingFile(
+        open(*args, **kwargs), 6, exc), raising=False)
+    with pytest.raises(type(exc)):
+        save_model(new, path)
+    monkeypatch.delattr(model, "open")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+    save_model(new, path)
+    got = load_model(path)
+    assert np.array_equal(got.b, new.b) and np.array_equal(got.w, new.w)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_replaces_a_symlink_instead_of_writing_through_it(tmp_path):
+    target, link = tmp_path / "target.model", tmp_path / "link.model"
+    target.write_text("kept\n", encoding="utf-8")
+    link.symlink_to(target)
+    disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 3)))
+    save_model(disc, link)
+    assert not link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert np.array_equal(load_model(link).w, disc.w)
 
 
 def load_text(tmp_path, text):

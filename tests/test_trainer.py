@@ -12,13 +12,12 @@ from scipy.optimize import minimize
 from hybridssl import expfam, model, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
-from hybridssl.harness import SweepSpec, SyntheticSpec, cell_seed, run_sweep
+from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
-                             GenerativeParams, log_joint, lr_scores_matrix,
+                             GenerativeParams, log_joint_blocks, lr_scores_matrix,
                              nb_scores_matrix, uniform_generative_params)
 from hybridssl.rng import SplitMix64, derive_seed, mix64
 from hybridssl.trainer import (EndpointMode, TrainConfig,
-                               discriminative_gradient, coupling_gradient_w,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
 from hybridssl.trainer import _mixing_weights, _responsibilities, _sgd_cells, _sgd_epochs
@@ -238,7 +237,7 @@ def test_coupling_gradient_zero_weight_drops_digamma_term():
                            theta_tilde=np.array([[0.7, -1.2], [0.1, 2.0]]))
     disc = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 2)))
     cfg = CouplingConfig(kind=CouplingKind.BETA, lam=0.5, gamma=gamma)
-    assert_allclose(coupling_gradient_w(gen, disc, cfg),
+    assert_allclose(expfam._blockwise(model._coupling_gradient(cfg), gen.theta_tilde, disc.w),
                     gamma / 4.0 * gen.theta_tilde, rtol=1e-12)
 
 
@@ -271,7 +270,7 @@ def test_blocked_kernels_match_the_unblocked_formulas_bit_for_bit(gamma):
         theta_tilde - (expfam.digamma(alpha + 1.0) - expfam.digamma(gamma - alpha + 1.0)))
     coupling = CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)
     gen = GenerativeParams(pi=np.full(k, 1.0 / k), theta_tilde=theta_tilde)
-    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+    assert _same_bits(expfam._blockwise(model._coupling_gradient(coupling), theta_tilde, w), grad)
 
     block = float(np.sum(expfam.beta_prior_log_density(theta_tilde, w, gamma)))
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
@@ -296,7 +295,7 @@ def test_stacked_beta_kernels_equal_the_per_shape_formulas_bit_for_bit(k, m, gam
     alpha = gamma * s
     a, b = alpha + 1.0, gamma - alpha + 1.0
     grad = gamma * s * (1.0 - s) * (theta_tilde - (expfam.digamma(a) - expfam.digamma(b)))
-    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+    assert _same_bits(expfam._blockwise(model._coupling_gradient(coupling), theta_tilde, w), grad)
 
     logm = math.lgamma(gamma + 2.0) - expfam._lgamma(a) - expfam._lgamma(b)
     density = logm + theta_tilde * alpha - gamma * np.logaddexp(0.0, theta_tilde)
@@ -306,7 +305,7 @@ def test_stacked_beta_kernels_equal_the_per_shape_formulas_bit_for_bit(k, m, gam
 
 @pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN])
 def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
-    """The GAUSSIAN branch of coupling_gradient_w and model._coupling_block,
+    """The GAUSSIAN branch of model._coupling_gradient and _coupling_block,
     on the arrays of the BETA test above."""
     k, m = 3, 50_001
     rng = np.random.default_rng(17)
@@ -320,7 +319,7 @@ def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
     diff = theta_tilde - w
     grad = diff / (1.0 / 0.3)
     block = float(-0.5 / (1.0 / 0.3) * np.sum(diff * diff))
-    assert _same_bits(coupling_gradient_w(gen, disc, coupling), grad)
+    assert _same_bits(expfam._blockwise(model._coupling_gradient(coupling), theta_tilde, w), grad)
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
@@ -330,9 +329,9 @@ def test_beta_coupling_gradient_at_huge_gamma_does_not_warn():
     gamma = 1e200
     w = np.array([[-1.0, 0.5], [2.0, 0.0]])
     theta_tilde = np.array([[0.3, 0.4], [1.0, -0.2]])
-    gen = GenerativeParams(pi=np.array([0.5, 0.5]), theta_tilde=theta_tilde)
-    disc = DiscriminativeParams(b=np.zeros(2), w=w)
-    grad = coupling_gradient_w(gen, disc, CouplingConfig(kind=CouplingKind.BETA, gamma=gamma))
+    grad = expfam._blockwise(
+        model._coupling_gradient(CouplingConfig(kind=CouplingKind.BETA, gamma=gamma)),
+        theta_tilde, w)
     # psi(a + 1) - psi(b + 1) tends to log(a / b) = w as gamma grows
     s = expfam.sigmoid(w)
     assert_allclose(grad, gamma * s * (1.0 - s) * (theta_tilde - w), rtol=1e-12)
@@ -353,18 +352,19 @@ def make_fd_instance(seed):
     return data, gen, disc
 
 
-def test_discriminative_gradient_matches_finite_differences():
+def test_disc_terms_and_coupling_gradient_match_finite_differences():
+    # the (w, b) gradient of the log joint is _disc_terms' plus the coupling
+    # block's, since the generative block does not involve (w, b)
     data, gen, disc = make_fd_instance(17)
     for gamma, kind in [(2.0, CouplingKind.BETA), (1.0 / 0.7, CouplingKind.GAUSSIAN)]:
         cfg = CouplingConfig(kind=kind, lam=0.5, disc_prior_sigma2=5.0, gamma=gamma)
-        grad_w, grad_b = discriminative_gradient(data, gen, disc, cfg)
+        grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, 5.0)[2:]
+        grad_w += expfam._blockwise(model._coupling_gradient(cfg), gen.theta_tilde, disc.w)
 
-        fd_w = testkit.fd_gradient(
-            lambda w: log_joint(gen, DiscriminativeParams(b=disc.b, w=w), cfg, data),
-            disc.w)
-        fd_b = testkit.fd_gradient(
-            lambda b: log_joint(gen, DiscriminativeParams(b=b, w=disc.w), cfg, data),
-            disc.b)
+        fd_w = testkit.fd_gradient(lambda w: log_joint_blocks(
+            gen, DiscriminativeParams(b=disc.b, w=w), cfg, data).total(), disc.w)
+        fd_b = testkit.fd_gradient(lambda b: log_joint_blocks(
+            gen, DiscriminativeParams(b=b, w=disc.w), cfg, data).total(), disc.b)
         assert np.all(np.abs(grad_w - fd_w) <= fd_tolerance(fd_w))
         assert np.all(np.abs(grad_b - fd_b) <= fd_tolerance(fd_b))
 
@@ -403,8 +403,7 @@ def test_decoupled_flat_prior_approaches_pure_data_gradient():
 @pytest.mark.parametrize("k", [2, 20])
 def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, storage, k):
     """model._disc_terms is the one source of the prior and discriminative
-    blocks and their gradient: log_joint_blocks reports its blocks, and
-    discriminative_gradient its gradient plus coupling_gradient_w, bit for
+    blocks and their gradient: log_joint_blocks reports its blocks bit for
     bit, and train_logreg's trace ends at those blocks' value at the fit it
     returns."""
     if storage == "compressed":
@@ -421,16 +420,12 @@ def test_prior_and_label_blocks_and_their_gradient_have_one_source(monkeypatch, 
                                theta_tilde=rng.normal(0.0, 1.0, (k, m)))
         disc = DiscriminativeParams(b=rng.normal(size=k), w=rng.normal(size=(k, m)))
         sigma2 = float(rng.uniform(0.5, 50.0))
-        prior, disc_block, grad_w, grad_b = model._disc_terms(
-            data.labeled, disc.w, disc.b, sigma2)
+        prior, disc_block, _, _ = model._disc_terms(data.labeled, disc.w, disc.b, sigma2)
         for kind in CouplingKind:
             coupling = CouplingConfig(kind=kind, disc_prior_sigma2=sigma2, gamma=2.0)
             blocks = model.log_joint_blocks(gen, disc, coupling, data)
             assert _same_bits(np.array([blocks.prior, blocks.discriminative]),
                               np.array([prior, disc_block]))
-            got_w, got_b = discriminative_gradient(data, gen, disc, coupling)
-            assert _same_bits(got_w, grad_w + coupling_gradient_w(gen, disc, coupling))
-            assert _same_bits(got_b, grad_b)
 
         fit, report = train_logreg(data, TrainConfig(max_outer_iters=3), sigma2)
         fit_prior, fit_disc, _ = model._disc_values(data.labeled, fit.w, fit.b, sigma2)
@@ -542,7 +537,7 @@ def test_logreg_converges_on_every_criterion_7_cell():
     for seed in spec.seeds:
         for count_index, count in enumerate(spec.unlabeled_counts):
             split = SplitSpec(labeled_per_class=spec.labeled_per_class, unlabeled_total=count,
-                              seed=cell_seed(seed, spec.lambdas.index(1.0), count_index))
+                              seed=derive_seed(seed, spec.lambdas.index(1.0), count_index))
             train_set, _ = sample_split(corpus, split)
             _, _, report = train(train_set, CouplingConfig.from_lambda(1.0), spec.train_config)
             assert report.converged, (seed, count)
@@ -793,7 +788,7 @@ def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
         eta = min(trainer._learning_rate(step),
                   1.0 / (1.0 + 1.0 / sigma2 + trainer._coupling_stiffness(coupling)))
         np.divide(w, -sigma2, out=grad)
-        grad += coupling_gradient_w(gen, disc, coupling)
+        grad += expfam._blockwise(model._coupling_gradient(coupling), gen.theta_tilde, w)
         grad *= eta
         w += grad
 
