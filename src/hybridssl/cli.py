@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericError
 from .harness import (DEFAULT_CURVE_GAMMAS, SweepSpec, SyntheticSpec, aggregate,
                       best_lambda, export_prior_curves, run_sweep,
                       write_aggregate_csv, write_results_csv)
-from .model import (CouplingConfig, CouplingKind, _softmax, load_model, lr_scores_matrix,
+from .model import (CouplingConfig, CouplingKind, _normalize, load_model, lr_scores_matrix,
                     save_model)
 from .trainer import TrainConfig, train
 
@@ -114,7 +114,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"corpus declares K={corpus.num_classes} classes, model "
                           f"has K={disc.num_classes}")
     scores = lr_scores_matrix(disc, corpus)
-    probs = _softmax(scores)
+    probs = _normalize(scores)[1]
     preds = np.argmax(scores, axis=1)
     out = sys.stdout
     for i, (pred, row) in enumerate(zip(preds, probs)):

@@ -25,6 +25,11 @@ gradient sits beside the values: _disc_values gives the prior and
 discriminative blocks over Dataset.labeled, _disc_terms adds the gradient
 of their sum, and _coupling_gradient is the coupling block's, one block of
 coordinates at a time. log_joint_blocks computes values only.
+
+_normalize gives a score matrix's row log-sum-exps and probabilities from
+one exp: on the naive Bayes scores, the generative block and the E-step's
+responsibilities; on the logistic ones, the discriminative block and its
+gradient.
 """
 
 from __future__ import annotations
@@ -318,8 +323,9 @@ class CouplingConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
-        if not (self.disc_prior_sigma2 > 0.0):
-            raise ConfigError(f"disc_prior_sigma2 must be > 0, got {self.disc_prior_sigma2}")
+        sigma2 = self.disc_prior_sigma2  # the prior terms scale by 1 / sigma2
+        if not (sigma2 > 0.0 and math.isfinite(1.0 / float(sigma2))):
+            raise ConfigError(f"disc_prior_sigma2 must be > 0 with a finite inverse, got {sigma2}")
         coupled = self.mode is EndpointMode.HYBRID
         if (self.gamma is not None) != coupled:
             raise ConfigError(f"a {self.kind.name} config in mode {self.mode.value} "
@@ -349,17 +355,17 @@ class CouplingConfig:
 # ---------------------------------------------------------------------------
 # scoring
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Normalized exp along the last axis, safe for |scores| ~ 1e4."""
-    e = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=1)
-    return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+def _normalize(scores: np.ndarray) -> tuple:
+    """(lse, probs): log sum exp and the normalized exp of scores along the
+    last axis, from one exp of the scores shifted by their maximum; safe for
+    |scores| ~ 1e4. Applied to log p(y, x), lse is the generative block's
+    log-partition term and probs its gradient, the E-step's p(y | x)."""
+    top = scores.max(axis=-1, keepdims=True)
+    probs = scores - top
+    np.exp(probs, out=probs)
+    z = probs.sum(axis=-1, keepdims=True)
+    probs /= z
+    return (top + np.log(z))[..., 0], probs
 
 
 def nb_scores_matrix(gen: GenerativeParams, data: Dataset) -> np.ndarray:
@@ -370,12 +376,6 @@ def nb_scores_matrix(gen: GenerativeParams, data: Dataset) -> np.ndarray:
 def lr_scores_matrix(disc: DiscriminativeParams, data: Dataset) -> np.ndarray:
     """Logistic scores for every instance, shape (N, K)."""
     return disc.b[None, :] + data.scores(disc.w)
-
-
-def _label_log_likelihood(scores: np.ndarray, labels: np.ndarray) -> float:
-    """sum_i log softmax(scores_i)[labels_i]: the discriminative data term."""
-    picked = scores[np.arange(len(labels)), labels]
-    return float((picked - _logsumexp_rows(scores)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +393,21 @@ class LogJointBlocks:
 
 
 def _disc_values(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -> tuple:
-    """(prior, disc, scores): the Gaussian log prior on w, the label
+    """(prior, disc, probs): the Gaussian log prior on w, the label
     log-likelihood of the documents of labeled, all of which carry a label
-    (Dataset.labeled), and their scores b + X @ w.T."""
+    (Dataset.labeled), and their class probabilities softmax(b + X @ w.T)."""
     scores = b + labeled.scores(w)
     prior = -0.5 / sigma2 * expfam._blockwise_sum(lambda v: v * v, w)
-    return prior, _label_log_likelihood(scores, labeled.row_labels), scores
+    lse, probs = _normalize(scores)
+    disc = float((scores[np.arange(len(labeled)), labeled.row_labels] - lse).sum())
+    return prior, disc, probs
 
 
 def _disc_terms(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -> tuple:
     """(prior, disc, grad_w, grad_b): _disc_values' two blocks and the (w, b)
     gradient of their sum, from the same scoring of the documents."""
-    prior, disc, scores = _disc_values(labeled, w, b, sigma2)
-    resid = -_softmax(scores)
+    prior, disc, probs = _disc_values(labeled, w, b, sigma2)
+    resid = -probs
     resid[np.arange(len(labeled)), labeled.row_labels] += 1.0
     grad_w = labeled.counts(resid)
     grad_w -= w / sigma2
@@ -451,21 +453,22 @@ def _coupling_gradient(coupling: CouplingConfig):
 
 def log_joint_blocks(gen: GenerativeParams, disc: DiscriminativeParams,
                      coupling: CouplingConfig, data: Dataset,
-                     nb_scores: Optional[np.ndarray] = None) -> LogJointBlocks:
+                     nb_lse: Optional[np.ndarray] = None) -> LogJointBlocks:
     """The four additive blocks of the training objective.
 
-    nb_scores, when given, must equal nb_scores_matrix(gen, data); the
-    trainer passes the scores it reuses for its next E-step. The prior and
-    Gaussian coupling blocks drop additive constants that do not depend on
-    any parameter; gradients and convergence traces are unaffected.
+    nb_lse, when given, must equal the row log-sum-exps of
+    nb_scores_matrix(gen, data); the trainer passes those of the
+    normalization that also gives its next E-step. The prior and Gaussian
+    coupling blocks drop additive constants that do not depend on any
+    parameter; gradients and convergence traces are unaffected.
     """
-    if nb_scores is None:
-        nb_scores = nb_scores_matrix(gen, data)
+    if nb_lse is None:
+        nb_lse = _normalize(nb_scores_matrix(gen, data))[0]
     prior, disc_block, _ = _disc_values(data.labeled, disc.w, disc.b, coupling.disc_prior_sigma2)
     return LogJointBlocks(prior=prior,
                           coupling=_coupling_block(gen, disc, coupling),
                           discriminative=disc_block,
-                          generative=float(_logsumexp_rows(nb_scores).sum()))
+                          generative=float(nb_lse.sum()))
 
 
 # ---------------------------------------------------------------------------

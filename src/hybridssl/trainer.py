@@ -36,8 +36,9 @@ One outer iteration alternates two moves:
      low bits of every fit.
 
 model.py owns the objective's value and (w, b) gradient; this module only
-ascends them. The hybrid evaluates log_joint_blocks once per outer
-iteration, on the scores that feed the next E-step. Only the SGD kernel
+ascends them. The hybrid normalizes its document scores once per outer
+iteration (model._normalize): the row log-sum-exps give log_joint_blocks'
+generative block and the probabilities the next E-step. Only the SGD kernel
 writes gradient terms out itself, for speed: each example's data term and
 the per-epoch step w += eta * (-w/sigma^2 + coupling gradient), applied
 in place one block at a time with the coupling term from
@@ -68,8 +69,7 @@ from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     EndpointMode, GenerativeParams, _coupling_gradient, _disc_terms,
-                    _logsumexp_rows, _softmax, log_joint_blocks, nb_scores_matrix,
-                    uniform_generative_params)
+                    _normalize, log_joint_blocks, nb_scores_matrix, uniform_generative_params)
 from .rng import SplitMix64, derive_seed, seed_in_range
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
@@ -131,11 +131,6 @@ class TrainReport:
 
 def _rel_change(prev: float, curr: float) -> float:
     return abs(curr - prev) / max(1.0, abs(prev), abs(curr))
-
-
-def _responsibilities(gen: GenerativeParams, data: Dataset) -> np.ndarray:
-    """p(y | x, theta_tilde) for every document, shape (N, K)."""
-    return _softmax(nb_scores_matrix(gen, data))
 
 
 _PI_FLOOR = 1e-12
@@ -407,11 +402,10 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
     def em_step(it):
         nonlocal gen
         scores = nb_scores_matrix(gen, data)
-        lse = _logsumexp_rows(scores)
+        lse, resp = _normalize(scores)
         objective = float(scores[data.labeled_positions, data.labels].sum()
                           + lse[~labeled_mask].sum())
 
-        resp = np.exp(scores - lse[:, None])
         resp[data.labeled_positions] = hard
         class_mass = resp.sum(axis=0)
         v = (data.counts(resp) + _EM_SMOOTHING) / (class_mass[:, None] + 2.0 * _EM_SMOOTHING)
@@ -508,12 +502,13 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     x = np.zeros(k * m + k)
     disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
     docs = _sgd_cells(data)
-    resp = _responsibilities(gen, data)
+    resp = _normalize(nb_scores_matrix(gen, data))[1]
 
     def hybrid_step(it):
         """Outer iteration it: the generative step from resp, the SGD epochs,
-        then the objective, whose document scores give the next resp. Under
-        BETA coupling at most one theta_tilde is alive."""
+        then the objective, whose one normalization of the document scores
+        also gives the next resp. Under BETA coupling at most one
+        theta_tilde is alive."""
         nonlocal gen, resp
         if coupling.kind is CouplingKind.GAUSSIAN:
             # the previous theta_tilde is the Newton start
@@ -527,13 +522,12 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
-        scores = nb_scores_matrix(gen, data)
-        objective = log_joint_blocks(gen, disc, coupling, data, scores).total()
+        # SGD did not touch gen, so the normalization that gives the
+        # objective's generative block gives the next E-step too
+        lse, resp = _normalize(nb_scores_matrix(gen, data))
+        objective = log_joint_blocks(gen, disc, coupling, data, lse).total()
         _check_finite(objective, it, EndpointMode.HYBRID,
                       theta_tilde=gen.theta_tilde)
-        # SGD did not touch gen, so the next iteration's E-step reuses the
-        # objective's scores.
-        resp = _softmax(scores)
         return objective
 
     report = _ascend(hybrid_step, cfg, EndpointMode.HYBRID)

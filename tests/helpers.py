@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hybridssl.model import Dataset
+from hybridssl.model import Dataset, _normalize, nb_scores_matrix
 
 
 def make_dataset(docs, num_classes, num_features):
@@ -14,3 +14,8 @@ def make_dataset(docs, num_classes, num_features):
     return Dataset(indptr, np.concatenate([np.empty(0, np.int64)] + ids),
                    [-1 if label is None else label for _, label in docs],
                    num_classes, num_features)
+
+
+def responsibilities(gen, data):
+    """p(y | x) for every document of data, as the trainer's E-step takes it."""
+    return _normalize(nb_scores_matrix(gen, data))[1]

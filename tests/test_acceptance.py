@@ -16,13 +16,13 @@ from hybridssl.data import (SplitSpec, generate_synthetic, sample_split,
 from hybridssl.harness import (SweepSpec, SyntheticSpec, aggregate,
                                best_lambda, prior_curve_rows, run_sweep)
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
-                             GenerativeParams, _softmax, load_model, log_joint_blocks,
+                             GenerativeParams, _normalize, load_model, log_joint_blocks,
                              lr_scores_matrix, nb_scores_matrix, save_model,
                              uniform_generative_params)
-from hybridssl.trainer import (TrainConfig, _responsibilities, _sgd_cells, _sgd_epochs,
+from hybridssl.trainer import (TrainConfig, _sgd_cells, _sgd_epochs,
                                generative_update_beta, train, train_logreg, train_nb_em)
 
-from helpers import make_dataset
+from helpers import make_dataset, responsibilities
 
 GOLDEN_TRACE = "tests/golden/toy_trace.txt"
 
@@ -128,7 +128,7 @@ def test_criterion_3_closed_form_update_is_the_surrogate_argmax():
             b=np.zeros(data.num_classes),
             w=rng.uniform(-3.0, 3.0, (data.num_classes, data.num_features)))
         n = len(data)
-        resp = _responsibilities(gen_old, data)
+        resp = responsibilities(gen_old, data)
         counts = data.counts(resp)
         for gamma in (0.5, 2.0, 50.0):
             gen_new = generative_update_beta(data, resp, disc, gamma)
@@ -243,7 +243,7 @@ def test_criterion_6_coordinate_ascent_trace():
     x = np.zeros(k * m + k)
     w, b = x[:k * m].reshape(k, m), x[k * m:]
     docs = _sgd_cells(toy)
-    resp = _responsibilities(gen, toy)
+    resp = responsibilities(gen, toy)
     trace = []
     worst = math.inf
     for it in range(cfg.max_outer_iters):
@@ -257,7 +257,7 @@ def test_criterion_6_coordinate_ascent_trace():
         _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
         trace.append(log_joint_blocks(gen, disc, coupling, toy).total())
-        resp = _responsibilities(gen, toy)
+        resp = responsibilities(gen, toy)
         if it > 0:
             prev, curr = trace[-2], trace[-1]
             if abs(curr - prev) / max(1.0, abs(prev), abs(curr)) < cfg.tol:
@@ -338,7 +338,7 @@ def test_criterion_9_enumeration_checks():
             ids = np.flatnonzero(rng.random(data.num_features) < 0.4)
             want = testkit.enumerate_posterior(gen, ids)
             doc = make_dataset([(ids, None)], data.num_classes, data.num_features)
-            got = _softmax(nb_scores_matrix(gen, doc)[0])
+            got = _normalize(nb_scores_matrix(gen, doc)[0])[1]
             worst_post = max(worst_post, np.abs(got - want).max())
     assert worst_mass < 1e-10
     assert worst_post < 1e-12

@@ -39,7 +39,8 @@ MODULE_ONLY = {
 DELETED = ["SparseBinaryVector", "nb_class_scores", "nb_posterior", "lr_scores",
            "dump_model", "loads_model", "beta_prior_mode", "beta_prior_variance",
            "matched_normal_params", "discriminative_gradient", "coupling_gradient_w",
-           "log_joint", "cell_seed"]
+           "log_joint", "cell_seed", "_softmax", "_logsumexp_rows", "_label_log_likelihood",
+           "_responsibilities"]
 
 
 def test_public_api_is_pinned():

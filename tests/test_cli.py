@@ -141,6 +141,22 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_train_disc_sigma2_with_an_overflowing_inverse_exits_2(tmp_path, capsys):
+    # 1 / 1e-320 overflows to inf; such a prior used to end in exit 3
+    corpus = make_corpus(tmp_path, capsys)
+    out_path = tmp_path / "x.model"
+    for lam in ("0.5", "1"):
+        code, _, err = run(capsys, "train", "--corpus", str(corpus), "--lambda", lam,
+                           "--disc-sigma2", "1e-320", "--max-iters", "3",
+                           "--out", str(out_path))
+        assert code == 2 and "disc_prior_sigma2 must be > 0 with a finite inverse" in err
+        assert not out_path.exists()
+    # a flat prior has inverse 0 and stays accepted
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--lambda", "1",
+                       "--disc-sigma2", "inf", "--max-iters", "3", "--out", str(out_path))
+    assert code == 0 and out_path.exists()
+
+
 def test_train_numeric_error_exits_3(tmp_path, capsys, monkeypatch):
     corpus = make_corpus(tmp_path, capsys)
 

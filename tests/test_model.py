@@ -86,6 +86,15 @@ def test_coupling_config_validation():
         CouplingConfig(kind=CouplingKind.BETA, lam=0.5, gamma=-1.0)
     with pytest.raises(ConfigError):
         CouplingConfig(kind=CouplingKind.BETA, lam=0.0, disc_prior_sigma2=0.0)
+    # a variance whose inverse overflows, or that is no number
+    for sigma2 in (1e-320, 5e-324, math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="finite inverse"):
+            CouplingConfig(kind=CouplingKind.BETA, lam=1.0, disc_prior_sigma2=sigma2)
+        with pytest.raises(ConfigError, match="finite inverse"):
+            CouplingConfig.from_lambda(0.5, CouplingKind.GAUSSIAN, disc_prior_sigma2=sigma2)
+    # the inverse of 1e-308 is finite, and a flat prior's is 0
+    for sigma2 in (1e-308, math.inf):
+        CouplingConfig.from_lambda(0.5, disc_prior_sigma2=sigma2)
     # endpoints need no strength
     CouplingConfig(kind=CouplingKind.BETA, lam=0.0)
     CouplingConfig(kind=CouplingKind.BETA, lam=1.0)
@@ -157,13 +166,48 @@ def test_nb_log_joint_hand_value_skewed():
                            theta_tilde=np.array([[logit(0.8)], [logit(0.2)]]))
     # p(y=0, x={0}) = 0.5 * 0.8 = 0.4, p(y=1, x={0}) = 0.5 * 0.2 = 0.1
     assert_allclose(nb_row(gen, [0]), [math.log(0.4), math.log(0.1)], rtol=1e-12)
-    post = model._softmax(nb_row(gen, [0]))
+    post = model._normalize(nb_row(gen, [0]))[1]
     assert_allclose(post, [0.8, 0.2], rtol=1e-12)
+
+
+def _reference_softmax(scores):
+    """The normalized exp that _normalize replaced, as it stood."""
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _reference_logsumexp_rows(scores):
+    """The row log-sum-exp that _normalize replaced, as it stood."""
+    m = scores.max(axis=1)
+    return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("k", [2, 7, 8, 20])  # numpy sums 8 or more values pairwise
+def test_normalize_is_bit_for_bit_the_softmax_and_logsumexp_it_replaced(k):
+    rng = np.random.default_rng(k)
+    rows = [rng.uniform(-scale, scale, (6, k)) for scale in (1.0, 1e2, 1e4)]
+    tied_top = rng.uniform(-1e4, 1e4, (2, k))
+    tied_top[:, :2] = 1e4
+    rows += [np.full((1, k), 3.25), np.full((1, k), -1e4), tied_top]
+    scores = np.vstack(rows)
+    before = scores.copy()
+    lse, probs = model._normalize(scores)
+    assert np.array_equal(scores, before)  # predict takes the argmax afterwards
+    assert lse.shape == (len(scores),) and probs.shape == scores.shape
+    assert lse.tobytes() == _reference_logsumexp_rows(scores).tobytes()
+    assert probs.tobytes() == _reference_softmax(scores).tobytes()
+    for row in scores:  # one document's scores, as predict and the oracles pass them
+        lse, probs = model._normalize(row)
+        assert lse.shape == () and probs.shape == (k,)
+        assert lse.tobytes() == _reference_logsumexp_rows(row[None])[0].tobytes()
+        assert probs.tobytes() == _reference_softmax(row).tobytes()
 
 
 def test_nb_posterior_uniform_is_one_over_k():
     gen = uniform_generative_params(4, 3)
-    assert_allclose(model._softmax(nb_row(gen, [0, 2])), np.full(4, 0.25), rtol=1e-15)
+    assert_allclose(model._normalize(nb_row(gen, [0, 2]))[1], np.full(4, 0.25), rtol=1e-15)
 
 
 def test_nb_posterior_sums_to_one_and_finite():
@@ -174,7 +218,7 @@ def test_nb_posterior_sums_to_one_and_finite():
         pi = rng.dirichlet(np.ones(k))
         gen = GenerativeParams(pi=pi, theta_tilde=rng.normal(0.0, 3.0, (k, m)))
         nnz = rng.random(m) < 0.5
-        post = model._softmax(nb_row(gen, np.flatnonzero(nnz)))
+        post = model._normalize(nb_row(gen, np.flatnonzero(nnz)))[1]
         assert np.all(np.isfinite(post))
         assert abs(post.sum() - 1.0) < 1e-12
 
@@ -339,7 +383,7 @@ def lr_posterior(disc, ids):
     """p(y | x) as `hybridssl predict` reports it: the shared softmax of the
     logistic scores of one document with present features ids."""
     doc = make_dataset([(ids, None)], disc.num_classes, disc.num_features)
-    return model._softmax(lr_scores_matrix(disc, doc)[0])
+    return model._normalize(lr_scores_matrix(disc, doc)[0])[1]
 
 
 def test_lr_posterior_hand_value():

@@ -1,11 +1,10 @@
-"""Property tests of the model file and of the shared softmax and log-sum-exp."""
+"""Property tests of the model file and of the shared normalization of scores."""
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hybridssl.model import (DiscriminativeParams, _logsumexp_rows, _softmax, load_model,
-                             save_model)
+from hybridssl.model import DiscriminativeParams, _normalize, load_model, save_model
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -53,8 +52,7 @@ def test_model_file_round_trips_every_finite_value(tmp_path, disc):
 @example(scores=[[1e4, -1e4], [-1e4, -1e4], [1e4, 1e4 - 1e-9]])
 def test_softmax_and_logsumexp_stay_finite_and_normalised(scores):
     scores = np.array(scores)
-    probs = _softmax(scores)
-    lse = _logsumexp_rows(scores)
+    lse, probs = _normalize(scores)
     assert np.all(np.isfinite(probs)) and np.all(np.isfinite(lse))
     assert np.all((probs >= 0.0) & (probs <= 1.0))
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)

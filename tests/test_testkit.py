@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hybridssl.errors import DomainError, OracleError
-from hybridssl.model import GenerativeParams, _softmax, nb_scores_matrix
+from hybridssl.model import GenerativeParams, _normalize, nb_scores_matrix
 from hybridssl.testkit import (brute_force_theta_tilde, coupling_prior_moments,
                                enumerate_data_log_likelihood, enumerate_joint,
                                enumerate_posterior, fd_gradient)
@@ -100,7 +100,7 @@ def test_enumerate_posterior_matches_production_scoring():
     for seed in range(5):
         gen = random_params(3, 7, seed)
         ids = np.flatnonzero(rng.random(7) < 0.4)
-        want = _softmax(nb_scores_matrix(gen, make_dataset([(ids, None)], 3, 7))[0])
+        want = _normalize(nb_scores_matrix(gen, make_dataset([(ids, None)], 3, 7))[0])[1]
         got = enumerate_posterior(gen, ids)
         assert_allclose(got, want, rtol=0.0, atol=1e-12)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
+from scipy.special import logsumexp
 
 from hybridssl import expfam, model, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
@@ -20,9 +21,9 @@ from hybridssl.rng import SplitMix64, derive_seed, mix64
 from hybridssl.trainer import (EndpointMode, TrainConfig,
                                generative_update_beta, generative_update_gauss,
                                train, train_logreg, train_nb_em)
-from hybridssl.trainer import _mixing_weights, _responsibilities, _sgd_cells, _sgd_epochs
+from hybridssl.trainer import _mixing_weights, _sgd_cells, _sgd_epochs
 
-from helpers import make_dataset
+from helpers import make_dataset, responsibilities
 
 
 def small_corpus(seed=3):
@@ -84,7 +85,7 @@ def test_generative_update_beta_worked_example():
     toy = make_dataset([([0], None), ([], None)], num_classes=2, num_features=1)
     gen0 = uniform_generative_params(2, 1)
     disc0 = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 1)))
-    gen1 = generative_update_beta(toy, _responsibilities(gen0, toy), disc0, 2.0)
+    gen1 = generative_update_beta(toy, responsibilities(gen0, toy), disc0, 2.0)
     assert_allclose(expfam.sigmoid(gen1.theta_tilde), 0.375, rtol=1e-12)
     assert np.array_equal(gen1.pi, np.array([0.5, 0.5]))
 
@@ -96,7 +97,7 @@ def test_generative_update_beta_matches_closed_form():
                             theta_tilde=rng.normal(0.0, 1.0, (2, 10)))
     disc = DiscriminativeParams(b=rng.normal(size=2), w=rng.normal(size=(2, 10)))
     gamma = 3.5
-    resp = _responsibilities(gen0, train_set)
+    resp = responsibilities(gen0, train_set)
     gen1 = generative_update_beta(train_set, resp, disc, gamma)
 
     counts = train_set.counts(resp)
@@ -118,7 +119,7 @@ def test_generative_update_beta_coordinate_maximizes_surrogate():
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.full((2, 10), 0.4))
     gamma = 2.0
-    resp = _responsibilities(gen0, train_set)
+    resp = responsibilities(gen0, train_set)
     gen1 = generative_update_beta(train_set, resp, disc, gamma)
     counts = train_set.counts(resp)
     n = len(train_set)
@@ -138,7 +139,7 @@ def test_generative_update_gauss_extremes():
     rng = np.random.default_rng(0)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
 
-    resp = _responsibilities(gen0, train_set)
+    resp = responsibilities(gen0, train_set)
     # near-rigid coupling pins the generative means to the weights
     tight = generative_update_gauss(train_set, resp, gen0, disc, 1e-8)
     assert np.abs(expfam.sigmoid(tight.theta_tilde)
@@ -157,7 +158,7 @@ def test_generative_update_gauss_reaches_stationarity():
     rng = np.random.default_rng(0)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
     sigma_c2 = 0.5
-    resp = _responsibilities(gen0, train_set)
+    resp = responsibilities(gen0, train_set)
     gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
     counts = train_set.counts(resp)
     grad = (-(gen1.theta_tilde - disc.w) / sigma_c2
@@ -176,7 +177,7 @@ def test_generative_update_gauss_step_budget_error():
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
     with pytest.raises(NumericError) as exc:
-        generative_update_gauss(train_set, _responsibilities(gen0, train_set), gen0, disc,
+        generative_update_gauss(train_set, responsibilities(gen0, train_set), gen0, disc,
                                 1e-300)
     snap = exc.value.snapshot
     assert snap is not None and "theta_tilde" in snap and "grad_inf_norm" in snap
@@ -187,7 +188,7 @@ def test_generative_update_gauss_step_budget_error_names_the_coupling_variance()
     gen0 = uniform_generative_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
     with pytest.raises(NumericError, match=r"at sigma_c2=1e-300 \(gamma=") as exc:
-        generative_update_gauss(train_set, _responsibilities(gen0, train_set), gen0, disc,
+        generative_update_gauss(train_set, responsibilities(gen0, train_set), gen0, disc,
                                 1e-300)
     assert exc.value.snapshot["sigma_c2"] == 1e-300
     assert exc.value.snapshot["gamma"] == 1.0 / 1e-300
@@ -199,7 +200,7 @@ def test_generative_update_gauss_matches_brute_force_maximizer():
     rng = np.random.default_rng(4)
     disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 2.0, (2, 10)))
     sigma_c2 = 9.0
-    resp = _responsibilities(gen0, train_set)
+    resp = responsibilities(gen0, train_set)
     gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
     counts = train_set.counts(resp)
     n = len(train_set)
@@ -456,13 +457,15 @@ def test_logreg_endpoint_fits_separable_data():
 
 def _lbfgsb_logreg_optimum(data, sigma2=100.0):
     """The lam = 1 objective's maximum, by scipy's L-BFGS-B run far past
-    the trainer's stopping rule."""
+    the trainer's stopping rule. The value is scipy's log-sum-exp, not the
+    package's normalization."""
     k, m = data.num_classes, data.num_features
 
     def negated(x):
         disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
         scores = disc.b + data.labeled.scores(disc.w)
-        f = model._label_log_likelihood(scores, data.labels) - 0.5 / sigma2 * np.sum(disc.w ** 2)
+        picked = scores[np.arange(data.n_labeled), data.labels]
+        f = np.sum(picked - logsumexp(scores, axis=1)) - 0.5 / sigma2 * np.sum(disc.w ** 2)
         grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, sigma2)[2:]
         return -f, -np.concatenate([grad_w.ravel(), grad_b])
 
@@ -720,6 +723,45 @@ def test_hybrid_evaluates_the_public_objective_once_per_outer_iteration(monkeypa
         assert len(calls) == report.outer_iters_run
 
 
+def test_each_score_matrix_is_normalized_once(monkeypatch):
+    # the hybrid normalizes its naive Bayes scores once for the start state's
+    # E-step and then once per iteration, for both the objective's
+    # generative block and the next E-step; its labeled documents' scores
+    # once per objective, for the discriminative block. The lam = 1 ascent
+    # normalizes once per objective evaluation, for the value and gradient.
+    normalize = model._normalize
+    nb_calls, disc_calls = [], []
+
+    def counted(calls):
+        def wrapper(scores):
+            calls.append(scores.shape)
+            return normalize(scores)
+        return wrapper
+
+    monkeypatch.setattr(trainer, "_normalize", counted(nb_calls))
+    monkeypatch.setattr(model, "_normalize", counted(disc_calls))
+    train_set, _ = small_corpus()
+    shape, labeled_shape = (len(train_set), 2), (train_set.n_labeled, 2)
+    for kind in CouplingKind:
+        nb_calls.clear()
+        disc_calls.clear()
+        _, _, report = train(train_set, CouplingConfig.from_lambda(0.5, kind),
+                             TrainConfig(max_outer_iters=6))
+        assert nb_calls == [shape] * (report.outer_iters_run + 1)
+        assert disc_calls == [labeled_shape] * report.outer_iters_run
+
+    disc_terms, evaluations = trainer._disc_terms, []
+
+    def counted_terms(*args):
+        evaluations.append(1)
+        return disc_terms(*args)
+
+    monkeypatch.setattr(trainer, "_disc_terms", counted_terms)
+    disc_calls.clear()
+    train(train_set, CouplingConfig.from_lambda(1.0), TrainConfig(max_outer_iters=6))
+    assert len(evaluations) > 0 and len(disc_calls) == len(evaluations)
+
+
 def test_hybrid_mid_lambda_requires_strength():
     train_set, _ = small_corpus()
     with pytest.raises(ConfigError):
@@ -733,8 +775,14 @@ def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
         monkeypatch.setattr(trainer, "_LEARNING_RATE0", 1e300)
     else:
         # the lam = 1 L-BFGS ascent has no learning rate, so its objective
-        # is made non-finite instead
-        monkeypatch.setattr(model, "_label_log_likelihood", lambda scores, labels: math.nan)
+        # is made non-finite instead, through the log-sum-exps of its scores
+        normalize = model._normalize
+
+        def nan_lse(scores):
+            lse, probs = normalize(scores)
+            return lse + math.nan, probs
+
+        monkeypatch.setattr(model, "_normalize", nan_lse)
     train_set, _ = small_corpus()
     cfg = TrainConfig(max_outer_iters=5)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -829,7 +877,7 @@ def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
     docs = _sgd_cells(data)
     gen = uniform_generative_params(k, m)
     for it in range(outer_iters):
-        gen = generative_update_beta(data, _responsibilities(gen, data), disc, 1.0)
+        gen = generative_update_beta(data, responsibilities(gen, data), disc, 1.0)
         _sgd_epochs(x, docs, gen, coupling, seed, it)
         _reference_sgd_epochs(data, gen, ref, coupling, seed, it)
         if not np.isfinite(x).all():

@@ -134,13 +134,15 @@ def digest_lines():
     yield "grid-gauss-seed0-rows", digest(rows)
     yield "grid-gauss-seed0-rows-json", json_digest(rows)
     yield from fits("dense-fit", dense_split(), LAMBDAS, 4)
-    yield from fits("compressed-fit", compressed_corpus(), (0.5,), 3,
-                    model_files=(CouplingKind.BETA,))
+    # lam = 0 pins the naive Bayes EM on compressed rows
+    compressed = compressed_corpus()
+    yield from fits("compressed-fit", compressed, (0.0,), 3)
+    yield from fits("compressed-fit", compressed, (0.5,), 3, model_files=(CouplingKind.BETA,))
     # K=20, the text-cli class count: numpy sums 8 or more contiguous values
-    # pairwise, so only this fit's softmax normalizer is not a sequential sum.
-    # At lam = 1 the labeled documents restricted to their features are a
-    # 60 x 2,342 set at 1.7% density, which the storage rule decides.
-    yield from fits("compressed-k20-fit", compressed_corpus(20, 60), (0.5, 1.0), 3,
+    # pairwise, so only these fits' softmax normalizers are not sequential
+    # sums. At lam = 1 the labeled documents restricted to their features
+    # are a 60 x 2,342 set at 1.7% density, which the storage rule decides.
+    yield from fits("compressed-k20-fit", compressed_corpus(20, 60), (0.0, 0.5, 1.0), 3,
                     (CouplingKind.BETA,))
     rows = prior_curve_rows()
     yield "prior-curves-beta", digest(np.array([r[3] for r in rows]))
