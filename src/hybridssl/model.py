@@ -20,11 +20,13 @@ by log_joint_blocks, which the trainer evaluates once per outer iteration:
     generative      sum over all documents of log sum_y p(y, x | pi, theta_tilde)
 
 Labels enter only through the discriminative block; the generative block
-always marginalizes the class and does not involve (w, b). The (w, b)
-gradient sits beside the values: _disc_values gives the prior and
-discriminative blocks over Dataset.labeled, _disc_terms adds the gradient
-of their sum, and _coupling_gradient is the coupling block's, one block of
-coordinates at a time. log_joint_blocks computes values only.
+always marginalizes the class and does not involve (w, b). The gradients
+sit beside the values: _disc_values gives the prior and discriminative
+blocks over Dataset.labeled, _disc_terms adds the gradient of their sum,
+_coupling_gradient is the BETA coupling block's, one block of coordinates
+at a time, and _gauss_m_step_terms is the value and gradient of the
+GAUSSIAN M-step objective over the labeled documents' columns.
+log_joint_blocks computes values only.
 
 _normalize gives a score matrix's row log-sum-exps and probabilities from
 one exp: on the naive Bayes scores, the generative block and the E-step's
@@ -414,6 +416,46 @@ def _disc_terms(labeled: Dataset, w: np.ndarray, b: np.ndarray, sigma2: float) -
     return prior, disc, grad_w, resid.sum(axis=0)
 
 
+def _gauss_delta_scale(gamma: float) -> float:
+    """s = min(1, sigma_c), sigma_c^2 = 1 / gamma: the GAUSSIAN M-step's
+    weights are w = theta_tilde + s delta (_gauss_m_step_terms)."""
+    return min(1.0, math.sqrt(1.0 / gamma))
+
+
+def _gauss_m_step_terms(restricted: Dataset, z: np.ndarray, counts: np.ndarray,
+                        class_mass: np.ndarray, sigma2: float, gamma: float) -> tuple:
+    """(value, gradient) of the GAUSSIAN M-step objective over the columns
+    of restricted (Dataset.labeled restricted to the columns its documents
+    hold) and b, at z = [theta_tilde.ravel(), delta.ravel(), b] with
+    w = theta_tilde + s delta, s = _gauss_delta_scale(gamma):
+
+        prior(w) + disc(w, b) - kappa ||delta||^2 / 2
+            + sum_yd [counts_yd theta_tilde_yd - class_mass_y A(theta_tilde_yd)].
+
+    kappa = min(1, gamma) makes kappa ||delta||^2 the coupling's
+    ||theta_tilde - w||^2 / sigma_c^2. At sigma_c <= 1, delta takes the
+    coupling's scale and no term grows with gamma; above it, delta is
+    w - theta_tilde and no term grows with sigma_c. counts and class_mass
+    are the E-step's expected counts on these columns and its class
+    masses. With (g_w, g_b) _disc_terms' gradient, the gradient is
+    (counts - class_mass * sigmoid(theta_tilde) + g_w, s g_w - kappa delta,
+    g_b)."""
+    k, m = counts.shape
+    scale, kappa = _gauss_delta_scale(gamma), min(1.0, gamma)
+    theta_tilde = z[:k * m].reshape(k, m)
+    delta = z[k * m:2 * k * m].reshape(k, m)
+    w = theta_tilde + scale * delta
+    prior, disc, grad_w, grad_b = _disc_terms(restricted, w, z[2 * k * m:], sigma2)
+    mass = class_mass[:, None]
+    value = (prior + disc - 0.5 * kappa * float(np.sum(delta * delta))
+             + float(np.sum(counts * theta_tilde - mass * expfam.log_partition(theta_tilde))))
+    grad_theta_tilde = counts - mass * expfam.sigmoid(theta_tilde)
+    grad_theta_tilde += grad_w
+    grad_w *= scale
+    grad_w -= kappa * delta
+    return value, np.concatenate([grad_theta_tilde.ravel(), grad_w.ravel(), grad_b])
+
+
 def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
                     coupling: CouplingConfig) -> float:
     if coupling.kind is CouplingKind.GAUSSIAN:
@@ -425,22 +467,16 @@ def _coupling_block(gen: GenerativeParams, disc: DiscriminativeParams,
 
 
 def _coupling_gradient(coupling: CouplingConfig):
-    """The coupling block's derivative in w as an elementwise function of
-    aligned (theta_tilde, w) blocks.
-
-    BETA: per coordinate, with s = sigmoid(w) and the prior's shapes
-    a = gamma * s + 1 and b = gamma - gamma * s + 1,
+    """The BETA coupling block's derivative in w as an elementwise function
+    of aligned (theta_tilde, w) blocks: per coordinate, with s = sigmoid(w)
+    and the prior's shapes a = gamma * s + 1 and b = gamma - gamma * s + 1,
 
         gamma * s * (1 - s) * [theta_tilde - (psi(a) - psi(b))]
 
     which combines the log-normalizer derivative and the linear term. One
     digamma call per block takes both shapes, as the (2, block) array of
     expfam._beta_shapes, and gives the values of one call per shape.
-    GAUSSIAN: (theta_tilde - w) / sigma_c2.
     """
-    if coupling.kind is CouplingKind.GAUSSIAN:
-        sigma_c2 = coupling.sigma_c2
-        return lambda tt, w: (tt - w) / sigma_c2
     gamma = coupling.gamma
 
     def grad(tt, w):

@@ -1,31 +1,41 @@
-"""Coordinate-descent training of the coupled classifier pair.
+"""Training of the coupled classifier pair.
 
-One outer iteration alternates two moves:
+Every outer iteration of the hybrid starts from the responsibilities
+p(y | x), which come from the document scores of the previous iteration's
+objective (the E-step). What follows depends on the coupling family.
 
-  1. Generative step, one kernel per coupling family. Class
-     responsibilities p(y | x) come from the document scores of the
-     previous iteration's objective and are reused for every coordinate.
-     generative_update_beta is the closed form
+GAUSSIAN: one M-step. With c the expected counts and n_y = sum_x p(y | x)
+the class masses,
+
+    Q(theta_tilde, w, b) = prior(w) + label log-likelihood(w, b)
+                           - ||theta_tilde - w||^2 / (2 sigma_c2)
+                           + sum_yd [c_yd theta_tilde_yd - n_y A(theta_tilde_yd)]
+
+is jointly concave, and _gauss_m_step maximizes it, with pi_y = n_y /
+sum n_y: a Newton per untouched column, one L-BFGS ascent over the rest.
+Each outer iteration is then an EM step (Dempster, Laird & Rubin 1977),
+or a generalized one (Neal & Hinton 1998), so it cannot lower the log
+joint.
+
+BETA: coordinate ascent, which still divides by N, the total number of
+documents, where EM divides by n_y, and still runs SGD (ROADMAP items 1
+and 2 replace both).
+
+  1. Generative step. generative_update_beta is the closed form
 
          v_yd = (sum_x p(y | x) x_d + gamma * sigmoid(w_yd)) / (N + gamma),
-         pi_y = sum_x p(y | x) / N,
+         pi_y = sum_x p(y | x) / N.
 
-     with N the total number of documents (labeled and unlabeled alike;
-     labels never enter this step). Each coordinate's new value maximizes
+     Labels never enter this step. Each coordinate's new value maximizes
      the separable surrogate (c + alpha) t - (N + gamma) A(t) exactly, so
-     the surrogate never decreases. Under GAUSSIAN coupling no closed form
-     exists: the same surrogate with a quadratic coupling term is separable
-     and strictly concave, and generative_update_gauss finds each
-     coordinate's stationary point by Newton's method safeguarded by
-     bisection.
+     the surrogate never decreases.
 
   2. Discriminative step. A few epochs of per-example SGD on the labeled
      documents update (w, b) against the data term; once per epoch the
      prior and coupling gradients are applied as a single full step. The
-     per-epoch step uses min(eta_t, 1 / (1 + 1/sigma^2 + stiffness)) where
-     stiffness bounds the coupling curvature (gamma/4 for BETA,
-     1/sigma_c2 for GAUSSIAN); without the bound a strongly coupled run
-     (gamma ~ 1e6) diverges on the first epoch.
+     per-epoch step uses min(eta_t, 1 / (1 + 1/sigma^2 + gamma/4)), where
+     gamma/4 bounds the coupling curvature; without the bound a strongly
+     coupled run (gamma ~ 1e6) diverges on the first epoch.
 
      Summation order is part of the output contract: an example's class
      score adds its weights one after another in increasing feature order,
@@ -35,7 +45,7 @@ One outer iteration alternates two moves:
      reduces a (K, n) C-ordered gather pairwise instead, which moves the
      low bits of every fit.
 
-model.py owns the objective's value and (w, b) gradient; this module only
+model.py owns the objective's values and gradients; this module only
 ascends them. The hybrid normalizes its document scores once per outer
 iteration (model._normalize): the row log-sum-exps give log_joint_blocks'
 generative block and the probabilities the next E-step. Only the SGD kernel
@@ -53,7 +63,7 @@ labeled documents, two L-BFGS iterations per outer iteration, instead of
 SGD epochs.
 
 Determinism: SGD epoch order is drawn from the splitmix64 stream seeded by
-(cfg.seed, outer_iter, epoch), so cfg.seed affects hybrid fits only;
+(cfg.seed, outer_iter, epoch), so cfg.seed affects BETA hybrid fits only;
 identical inputs give bit-identical parameters and traces.
 """
 
@@ -69,13 +79,14 @@ from . import expfam
 from .errors import ConfigError, DomainError, NumericError
 from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
                     EndpointMode, GenerativeParams, _coupling_gradient, _disc_terms,
-                    _normalize, log_joint_blocks, nb_scores_matrix, uniform_generative_params)
+                    _gauss_delta_scale, _gauss_m_step_terms, _normalize, log_joint_blocks,
+                    nb_scores_matrix, uniform_generative_params)
 from .rng import SplitMix64, derive_seed, seed_in_range
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
 _EM_SMOOTHING = 1e-2
-# The gaussian generative step stops once every coordinate's surrogate
-# gradient is at most _GAUSS_TOL, and fails after _GAUSS_MAX_STEPS steps.
+# _gauss_newton stops once no step exceeds _GAUSS_TOL * (1 + |t|), and
+# fails after _GAUSS_MAX_STEPS steps.
 _GAUSS_TOL = 1e-6
 _GAUSS_MAX_STEPS = 100
 # The discriminative step runs _SGD_EPOCHS epochs per outer iteration; the
@@ -103,9 +114,10 @@ class TrainConfig:
 
     Convergence: the run stops once the objective trace satisfies
     |L_k - L_{k-1}| / max(1, |L_{k-1}|, |L_k|) < tol. An outer iteration
-    is one coordinate-ascent round of the hybrid, one EM step at lam = 0
-    and two L-BFGS iterations at lam = 1. seed keys the hybrid's SGD
-    shuffles; the endpoint trainers do not read it.
+    is one round of the hybrid, one EM step at lam = 0 and two L-BFGS
+    iterations at lam = 1; tol also stops the GAUSSIAN hybrid's inner
+    ascent. seed keys the BETA hybrid's SGD shuffles; no other trainer
+    reads it.
     """
 
     max_outer_iters: int = 200
@@ -171,58 +183,104 @@ def generative_update_beta(data: Dataset, resp: np.ndarray,
         theta_tilde=expfam._blockwise(theta_tilde, counts, disc.w, out=counts))
 
 
-def generative_update_gauss(data: Dataset, resp: np.ndarray, gen_old: GenerativeParams,
-                            disc: DiscriminativeParams, sigma_c2: float) -> GenerativeParams:
-    """Generative step under GAUSSIAN coupling, by safeguarded Newton.
+def _gauss_newton(counts, class_mass, v, t):
+    """The maximizer of c t - n_y A(t) - t^2 / (2 v) for every entry c of
+    counts, n_y the class_mass of its row, by Newton's method safeguarded by
+    bisection, starting from t.
 
-    Given the responsibilities resp, shape (N, K), maximizes the
-    separable, strictly concave surrogate
-
-        G(t) = -||t - w||^2 / (2 sigma_c2) + sum_yd [c_yd t_yd - N A(t_yd)]
-
-    coordinate by coordinate, vectorized over all of them, starting from
-    gen_old.theta_tilde. Each coordinate's
-    G'(t) = -(t - w)/sigma_c2 + c - N sigmoid(t) is strictly decreasing and
-    has its root in [w + sigma_c2 (c - N), w + sigma_c2 c]; a Newton step
-    that leaves the bracket, which shrinks around the root as the iterates
-    move, is replaced by bisection. Stops once the gradient infinity-norm is
-    at most _GAUSS_TOL; raises NumericError (with the last iterate
-    attached) after _GAUSS_MAX_STEPS steps.
+    The derivative c - n_y sigmoid(t) - t / v falls strictly. Its root lies
+    between v (c - n_y) and v c, and between 0 and logit(c / n_y), where
+    c - n_y sigmoid(t) changes sign. A Newton step that leaves the bracket,
+    which shrinks around the root as the iterates move, is replaced by
+    bisection. Stops once no step exceeds _GAUSS_TOL * (1 + |t|), after
+    taking it; raises NumericError (with the last iterate attached) after
+    _GAUSS_MAX_STEPS steps.
     """
-    if not (sigma_c2 > 0.0) or not math.isfinite(sigma_c2):
-        raise DomainError(f"sigma_c2 must be finite and > 0, got {sigma_c2}")
-    n = len(data)
-    counts = data.counts(resp)
-    w = disc.w
-    lo = w + sigma_c2 * (counts - n)
-    hi = w + sigma_c2 * counts
-    t = np.clip(gen_old.theta_tilde, lo, hi)
+    n = class_mass[:, None]
+    with np.errstate(divide="ignore"):  # logit(c / n_y) is -inf at c = 0, inf at c = n_y
+        root = np.log(counts) - np.log(np.maximum(n - counts, 0.0))
+    lo = np.maximum(v * (counts - n), np.minimum(root, 0.0))
+    hi = np.minimum(v * counts, np.maximum(root, 0.0))
+    t = np.clip(t, lo, hi)
     for _ in range(_GAUSS_MAX_STEPS):
         s = expfam.sigmoid(t)
-        grad = counts - (t - w) / sigma_c2 - n * s
-        if np.abs(grad).max() <= _GAUSS_TOL:
-            return GenerativeParams(pi=_mixing_weights(resp.sum(axis=0)), theta_tilde=t)
+        grad = counts - n * s - t / v
         np.copyto(lo, t, where=grad > 0.0)
         np.copyto(hi, t, where=grad < 0.0)
-        t = t + grad / (1.0 / sigma_c2 + n * s * (1.0 - s))
-        outside = ~((t >= lo) & (t <= hi))
-        t[outside] = 0.5 * (lo[outside] + hi[outside])
+        t_new = t + grad / (n * s * (1.0 - s) + 1.0 / v)
+        outside = ~((t_new >= lo) & (t_new <= hi))
+        t_new[outside] = 0.5 * (lo[outside] + hi[outside])
+        done = np.abs(t_new - t) <= _GAUSS_TOL * (1.0 + np.abs(t))
+        t = t_new
+        if done.all():
+            return t
     raise NumericError(
-        f"gaussian generative step did not reach tolerance {_GAUSS_TOL} within "
-        f"{_GAUSS_MAX_STEPS} Newton steps at sigma_c2={sigma_c2!r} (gamma={1.0 / sigma_c2!r})",
-        snapshot={"theta_tilde": t, "grad_inf_norm": float(np.abs(grad).max()),
-                  "sigma_c2": sigma_c2, "gamma": 1.0 / sigma_c2})
+        f"gaussian M-step Newton did not converge within {_GAUSS_MAX_STEPS} steps "
+        f"at sigma^2 + sigma_c2 = {v!r}", snapshot={"theta_tilde": t, "v": v})
 
 
-def _coupling_stiffness(coupling: CouplingConfig) -> float:
-    """Upper bound on the coupling gradient's curvature in w.
+def _labeled_columns(data: Dataset):
+    """(features, restricted): the columns that some labeled document holds,
+    ascending, and the labeled documents restricted to them, column j of
+    restricted being column features[j] of data. When no labeled document
+    holds a feature, column 0 stands in, so that restricted has a column;
+    its data gradient is 0."""
+    labeled = data.labeled
+    # np.unique would import numpy.ma, 1.7 MB of resident memory
+    features = np.flatnonzero(np.bincount(labeled.indices, minlength=data.num_features))
+    if features.size == 0:
+        features = np.zeros(1, dtype=np.int64)
+    restricted = Dataset(labeled.indptr, np.searchsorted(features, labeled.indices),
+                         labeled.row_labels, data.num_classes, features.size)
+    return features, restricted
 
-    gamma * s(1-s) <= gamma/4 for BETA; 1/sigma_c2 for GAUSSIAN. Caps the
-    per-epoch step so stiff couplings stay stable.
+
+def _gauss_m_step(data: Dataset, resp: np.ndarray, restricted: Dataset, features: np.ndarray,
+                  untouched: np.ndarray, z: np.ndarray, theta_tilde: np.ndarray, w: np.ndarray,
+                  coupling: CouplingConfig, tol: float) -> GenerativeParams:
+    """The GAUSSIAN M-step from the responsibilities resp, shape (N, K).
+
+    In a column that no labeled document holds (untouched), only the prior
+    and the coupling involve w, so w = theta_tilde sigma^2 / v with
+    v = sigma^2 + sigma_c2, and _gauss_newton solves what is left in
+    theta_tilde, about expfam._BLOCK entries at a time. The columns
+    features, with b, go to an L-BFGS ascent on model._gauss_m_step_terms
+    over z = [theta_tilde, delta, b] of those columns, from z as it
+    stands, until two successive values differ by a relative change below
+    tol. Writes the new theta_tilde and w into theta_tilde and w and the
+    new b into z's tail, and returns the GenerativeParams around
+    theta_tilde.
     """
-    if coupling.kind is CouplingKind.BETA:
-        return coupling.gamma / 4.0
-    return 1.0 / coupling.sigma_c2
+    sigma2, sigma_c2 = coupling.disc_prior_sigma2, coupling.sigma_c2
+    if not math.isfinite(sigma_c2):
+        raise DomainError(f"sigma_c2 must be finite and > 0, got {sigma_c2}")
+    class_mass = np.maximum(resp.sum(axis=0), _PI_FLOOR)
+    counts = data.counts(resp)
+
+    v = sigma2 + sigma_c2
+    width = max(1, expfam._BLOCK // data.num_classes)
+    for start in range(0, untouched.size, width):
+        cols = untouched[start:start + width]
+        t = _gauss_newton(counts[:, cols], class_mass, v, theta_tilde[:, cols])
+        theta_tilde[:, cols] = t
+        w[:, cols] = t * (sigma2 / v)
+
+    counts = counts[:, features]
+    ascent = _lbfgs_ascent(lambda x: _gauss_m_step_terms(restricted, x, counts, class_mass,
+                                                         sigma2, coupling.gamma), z)
+    previous = None
+    for value, _ in ascent:
+        # a non-finite value stops here too, and the caller's check raises
+        if not (previous is None or _rel_change(previous, value) >= tol):
+            break
+        previous = value
+    ascent.close()
+
+    size = counts.size
+    theta_tilde[:, features] = z[:size].reshape(counts.shape)
+    w[:, features] = (theta_tilde[:, features]
+                      + _gauss_delta_scale(coupling.gamma) * z[size:2 * size].reshape(counts.shape))
+    return GenerativeParams(pi=_mixing_weights(class_mass), theta_tilde=theta_tilde)
 
 
 def _learning_rate(step):
@@ -267,7 +325,7 @@ def _sgd_epochs(x, docs, gen, coupling, seed, outer_iter):
     w = x[:k * m].reshape(k, m)
     n_docs = len(docs)
     order = list(range(n_docs))
-    stiffness = _coupling_stiffness(coupling)
+    stiffness = coupling.gamma / 4.0  # bounds the coupling curvature gamma * s * (1 - s)
     sigma2 = coupling.disc_prior_sigma2
     coupling_gradient = _coupling_gradient(coupling)
 
@@ -435,14 +493,9 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     """
     if data.n_labeled == 0:
         raise ConfigError("training requires at least one labeled instance")
-    k, labeled = data.num_classes, data.labeled
-    # np.unique would import numpy.ma, 1.7 MB of resident memory
-    features = np.flatnonzero(np.bincount(labeled.indices, minlength=data.num_features))
-    # a Dataset needs one feature; when no labeled document holds any, the
-    # one column is empty and its weight stays 0
-    m = max(features.size, 1)
-    restricted = Dataset(labeled.indptr, np.searchsorted(features, labeled.indices),
-                         labeled.row_labels, k, m)
+    k = data.num_classes
+    features, restricted = _labeled_columns(data)
+    m = features.size
 
     def objective_and_gradient(x):
         prior, disc_block, grad_w, grad_b = _disc_terms(
@@ -465,7 +518,7 @@ def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100
     report = _ascend(lbfgs_step, cfg, EndpointMode.PURE_DISCRIMINATIVE)
     ascent.close()  # frees the curvature pairs before the full-size w exists
     w = np.zeros((k, data.num_features))
-    w[:, features] = w_fit[:, :features.size]
+    w[:, features] = w_fit
     return DiscriminativeParams(b=b_fit.copy(), w=w), report
 
 
@@ -498,32 +551,42 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
 
     k, m = data.num_classes, data.num_features
     gen = uniform_generative_params(k, m)
-    # the SGD epochs update x in place, and disc.w, disc.b are views of it
-    x = np.zeros(k * m + k)
-    disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
-    docs = _sgd_cells(data)
+    gauss = coupling.kind is CouplingKind.GAUSSIAN
+    if gauss:
+        # the M-step writes theta_tilde, w and z = [theta_tilde, delta, b] of
+        # the labeled documents' columns in place, and disc.b is a view of z
+        features, restricted = _labeled_columns(data)
+        untouched = np.ones(m, dtype=bool)
+        untouched[features] = False
+        untouched = np.flatnonzero(untouched)
+        z = np.zeros(2 * k * features.size + k)
+        disc = DiscriminativeParams(b=z[2 * k * features.size:], w=np.zeros((k, m)))
+    else:
+        # the SGD epochs update x in place, and disc.w, disc.b are views of it
+        x = np.zeros(k * m + k)
+        disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
+        docs = _sgd_cells(data)
     resp = _normalize(nb_scores_matrix(gen, data))[1]
 
     def hybrid_step(it):
-        """Outer iteration it: the generative step from resp, the SGD epochs,
-        then the objective, whose one normalization of the document scores
-        also gives the next resp. Under BETA coupling at most one
-        theta_tilde is alive."""
+        """Outer iteration it: the M-step (GAUSSIAN) or the generative step
+        and the SGD epochs (BETA) from resp, then the objective, whose one
+        normalization of the document scores also gives the next resp.
+        Under BETA coupling at most one theta_tilde is alive."""
         nonlocal gen, resp
-        if coupling.kind is CouplingKind.GAUSSIAN:
-            # the previous theta_tilde is the Newton start
-            gen = generative_update_gauss(data, resp, gen, disc, coupling.sigma_c2)
+        if gauss:
+            gen = _gauss_m_step(data, resp, restricted, features, untouched, z, gen.theta_tilde,
+                                disc.w, coupling, cfg.tol)
         else:
             # the closed form reads only resp and disc, so the previous
             # theta_tilde is freed before the new one is built
             gen = None
             gen = generative_update_beta(data, resp, disc, coupling.gamma)
-
-        _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
+            _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
-        # SGD did not touch gen, so the normalization that gives the
-        # objective's generative block gives the next E-step too
+        # gen is final for this iteration, so the normalization that gives
+        # the objective's generative block gives the next E-step too
         lse, resp = _normalize(nb_scores_matrix(gen, data))
         objective = log_joint_blocks(gen, disc, coupling, data, lse).total()
         _check_finite(objective, it, EndpointMode.HYBRID,

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from hybridssl import cli, expfam, model, testkit
+from hybridssl import cli, expfam, model, testkit, trainer
 from hybridssl.data import (SplitSpec, generate_synthetic, sample_split,
                             write_corpus)
 from hybridssl.harness import (SweepSpec, SyntheticSpec, aggregate,
@@ -80,12 +80,46 @@ def test_criterion_1_user_corpus_protocol(tmp_path):
           "2 couplings x {10,25} labeled/class x 5 seeds, zero failures")
 
 
+def _gauss_m_step_check(data, gen, disc, sigma_c2):
+    """model._gauss_m_step_terms at z = [theta_tilde, delta, b] taken from
+    the instance (its w as delta), against finite differences of the same
+    objective assembled from log_joint_blocks' prior, coupling and
+    discriminative blocks plus the expected complete-data term. Returns
+    the number of coordinates checked."""
+    features, restricted = trainer._labeled_columns(data)
+    resp = responsibilities(gen, data)
+    counts, mass = data.counts(resp)[:, features], resp.sum(axis=0)
+    coupling = CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=1.0 / sigma_c2)
+    scale = model._gauss_delta_scale(coupling.gamma)
+    k, m = counts.shape
+
+    def objective(z):
+        theta_tilde, delta = z[:k * m].reshape(k, m), z[k * m:2 * k * m].reshape(k, m)
+        full_theta_tilde, w = np.zeros(gen.theta_tilde.shape), np.zeros(disc.w.shape)
+        full_theta_tilde[:, features] = theta_tilde
+        w[:, features] = theta_tilde + scale * delta
+        blocks = log_joint_blocks(GenerativeParams(pi=gen.pi, theta_tilde=full_theta_tilde),
+                                  DiscriminativeParams(b=z[2 * k * m:], w=w), coupling, data)
+        return (blocks.prior + blocks.coupling + blocks.discriminative
+                + float(np.sum(counts * theta_tilde - mass[:, None] * np.logaddexp(0.0, theta_tilde))))
+
+    z = np.concatenate([gen.theta_tilde[:, features].ravel(), disc.w[:, features].ravel(),
+                        disc.b])
+    value, grad = model._gauss_m_step_terms(restricted, z, counts, mass, 100.0, coupling.gamma)
+    assert_allclose(value, objective(z), rtol=1e-10)
+    fd = testkit.fd_gradient(objective, z)
+    assert np.all(np.abs(grad - fd) <= 1e-8 + 1e-4 * np.abs(fd)), sigma_c2
+    return z.size
+
+
 def test_criterion_2_gradient_matches_finite_differences():
     settings = [CouplingConfig(kind=CouplingKind.BETA, gamma=g) for g in (0.1, 1.0, 10.0)]
-    settings += [CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=1.0 / s) for s in (0.5, 10.0)]
     # None stands for the uncoupled prior and label blocks, the lam = 1
     # objective: model._disc_values' value and model._disc_terms' gradient
     settings += [None]
+    # the GAUSSIAN M-step's (theta_tilde, delta, b) gradient, down to a
+    # coupling variance of 1e-12
+    gauss_variances = (0.5, 10.0, 1e-12)
     t0 = time.perf_counter()
     checked = 0
     for seed in range(10):
@@ -112,11 +146,13 @@ def test_criterion_2_gradient_matches_finite_differences():
             assert np.all(np.abs(grad_w - fd_w) <= 1e-8 + 1e-4 * np.abs(fd_w))
             assert np.all(np.abs(grad_b - fd_b) <= 1e-8 + 1e-4 * np.abs(fd_b))
             checked += grad_w.size + grad_b.size
+        for sigma_c2 in gauss_variances:
+            checked += _gauss_m_step_check(data, gen, disc, sigma_c2)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"PASS criterion 2: {checked} gradient coordinates matched finite "
-          f"differences across 5 coupling settings and the uncoupled lam = 1 "
-          f"objective in {elapsed:.2f}s")
+          f"differences across 3 BETA couplings, the uncoupled lam = 1 objective "
+          f"and 3 GAUSSIAN M-step variances in {elapsed:.2f}s")
 
 
 def test_criterion_3_closed_form_update_is_the_surrogate_argmax():

@@ -1,8 +1,10 @@
-"""Training loops: closed-form coupled generative steps, the Newton
-gaussian step, SGD discriminative updates and their shuffle, the lam = 1
-L-BFGS ascent, endpoint dispatch, and determinism."""
+"""Training loops: the closed-form BETA generative step, SGD
+discriminative updates and their shuffle, the GAUSSIAN M-step and its
+Newton, the lam = 1 L-BFGS ascent, endpoint dispatch, and determinism."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +20,8 @@ from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, log_joint_blocks, lr_scores_matrix,
                              nb_scores_matrix, uniform_generative_params)
 from hybridssl.rng import SplitMix64, derive_seed, mix64
-from hybridssl.trainer import (EndpointMode, TrainConfig,
-                               generative_update_beta, generative_update_gauss,
-                               train, train_logreg, train_nb_em)
+from hybridssl.trainer import (EndpointMode, TrainConfig, generative_update_beta, train,
+                               train_logreg, train_nb_em)
 from hybridssl.trainer import _mixing_weights, _sgd_cells, _sgd_epochs
 
 from helpers import make_dataset, responsibilities
@@ -133,94 +134,143 @@ def test_generative_update_beta_coordinate_maximizes_surrogate():
     assert abs(best - gen1.theta_tilde[1, 4]) < 1e-6
 
 
-def test_generative_update_gauss_extremes():
+def _newton_problem(seed=0):
+    """Expected counts and class masses of small_corpus() under random
+    responsibilities, as the untouched-column Newton takes them."""
     train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
-    rng = np.random.default_rng(0)
-    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
-
-    resp = responsibilities(gen0, train_set)
-    # near-rigid coupling pins the generative means to the weights
-    tight = generative_update_gauss(train_set, resp, gen0, disc, 1e-8)
-    assert np.abs(expfam.sigmoid(tight.theta_tilde)
-                  - expfam.sigmoid(disc.w)).max() < 1e-3
-
-    # near-absent coupling recovers the pure expected-count ratio
-    loose = generative_update_gauss(train_set, resp, gen0, disc, 1e8)
-    counts = train_set.counts(resp)
-    assert np.abs(expfam.sigmoid(loose.theta_tilde)
-                  - counts / len(train_set)).max() < 1e-4
+    rng = np.random.default_rng(seed)
+    gen = GenerativeParams(pi=np.array([0.4, 0.6]), theta_tilde=rng.normal(0.0, 1.0, (2, 10)))
+    resp = responsibilities(gen, train_set)
+    return train_set.counts(resp), resp.sum(axis=0)
 
 
 def test_generative_update_gauss_reaches_stationarity():
-    train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
-    rng = np.random.default_rng(0)
-    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 1.0, (2, 10)))
-    sigma_c2 = 0.5
-    resp = responsibilities(gen0, train_set)
-    gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
-    counts = train_set.counts(resp)
-    grad = (-(gen1.theta_tilde - disc.w) / sigma_c2
-            + counts - len(train_set) * expfam.sigmoid(gen1.theta_tilde))
-    assert np.abs(grad).max() <= 1e-6
+    # The generative update of a column no labeled document holds is the
+    # Newton. g(t) = v c - v n_y sigmoid(t) - t is v times the derivative of
+    # c t - n_y A(t) - t^2 / (2 v); g' <= -1, so |t - root| <= |g(t)|. Its
+    # rounding error is about 2.2e-16 v n_y.
+    counts, mass = _newton_problem()
+    counts[0, 0], counts[1, 1] = 0.0, mass[1]  # the bracket's open ends
+    for v in (1e-8, 0.5, 100.0, 109.0, 1e8):
+        t = trainer._gauss_newton(counts, mass, v, np.zeros_like(counts))
+        g = v * (counts - mass[:, None] * expfam.sigmoid(t)) - t
+        assert np.all(np.abs(g) <= 1e-9 * (1.0 + np.abs(t)) + 1e-14 * v * mass[:, None]), v
 
-    with pytest.raises(DomainError):
-        generative_update_gauss(train_set, resp, gen0, disc, -1.0)
+
+def test_generative_update_gauss_extremes():
+    # Near-rigid coupling pins the generative means to the weights, and
+    # near-absent coupling and prior recover the expected-count ratio c / n_y,
+    # both in the M-step and in the Newton of the untouched columns.
+    docs = [([0, 1], 0), ([0, 2], 0), ([1, 4], 1), ([2, 4], 1), ([0, 4], 1),
+            ([3, 5], None), ([1, 3], None), ([0, 3, 5], None)]
+    data = make_dataset(docs, num_classes=2, num_features=6)
+    features, restricted = trainer._labeled_columns(data)
+    gen = GenerativeParams(pi=np.array([0.3, 0.7]),
+                           theta_tilde=np.random.default_rng(2).normal(0.0, 1.0, (2, 6)))
+    resp = responsibilities(gen, data)
+    counts, mass = data.counts(resp), resp.sum(axis=0)
+
+    def m_step(gamma):
+        theta_tilde, w, z = np.zeros((2, 6)), np.zeros((2, 6)), np.zeros(2 * 2 * 4 + 2)
+        coupling = CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=gamma)
+        trainer._gauss_m_step(data, resp, restricted, features, np.array([3, 5]), z,
+                              theta_tilde, w, coupling, 1e-12)
+        return theta_tilde, w
+
+    theta_tilde, w = m_step(1e8)
+    assert np.abs(expfam.sigmoid(theta_tilde) - expfam.sigmoid(w)).max() < 1e-3
+    theta_tilde, _ = m_step(1e-8)
+    inner = (counts > 0.0) & (counts < mass[:, None])
+    assert_allclose(expfam.sigmoid(theta_tilde)[inner], (counts / mass[:, None])[inner],
+                    atol=1e-4)
+
+    counts, mass = _newton_problem()
+    t = trainer._gauss_newton(counts, mass, 1e8, np.zeros_like(counts))
+    inner = (counts > 0.0) & (counts < mass[:, None])
+    assert_allclose(expfam.sigmoid(t)[inner], (counts / mass[:, None])[inner], atol=1e-5)
+
+
+def test_gauss_newton_matches_brute_force_maximizer():
+    counts, mass = _newton_problem(4)
+    start = np.random.default_rng(4).normal(0.0, 5.0, counts.shape)
+    for v in (9.0 + 100.0, 1.0 / 9.0 + 100.0, 0.5):
+        t = trainer._gauss_newton(counts, mass, v, start.copy())
+        for y, d in [(0, 0), (1, 4), (1, 9)]:
+            c, n = counts[y, d], mass[y]
+
+            def surrogate(x):
+                return c * x - n * math.log1p(math.exp(x)) - x * x / (2.0 * v)
+            best = testkit.brute_force_theta_tilde(surrogate, -23.0, 23.0)
+            assert abs(best - t[y, d]) < 1e-6
+
+
+def _exhaust_the_newton_budget():
+    # at v = 1e300 a column no document holds has its root near
+    # -log(v n_y), about -690, and from 0 each Newton step moves about 1
+    counts, mass = _newton_problem()
+    counts[0, 0] = 0.0
+    with pytest.raises(NumericError) as exc:
+        trainer._gauss_newton(counts, mass, 1e300, np.zeros_like(counts))
+    return counts, exc.value
 
 
 def test_generative_update_gauss_step_budget_error():
-    # with sigma_c2 = 1e-300 the bracket around w = 1 has no float inside
-    # it, and there the gradient stays at counts - N sigmoid(1), far above
-    # the tolerance: the step budget runs out
-    train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
-    disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
-    with pytest.raises(NumericError) as exc:
-        generative_update_gauss(train_set, responsibilities(gen0, train_set), gen0, disc,
-                                1e-300)
-    snap = exc.value.snapshot
-    assert snap is not None and "theta_tilde" in snap and "grad_inf_norm" in snap
+    counts, err = _exhaust_the_newton_budget()
+    assert "within 100 steps" in str(err)
+    assert err.snapshot["theta_tilde"].shape == counts.shape
+    assert np.all(np.isfinite(err.snapshot["theta_tilde"]))
 
 
 def test_generative_update_gauss_step_budget_error_names_the_coupling_variance():
-    train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
-    disc = DiscriminativeParams(b=np.zeros(2), w=np.ones((2, 10)))
-    with pytest.raises(NumericError, match=r"at sigma_c2=1e-300 \(gamma=") as exc:
-        generative_update_gauss(train_set, responsibilities(gen0, train_set), gen0, disc,
-                                1e-300)
-    assert exc.value.snapshot["sigma_c2"] == 1e-300
-    assert exc.value.snapshot["gamma"] == 1.0 / 1e-300
+    _, err = _exhaust_the_newton_budget()
+    assert re.search(r"at sigma\^2 \+ sigma_c2 = 1e\+300$", str(err))
+    assert err.snapshot["v"] == 1e300
 
 
-def test_generative_update_gauss_matches_brute_force_maximizer():
-    train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
-    rng = np.random.default_rng(4)
-    disc = DiscriminativeParams(b=np.zeros(2), w=rng.normal(0.0, 2.0, (2, 10)))
-    sigma_c2 = 9.0
-    resp = responsibilities(gen0, train_set)
-    gen1 = generative_update_gauss(train_set, resp, gen0, disc, sigma_c2)
-    counts = train_set.counts(resp)
-    n = len(train_set)
-    for y, d in [(0, 0), (1, 4), (1, 9)]:
-        def surrogate(t):
-            return (-(t - disc.w[y, d]) ** 2 / (2.0 * sigma_c2) + counts[y, d] * t
-                    - n * math.log1p(math.exp(t)))
-        best = testkit.brute_force_theta_tilde(surrogate, -23.0, 23.0)
-        assert abs(best - gen1.theta_tilde[y, d]) < 1e-6
+def test_gauss_m_step_is_stationary():
+    """One M-step from fixed responsibilities, its inner ascent run to a
+    relative change of 1e-12, ends where every partial derivative of
+    Q(theta_tilde, w, b) vanishes: in the columns the labeled documents
+    hold, solved by L-BFGS, and in the others, solved by the Newton and
+    w = theta_tilde sigma^2 / (sigma^2 + sigma_c2)."""
+    # features 3 and 5 occur only in unlabeled documents, 6 and 7 nowhere
+    docs = [([0, 1], 0), ([0, 2], 0), ([1, 4], 1), ([2, 4], 1), ([0, 4], 1),
+            ([3, 5], None), ([1, 3], None), ([0, 3, 5], None)]
+    data = make_dataset(docs, num_classes=2, num_features=8)
+    features, restricted = trainer._labeled_columns(data)
+    assert features.tolist() == [0, 1, 2, 4]
+    gen = GenerativeParams(pi=np.array([0.3, 0.7]),
+                           theta_tilde=np.random.default_rng(2).normal(0.0, 1.0, (2, 8)))
+    resp = responsibilities(gen, data)
+    for gamma in (4.0, 0.25):
+        coupling = CouplingConfig(kind=CouplingKind.GAUSSIAN, gamma=gamma)
+        theta_tilde, w, z = np.zeros((2, 8)), np.zeros((2, 8)), np.zeros(2 * 2 * 4 + 2)
+        new = trainer._gauss_m_step(data, resp, restricted, features, np.array([3, 5, 6, 7]), z,
+                                    theta_tilde, w, coupling, 1e-12)
+        assert new.theta_tilde is theta_tilde
+        mass = resp.sum(axis=0)
+        assert_allclose(new.pi, mass / mass.sum(), rtol=1e-15)
+        pull = gamma * (theta_tilde - w)
+        grad_w, grad_b = model._disc_terms(data.labeled, w, z[-2:], 100.0)[2:]
+        grad_w += pull
+        grad_theta_tilde = data.counts(resp) - mass[:, None] * expfam.sigmoid(theta_tilde) - pull
+        for grad in (grad_w, grad_theta_tilde, grad_b):
+            assert np.abs(grad).max() < 1e-5, gamma
+        assert np.abs(grad_w[:, [3, 5, 6, 7]]).max() < 1e-12
 
 
 def test_gauss_sweep_cell_reaches_the_step_tolerance():
-    """A weakly coupled gaussian cell (sigma_c2 = 9, N = 520), where plain
-    gradient ascent needs over a thousand steps to reach the tolerance.
-    Cell seeds depend on the grid position, so the grid is kept whole."""
+    """Weakly coupled gaussian cells (sigma_c2 up to 9, N up to 520) fit,
+    and neither half is label-switched: the lam = 0.75, u = 500 cell is the
+    one where an M-step with delta scaled by sigma_c = 3 stopped at
+    accuracy 0.7417 and gen_accuracy 0.0. Cell seeds depend on the grid
+    position, so the grid is kept whole."""
     rows = run_sweep(SweepSpec(
         lambdas=(0.25, 0.5, 0.75), unlabeled_counts=(0, 500), labeled_per_class=10,
         seeds=(20,), coupling_kind=CouplingKind.GAUSSIAN,
         synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=3)))
     assert [r.error for r in rows if r.failed] == []
+    assert all(r.converged and r.accuracy >= 0.99 and r.gen_accuracy >= 0.99 for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +356,8 @@ def test_stacked_beta_kernels_equal_the_per_shape_formulas_bit_for_bit(k, m, gam
 
 @pytest.mark.parametrize("kind", [CouplingKind.GAUSSIAN])
 def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
-    """The GAUSSIAN branch of model._coupling_gradient and _coupling_block,
-    on the arrays of the BETA test above."""
+    """The GAUSSIAN branch of model._coupling_block, on the arrays of the
+    BETA test above."""
     k, m = 3, 50_001
     rng = np.random.default_rng(17)
     w = rng.normal(0.0, 4.0, (k, m))
@@ -318,9 +368,7 @@ def test_other_coupling_kernels_match_their_formulas_bit_for_bit(kind):
     disc = DiscriminativeParams(b=np.zeros(k), w=w)
     coupling = CouplingConfig(kind=kind, gamma=0.3)
     diff = theta_tilde - w
-    grad = diff / (1.0 / 0.3)
     block = float(-0.5 / (1.0 / 0.3) * np.sum(diff * diff))
-    assert _same_bits(expfam._blockwise(model._coupling_gradient(coupling), theta_tilde, w), grad)
     assert _same_bits(np.array(model._coupling_block(gen, disc, coupling)), np.array(block))
 
 
@@ -357,8 +405,8 @@ def test_disc_terms_and_coupling_gradient_match_finite_differences():
     # the (w, b) gradient of the log joint is _disc_terms' plus the coupling
     # block's, since the generative block does not involve (w, b)
     data, gen, disc = make_fd_instance(17)
-    for gamma, kind in [(2.0, CouplingKind.BETA), (1.0 / 0.7, CouplingKind.GAUSSIAN)]:
-        cfg = CouplingConfig(kind=kind, lam=0.5, disc_prior_sigma2=5.0, gamma=gamma)
+    for gamma in (2.0, 1.0 / 0.7):
+        cfg = CouplingConfig(kind=CouplingKind.BETA, lam=0.5, disc_prior_sigma2=5.0, gamma=gamma)
         grad_w, grad_b = model._disc_terms(data.labeled, disc.w, disc.b, 5.0)[2:]
         grad_w += expfam._blockwise(model._coupling_gradient(cfg), gen.theta_tilde, disc.w)
 
@@ -727,10 +775,17 @@ def test_each_score_matrix_is_normalized_once(monkeypatch):
     # the hybrid normalizes its naive Bayes scores once for the start state's
     # E-step and then once per iteration, for both the objective's
     # generative block and the next E-step; its labeled documents' scores
-    # once per objective, for the discriminative block. The lam = 1 ascent
-    # normalizes once per objective evaluation, for the value and gradient.
+    # once per objective, for the discriminative block, and under GAUSSIAN
+    # coupling once more per evaluation of the M-step's value and gradient.
+    # The lam = 1 ascent normalizes once per objective evaluation, for the
+    # value and gradient.
     normalize = model._normalize
-    nb_calls, disc_calls = [], []
+    nb_calls, disc_calls, m_step_evaluations = [], [], []
+    m_step_terms = trainer._gauss_m_step_terms
+
+    def counted_m_step_terms(*args):
+        m_step_evaluations.append(1)
+        return m_step_terms(*args)
 
     def counted(calls):
         def wrapper(scores):
@@ -740,15 +795,20 @@ def test_each_score_matrix_is_normalized_once(monkeypatch):
 
     monkeypatch.setattr(trainer, "_normalize", counted(nb_calls))
     monkeypatch.setattr(model, "_normalize", counted(disc_calls))
+    monkeypatch.setattr(trainer, "_gauss_m_step_terms", counted_m_step_terms)
     train_set, _ = small_corpus()
     shape, labeled_shape = (len(train_set), 2), (train_set.n_labeled, 2)
     for kind in CouplingKind:
         nb_calls.clear()
         disc_calls.clear()
+        m_step_evaluations.clear()
         _, _, report = train(train_set, CouplingConfig.from_lambda(0.5, kind),
                              TrainConfig(max_outer_iters=6))
         assert nb_calls == [shape] * (report.outer_iters_run + 1)
-        assert disc_calls == [labeled_shape] * report.outer_iters_run
+        assert (len(m_step_evaluations) >= 3 * report.outer_iters_run
+                if kind is CouplingKind.GAUSSIAN else m_step_evaluations == [])
+        assert disc_calls == [labeled_shape] * (report.outer_iters_run
+                                                + len(m_step_evaluations))
 
     disc_terms, evaluations = trainer._disc_terms, []
 
@@ -760,6 +820,84 @@ def test_each_score_matrix_is_normalized_once(monkeypatch):
     disc_calls.clear()
     train(train_set, CouplingConfig.from_lambda(1.0), TrainConfig(max_outer_iters=6))
     assert len(evaluations) > 0 and len(disc_calls) == len(evaluations)
+
+
+def _gauss_grid():
+    return SweepSpec(lambdas=(0.25, 0.5, 0.75), unlabeled_counts=(0, 500),
+                     labeled_per_class=10, seeds=tuple(range(1, 11)),
+                     coupling_kind=CouplingKind.GAUSSIAN,
+                     synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=0))
+
+
+def test_gauss_grid_traces_ascend_and_stop_on_tol():
+    """Every GAUSSIAN hybrid trace of perfbench's seed-0 grid-gauss cells,
+    with lam = 0.75 added (60 cells, built as run_sweep builds them), rises
+    within 1e-12 max(1, |L|) at every step, and every cell stops on tol:
+    each outer iteration is an EM step, which cannot lower the log joint."""
+    spec = _gauss_grid()
+    corpus = spec.load_corpus()
+    for seed in spec.seeds:
+        for lam_index, lam in enumerate(spec.lambdas):
+            for count_index, count in enumerate(spec.unlabeled_counts):
+                split = SplitSpec(labeled_per_class=spec.labeled_per_class,
+                                  unlabeled_total=count,
+                                  seed=derive_seed(seed, lam_index, count_index))
+                train_set, _ = sample_split(corpus, split)
+                coupling = CouplingConfig.from_lambda(lam, CouplingKind.GAUSSIAN)
+                cfg = replace(spec.train_config, seed=split.seed)
+                _, _, report = train(train_set, coupling, cfg)
+                cell = (seed, lam, count)
+                assert report.converged, cell
+                trace = report.log_joint_trace
+                for before, after in zip(trace, trace[1:]):
+                    assert after >= before - 1e-12 * max(1.0, abs(before)), cell
+
+
+def test_stiff_gauss_couplings_fit():
+    """The coupling block is -||delta||^2 / 2 in the M-step's variables, so
+    no term scales with gamma: the stiffest couplings still fit, and the
+    two halves weld together as gamma grows."""
+    corpus = SyntheticSpec(2, 50, 0.5, 500, seed=0).build()
+    train_set, test_set = sample_split(corpus, SplitSpec(10, 500, seed=5))
+    gaps = []
+    for gamma in (1e4, 1e6, 1e306):
+        gen, disc, report = train(train_set, CouplingConfig(CouplingKind.GAUSSIAN, gamma=gamma),
+                                  TrainConfig())
+        assert report.converged, gamma
+        correct = lr_scores_matrix(disc, test_set).argmax(axis=1) == test_set.labels
+        assert correct.mean() >= 0.99, gamma
+        gaps.append(np.abs(expfam.sigmoid(gen.theta_tilde) - expfam.sigmoid(disc.w)).max())
+    assert gaps == sorted(gaps, reverse=True)
+
+
+def test_loose_gauss_couplings_fit():
+    """Above sigma_c = 1 the M-step's delta is w - theta_tilde, so no term
+    grows with sigma_c: the loosest couplings fit, and agree with one
+    another in the decoupled limit."""
+    corpus = SyntheticSpec(2, 50, 0.5, 500, seed=0).build()
+    train_set, test_set = sample_split(corpus, SplitSpec(10, 500, seed=5))
+    predictions = []
+    for gamma in (1e-8, 1e-16, 1e-300):
+        _, disc, report = train(train_set, CouplingConfig(CouplingKind.GAUSSIAN, gamma=gamma),
+                                TrainConfig())
+        assert report.converged, gamma
+        predictions.append(lr_scores_matrix(disc, test_set).argmax(axis=1))
+        assert (predictions[-1] == test_set.labels).mean() >= 0.95, gamma
+    assert all(np.array_equal(p, predictions[0]) for p in predictions)
+    # a subnormal gamma leaves no finite coupling variance
+    with pytest.raises(DomainError, match="sigma_c2 must be finite"):
+        train(train_set, CouplingConfig(CouplingKind.GAUSSIAN, gamma=5e-324), TrainConfig())
+
+
+def test_gauss_hybrid_does_not_read_the_seed():
+    train_set, _ = small_corpus()
+    coupling = CouplingConfig.from_lambda(0.5, CouplingKind.GAUSSIAN)
+    gen1, disc1, rep1 = train(train_set, coupling, TrainConfig(seed=0))
+    gen2, disc2, rep2 = train(train_set, coupling, TrainConfig(seed=2 ** 64 - 1))
+    assert rep1.log_joint_trace == rep2.log_joint_trace
+    for a, b in ((gen1.pi, gen2.pi), (gen1.theta_tilde, gen2.theta_tilde),
+                 (disc1.b, disc2.b), (disc1.w, disc2.w)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_hybrid_mid_lambda_requires_strength():
@@ -794,7 +932,8 @@ def test_runaway_learning_rate_raises_numeric_error(monkeypatch, lam, mode):
 
 
 # ---------------------------------------------------------------------------
-# the SGD kernel against the per-example loop it replaced
+# the SGD kernel, which BETA coupling runs, against the per-example loop it
+# replaced
 
 _MASK64 = 2 ** 64 - 1
 
@@ -834,7 +973,7 @@ def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             return
         eta = min(trainer._learning_rate(step),
-                  1.0 / (1.0 + 1.0 / sigma2 + trainer._coupling_stiffness(coupling)))
+                  1.0 / (1.0 + 1.0 / sigma2 + coupling.gamma / 4.0))
         np.divide(w, -sigma2, out=grad)
         grad += expfam._blockwise(model._coupling_gradient(coupling), gen.theta_tilde, w)
         grad *= eta
@@ -889,7 +1028,7 @@ def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
     return disc
 
 
-@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("kind", [CouplingKind.BETA])
 def test_sgd_kernel_matches_the_per_example_loop_bit_for_bit(kind):
     for name, data in _kernel_corpora().items():
         for seed in (0, 2 ** 64 - 1):
@@ -897,7 +1036,7 @@ def test_sgd_kernel_matches_the_per_example_loop_bit_for_bit(kind):
             assert np.all(np.isfinite(disc.w)), name
 
 
-@pytest.mark.parametrize("kind", list(CouplingKind))
+@pytest.mark.parametrize("kind", [CouplingKind.BETA])
 def test_sgd_kernel_blows_up_like_the_per_example_loop(monkeypatch, kind):
     # steps of 1e300 alone leave the weights finite (the softmax saturates),
     # so start from weights whose sums over a document's features overflow

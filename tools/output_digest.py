@@ -8,7 +8,7 @@ Run it against each checkout's sources and compare the printed lines:
 Each line is "<name> <sha256>". Sweep rows are digested as repr(rows);
 the "-json" lines digest the two benchmark grids' rows as the benchmark
 does, json.dumps of their dicts with sorted keys (48e8d7101c4c7d83... for
-the criterion-7 grid, ae04df130418f7dd... for grid-gauss at seed 0).
+the criterion-7 grid, 9ebc493139330ce1... for grid-gauss at seed 0).
 A fit is digested as pi and theta_tilde where it has a generative half
 (every fit but lam = 1), then b and w (dtype, shape and raw bytes, since
 an array's repr elides its middle), then repr(report).
@@ -17,7 +17,7 @@ compressed beta fit, so a change of the model file format shows too.
 The "prior-curves-" lines digest the beta_density and normal_density
 columns of prior_curve_rows() at its default arguments, one line each.
 The script uses only names every recent version of the package exports,
-and takes about half a minute on one core.
+and takes under ten seconds on a 2-core x86 machine.
 
 tools/output_digests.txt holds the lines of the current outputs.
 

@@ -11,10 +11,11 @@ temporary model file, then predict TEST_CORPUS with it. Each line is
 
 The command line is that command's whole peak; a phase line is the
 highest traced memory while the phase ran, counting what was already
-allocated when it began. Train's phases are load_corpus, the generative
-step, the SGD epochs, the E-step scoring (every nb_scores_matrix call the
-trainer makes: the initial responsibilities and, each outer iteration,
-the scores that the log joint and the next E-step share), the log joint,
+allocated when it began. Train's phases are load_corpus, the BETA
+generative step, the GAUSSIAN M-step, the SGD epochs, the E-step scoring
+(every nb_scores_matrix call the trainer makes: the initial
+responsibilities and, each outer iteration, the scores that the log
+joint and the next E-step share), the log joint,
 train_logreg (the whole lam = 1 fit) and save_model; predict's are
 load_model, load_corpus and scoring (lr_scores_matrix). The moments that
 set a command's peak lie inside these phases, so its line matches its
@@ -39,7 +40,7 @@ from hybridssl import cli, trainer
 PHASES = {
     "train": ((cli, "load_corpus", "load_corpus"),
               (trainer, "generative_update_beta", "generative_step"),
-              (trainer, "generative_update_gauss", "generative_step"),
+              (trainer, "_gauss_m_step", "m_step"),
               (trainer, "_sgd_epochs", "sgd_epochs"),
               (trainer, "nb_scores_matrix", "e_step_scoring"),
               (trainer, "log_joint_blocks", "log_joint"),
