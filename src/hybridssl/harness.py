@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -206,6 +205,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> lis
              for seed in sorted(spec.seeds)]
     if jobs == 1 or len(cells) == 1:
         return [_run_cell(corpus, *cell) for cell in cells]
+    # imported here: multiprocessing adds about 2 MB to every process that loads it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells)), initializer=_set_worker_corpus,
                              initargs=(corpus,)) as pool:
         return list(pool.map(_run_worker_cell, cells))

@@ -9,8 +9,16 @@ output is the standard 30/27/31 xor-multiply finalizer.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# mix64's shifts and multipliers as uint64 scalars for SplitMix64.shuffle's
+# arrays; a Python int operand would be converted again on every call
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_U_MUL1, _U_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def mix64(z: int) -> int:
@@ -62,22 +70,45 @@ class SplitMix64:
         """In-place Fisher-Yates shuffle.
 
         Swaps seq[i] with seq[randbelow(i + 1)] for i from the end down to
-        1. next_u64, mix64 and randbelow are written out on local integers,
-        so each draw costs no method call; the permutation and the final
-        state are those of the calls.
+        1, with the permutation and the final state of those calls. The
+        draws are computed at once as uint64 arrays, on which numpy wraps
+        mod 2**64: the state before the draw of step p is the state before
+        step 0 plus (p + 1) * golden as long as no draw was rejected. A
+        draw above randbelow's limit is rejected, and the draws are made
+        again from that step on, one state further.
         """
-        mask, golden = _MASK64, _GOLDEN
+        offsets, sizes, limits = _shuffle_tables(len(seq))
+        draws = []
         state = self._state
-        for i in range(len(seq) - 1, 0, -1):
-            n = i + 1
-            limit = mask - (mask + 1) % n
-            while True:
-                state = (state + golden) & mask
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                z ^= z >> 31
-                if z <= limit:
-                    break
-            j = z % n
+        while len(draws) < sizes.size:
+            p = len(draws)
+            z = offsets[:sizes.size - p] + np.uint64(state)
+            z ^= z >> _U30
+            z *= _U_MUL1
+            z ^= z >> _U27
+            z *= _U_MUL2
+            z ^= z >> _U31
+            rejected = z > limits[p:]
+            take = int(rejected.argmax()) if rejected.any() else z.size
+            draws += (z[:take] % sizes[p:p + take]).tolist()
+            # a rejected draw consumes its state too
+            state = (state + (take + (take < z.size)) * _GOLDEN) & _MASK64
+        for i, j in zip(range(len(seq) - 1, 0, -1), draws):
             seq[i], seq[j] = seq[j], seq[i]
         self._state = state
+
+
+@lru_cache(maxsize=64)
+def _shuffle_tables(length: int) -> tuple:
+    """(offsets, sizes, limits) of a Fisher-Yates shuffle of length items,
+    as uint64 arrays over its length - 1 steps: (p + 1) * golden mod 2**64,
+    the n = length - p that step p draws below, and randbelow(n)'s
+    largest accepted draw. The cache hands the same arrays to every
+    caller, so they are read-only."""
+    sizes = list(range(length, 1, -1))
+    offsets = [(p + 1) * _GOLDEN & _MASK64 for p in range(len(sizes))]
+    limits = [_MASK64 - (_MASK64 + 1) % n for n in sizes]
+    tables = tuple(np.array(a, dtype=np.uint64) for a in (offsets, sizes, limits))
+    for table in tables:
+        table.flags.writeable = False
+    return tables

@@ -1,5 +1,14 @@
 """Training of the coupled classifier pair.
 
+The hybrid starts from the naive Bayes M-step on the labeled documents
+alone (_smoothed_m_step, their one-hot labels the responsibilities), the
+usual start of semi-supervised EM (Nigam, McCallum, Thrun & Mitchell
+2000), with w = b = 0 (GAUSSIAN's first M-step ascent starts at
+w = theta_tilde instead); the first E-step reads the posteriors under that
+fit. From theta_tilde = 0 and uniform pi every document would get the same
+responsibilities, and EM would spend its first outer iterations breaking
+that symmetry.
+
 Every outer iteration of the hybrid starts from the responsibilities
 p(y | x), which come from the document scores of the previous iteration's
 objective (the E-step). What follows depends on the coupling family.
@@ -158,6 +167,24 @@ def _mixing_weights(class_mass: np.ndarray) -> np.ndarray:
     """
     mass = np.maximum(class_mass, _PI_FLOOR)
     return mass / mass.sum()
+
+
+def _smoothed_m_step(data: Dataset, resp: np.ndarray) -> GenerativeParams:
+    """The naive Bayes M-step from the responsibilities resp, shape (N, K):
+    pi from the class masses n_y = sum_x p(y | x), and the smoothed count
+    ratio
+
+        v_yd = (c_yd + eps) / (n_y + 2 eps),  eps = _EM_SMOOTHING,
+
+    in natural form. theta_tilde is written into the counts array, a block
+    at a time, so the step holds one K x M array."""
+    class_mass = resp.sum(axis=0)
+    counts = data.counts(resp)
+    for row, mass in zip(counts, class_mass):
+        denominator = mass + 2.0 * _EM_SMOOTHING
+        expfam._blockwise(lambda c: expfam.natural_from_mean((c + _EM_SMOOTHING) / denominator),
+                          row, out=row)
+    return GenerativeParams(pi=_mixing_weights(class_mass), theta_tilde=counts)
 
 
 def generative_update_beta(data: Dataset, resp: np.ndarray,
@@ -442,20 +469,17 @@ def _ascend(step, cfg: TrainConfig, mode: EndpointMode) -> TrainReport:
 def train_nb_em(data: Dataset, cfg: TrainConfig):
     """Standalone semi-supervised naive Bayes EM (the lam = 0 endpoint).
 
-    Labeled documents contribute hard (one-hot) responsibilities, unlabeled
-    ones their posterior. The M-step is the smoothed count ratio
-
-        v_yd = (c_yd + eps) / (n_y + 2 eps),  eps = _EM_SMOOTHING,
-
-    and the trace records sum over labeled docs of log p(x, t) plus sum
-    over unlabeled docs of log sum_y p(x, y).
+    Starts from uniform pi and theta_tilde = 0. Labeled documents
+    contribute hard (one-hot) responsibilities, unlabeled ones their
+    posterior; the M-step is _smoothed_m_step. The trace records sum over
+    labeled docs of log p(x, t) plus sum over unlabeled docs of
+    log sum_y p(x, y).
     """
     k, n = data.num_classes, len(data)
     gen = uniform_generative_params(k, data.num_features)
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[data.labeled_positions] = True
-    hard = np.zeros((data.n_labeled, k))
-    hard[np.arange(len(data.labels)), data.labels] = 1.0
+    hard = np.eye(k)[data.labels]
 
     def em_step(it):
         nonlocal gen
@@ -465,10 +489,7 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
                           + lse[~labeled_mask].sum())
 
         resp[data.labeled_positions] = hard
-        class_mass = resp.sum(axis=0)
-        v = (data.counts(resp) + _EM_SMOOTHING) / (class_mass[:, None] + 2.0 * _EM_SMOOTHING)
-        gen = GenerativeParams(pi=_mixing_weights(class_mass),
-                               theta_tilde=expfam.natural_from_mean(v))
+        gen = _smoothed_m_step(data, resp)
 
         _check_finite(objective, it, EndpointMode.PURE_GENERATIVE,
                       theta_tilde=gen.theta_tilde)
@@ -550,16 +571,19 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         return None, disc, report
 
     k, m = data.num_classes, data.num_features
-    gen = uniform_generative_params(k, m)
+    # the start: the naive Bayes M-step on the labeled documents alone
+    gen = _smoothed_m_step(data.labeled, np.eye(k)[data.labels])
     gauss = coupling.kind is CouplingKind.GAUSSIAN
     if gauss:
         # the M-step writes theta_tilde, w and z = [theta_tilde, delta, b] of
-        # the labeled documents' columns in place, and disc.b is a view of z
+        # the labeled documents' columns in place, and disc.b is a view of z;
+        # z starts at [the start's theta_tilde, 0, 0], that is w = theta_tilde
         features, restricted = _labeled_columns(data)
         untouched = np.ones(m, dtype=bool)
         untouched[features] = False
         untouched = np.flatnonzero(untouched)
         z = np.zeros(2 * k * features.size + k)
+        z[:k * features.size] = gen.theta_tilde[:, features].ravel()
         disc = DiscriminativeParams(b=z[2 * k * features.size:], w=np.zeros((k, m)))
     else:
         # the SGD epochs update x in place, and disc.w, disc.b are views of it

@@ -467,6 +467,20 @@ def test_prior_curves_bad_theta_mean_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # parser plumbing
 
+def test_import_does_not_load_multiprocessing():
+    """The sweep imports its process pool only when it starts one, since
+    multiprocessing adds about 2 MB of resident memory to every process."""
+    src = str(Path(hybridssl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, hybridssl, hybridssl.cli, hybridssl.harness; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_import_does_not_load_scipy():
     """numpy is the only runtime dependency; importing scipy would also add
     about 0.2 s to every CLI start."""

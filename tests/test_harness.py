@@ -1,6 +1,7 @@
 """Experiment harness: sweep execution, aggregation, best-lambda queries,
 CSV formats, and the prior-curve export."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(harness, "_worker_corpus", None)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     spec = quick_spec(lambdas=(0.5,), unlabeled_counts=(0,))
     assert run_sweep(spec, jobs=6) == run_sweep(spec, jobs=1)
     assert requested == [2]

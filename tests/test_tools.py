@@ -28,12 +28,13 @@ PREDICT_PHASES = ["-", "load_model", "load_corpus", "scoring"]
 
 
 @pytest.mark.parametrize("lam, coupling, train_phases", [
-    ("0.5", "beta", ["-", "load_corpus", "generative_step", "sgd_epochs", "e_step_scoring",
-                     "log_joint", "save_model"]),
-    ("0.5", "gauss", ["-", "load_corpus", "m_step", "e_step_scoring", "log_joint",
+    ("0.5", "beta", ["-", "load_corpus", "start", "generative_step", "sgd_epochs",
+                     "e_step_scoring", "log_joint", "save_model"]),
+    ("0.5", "gauss", ["-", "load_corpus", "start", "m_step", "e_step_scoring", "log_joint",
                       "save_model"]),
     ("1", "beta", ["-", "load_corpus", "train_logreg", "save_model"]),
-], ids=["beta", "gauss", "lam1"])
+    ("0", "beta", ["-", "load_corpus", "start", "e_step_scoring", "save_model"]),
+], ids=["beta", "gauss", "lam1", "lam0"])
 def test_peak_memory_reports_every_phase_that_ran(tmp_path, capsys, lam, coupling,
                                                   train_phases):
     peak_memory = _import_tool("peak_memory")

@@ -642,9 +642,33 @@ def test_lambda_one_fits_no_generative_half(monkeypatch):
     gen, disc, report = train(train_set, CouplingConfig.from_lambda(1.0), TrainConfig())
     assert gen is None and built == []
     assert report.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
-    # the counter sees the start state of the other trainers
-    train(train_set, CouplingConfig.from_lambda(0.5), TrainConfig(max_outer_iters=2))
+    # the counter sees the start state of naive Bayes EM, the one trainer
+    # that still starts from it
+    train(train_set, CouplingConfig.from_lambda(0.0), TrainConfig(max_outer_iters=2))
     assert built == [(2, 10)]
+
+
+@pytest.mark.parametrize("kind", [CouplingKind.BETA, CouplingKind.GAUSSIAN])
+def test_hybrid_starts_from_the_labeled_documents_naive_bayes_m_step(monkeypatch, kind):
+    # the start is naive Bayes EM's first M-step on the labeled documents
+    # alone, whose responsibilities are their one-hot labels
+    starts = []
+
+    def spy(data, resp):
+        gen = smoothed_m_step(data, resp)
+        starts.append((gen.pi.copy(), gen.theta_tilde.copy()))
+        return gen
+
+    smoothed_m_step = trainer._smoothed_m_step
+    monkeypatch.setattr(trainer, "_smoothed_m_step", spy)
+    train_set, _ = small_corpus()
+    train(train_set, CouplingConfig.from_lambda(0.5, kind), TrainConfig(max_outer_iters=2))
+    monkeypatch.undo()
+    ref, _ = train_nb_em(train_set.labeled, TrainConfig(max_outer_iters=1))
+    assert len(starts) == 1
+    pi, theta_tilde = starts[0]
+    assert pi.tobytes() == ref.pi.tobytes()
+    assert theta_tilde.tobytes() == ref.theta_tilde.tobytes()
 
 
 def test_lambda_clamp_dispatches_endpoints():
@@ -1098,9 +1122,21 @@ def test_rejecting_seed_rejects_the_first_draw_of_a_three_element_shuffle():
     assert _MASK64 > _MASK64 - (_MASK64 + 1) % 3  # above randbelow(3)'s limit
 
 
-@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2 ** 64 - 1, _REJECTING_SEED])
+# a state whose draw at step 100 of a 1,000-element shuffle, below n = 900,
+# is 2**64 - 1, which randbelow(900) rejects
+_MID_REJECTING_SEED = (_unmix64(_MASK64) - 101 * 0x9E3779B97F4A7C15) & _MASK64
+
+
+def test_mid_rejecting_seed_rejects_step_100_of_a_thousand_element_shuffle():
+    rng = SplitMix64(_MID_REJECTING_SEED)
+    assert [rng.next_u64() for _ in range(101)][-1] == _MASK64
+    assert _MASK64 > _MASK64 - (_MASK64 + 1) % 900  # above randbelow(900)'s limit
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2 ** 64 - 1, _REJECTING_SEED,
+                                  _MID_REJECTING_SEED])
 def test_shuffle_equals_randbelow_fisher_yates(seed):
-    for n in range(65):
+    for n in [*range(65), 500, 1000]:
         got, want = list(range(n)), list(range(n))
         inlined, reference = SplitMix64(seed), SplitMix64(seed)
         inlined.shuffle(got)

@@ -7,8 +7,8 @@ Run it against each checkout's sources and compare the printed lines:
 
 Each line is "<name> <sha256>". Sweep rows are digested as repr(rows);
 the "-json" lines digest the two benchmark grids' rows as the benchmark
-does, json.dumps of their dicts with sorted keys (48e8d7101c4c7d83... for
-the criterion-7 grid, 9ebc493139330ce1... for grid-gauss at seed 0).
+does, json.dumps of their dicts with sorted keys (4b51dc94460a5d4c... for
+the criterion-7 grid, 60a92cbd3080ea3f... for grid-gauss at seed 0).
 A fit is digested as pi and theta_tilde where it has a generative half
 (every fit but lam = 1), then b and w (dtype, shape and raw bytes, since
 an array's repr elides its middle), then repr(report).

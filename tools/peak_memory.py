@@ -11,11 +11,12 @@ temporary model file, then predict TEST_CORPUS with it. Each line is
 
 The command line is that command's whole peak; a phase line is the
 highest traced memory while the phase ran, counting what was already
-allocated when it began. Train's phases are load_corpus, the BETA
-generative step, the GAUSSIAN M-step, the SGD epochs, the E-step scoring
-(every nb_scores_matrix call the trainer makes: the initial
-responsibilities and, each outer iteration, the scores that the log
-joint and the next E-step share), the log joint,
+allocated when it began. Train's phases are load_corpus, the start (the
+hybrid's naive Bayes M-step on the labeled documents, and every M-step
+of the lam = 0 fit), the BETA generative step, the GAUSSIAN M-step, the
+SGD epochs, the E-step scoring (every nb_scores_matrix call the trainer
+makes: the initial responsibilities and, each outer iteration, the
+scores that the log joint and the next E-step share), the log joint,
 train_logreg (the whole lam = 1 fit) and save_model; predict's are
 load_model, load_corpus and scoring (lr_scores_matrix). The moments that
 set a command's peak lie inside these phases, so its line matches its
@@ -39,6 +40,7 @@ from hybridssl import cli, trainer
 # (module, function, phase) of each measured phase, per command
 PHASES = {
     "train": ((cli, "load_corpus", "load_corpus"),
+              (trainer, "_smoothed_m_step", "start"),
               (trainer, "generative_update_beta", "generative_step"),
               (trainer, "_gauss_m_step", "m_step"),
               (trainer, "_sgd_epochs", "sgd_epochs"),
