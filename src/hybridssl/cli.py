@@ -21,26 +21,20 @@ import numpy as np
 
 from .data import load_corpus, write_corpus
 from .errors import ConfigError, NumericError
-from .harness import (DEFAULT_CURVE_GAMMAS, SweepSpec, SyntheticSpec, aggregate,
-                      best_lambda, export_prior_curves, run_sweep,
-                      write_aggregate_csv, write_results_csv)
-from .model import (CouplingConfig, CouplingKind, _normalize, load_model, lr_scores_matrix,
-                    save_model)
+from .harness import (DEFAULT_CURVE_GAMMAS, DEFAULT_CURVE_GRID_POINTS, DEFAULT_CURVE_THETA_MEAN,
+                      SweepSpec, SyntheticSpec, aggregate, best_lambda, export_prior_curves,
+                      run_sweep, write_aggregate_csv, write_results_csv)
+from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, _normalize, load_model,
+                    lr_scores_matrix, save_model)
+from .rng import seed_in_range
 from .trainer import TrainConfig, train
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_list(text: str, cast, kind: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        return tuple(cast(tok) for tok in text.split(","))
     except ValueError:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from None
-
-
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"expected comma-separated {kind}, got {text!r}") from None
 
 
 def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
@@ -58,7 +52,7 @@ def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
 
 def _parse_seeds(text: str) -> tuple:
     """'N' means seeds 1..N; 'a,b,c' is an explicit list."""
-    values = _parse_ints(text)
+    values = _parse_list(text, int, "integers")
     if len(values) == 1:
         n = values[0]
         if n < 1:
@@ -70,6 +64,8 @@ def _parse_seeds(text: str) -> tuple:
 def _load_training_corpus(args):
     if (args.corpus is None) == (args.synthetic is None):
         raise ConfigError("exactly one of --corpus / --synthetic must be given")
+    if not seed_in_range(args.seed):
+        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
     if args.corpus is not None:
         return load_corpus(args.corpus)
     return _parse_synthetic(args.synthetic, args.seed).build()
@@ -93,7 +89,7 @@ def cmd_train(args) -> int:
     not written."""
     data = _load_training_corpus(args)
     coupling = _build_coupling(args)
-    cfg = TrainConfig(max_outer_iters=args.max_iters, tol=args.tol, seed=args.seed)
+    cfg = TrainConfig(max_outer_iters=args.max_iters, tol=args.tol)
     disc, report = train(data, coupling, cfg)[1:]  # theta_tilde is freed here
     save_model(disc, args.out)
     print(f"mode={report.endpoint_mode.value} outer_iters={report.outer_iters_run} "
@@ -133,8 +129,8 @@ def cmd_sweep(args) -> int:
     elif args.corpus is None:
         raise ConfigError("exactly one of --corpus / --synthetic must be given")
     spec = SweepSpec(
-        lambdas=_parse_floats(args.lambdas),
-        unlabeled_counts=_parse_ints(args.unlabeled),
+        lambdas=_parse_list(args.lambdas, float, "floats"),
+        unlabeled_counts=_parse_list(args.unlabeled, int, "integers"),
         labeled_per_class=args.labeled_per_class,
         seeds=_parse_seeds(args.seeds),
         coupling_kind=CouplingKind(args.coupling),
@@ -176,40 +172,30 @@ def cmd_synth(args) -> int:
 
 def cmd_prior_curves(args) -> int:
     n = export_prior_curves(args.out, theta_mean=args.theta_mean,
-                            gammas=_parse_floats(args.gammas), grid_points=args.grid)
+                            gammas=_parse_list(args.gammas, float, "floats"), grid_points=args.grid)
     print(f"wrote {n} curve rows to {args.out}", file=sys.stderr)
     return 0
 
 
-def _add_corpus_args(sub, seed_help):
+def _add_corpus_args(sub, seed_flag, seed_help):
     sub.add_argument("--corpus", metavar="PATH", default=None,
                      help="corpus file to load")
     sub.add_argument("--synthetic", metavar="K,M,SEP,DOCS_PER_CLASS", default=None,
                      help="generate a synthetic corpus instead of loading one")
-    sub.add_argument("--seed", type=int, default=0, help=seed_help)
-
-
-def _add_coupling_args(sub):
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="interpolation knob in [0, 1]; 0 = generative only, "
-                          "1 = discriminative only")
-    sub.add_argument("--gamma", type=float, default=None,
-                     help="explicit coupling strength: the beta concentration or "
-                          "the gauss precision (mutually exclusive with --lambda)")
-    _add_coupling_family_args(sub)
+    sub.add_argument(seed_flag, type=int, default=0, help=seed_help)
 
 
 def _add_coupling_family_args(sub):
     sub.add_argument("--coupling", choices=[k.value for k in CouplingKind],
                      default=CouplingKind.BETA.value, help="coupling prior family")
-    sub.add_argument("--disc-sigma2", dest="disc_sigma2", type=float, default=100.0,
+    sub.add_argument("--disc-sigma2", dest="disc_sigma2", type=float, default=_DISC_PRIOR_SIGMA2,
                      help="gaussian prior variance on the discriminative weights")
 
 
 def _add_trainer_args(sub):
-    sub.add_argument("--max-iters", type=int, default=200,
+    sub.add_argument("--max-iters", type=int, default=TrainConfig.max_outer_iters,
                      help="outer iteration cap")
-    sub.add_argument("--tol", type=float, default=1e-6,
+    sub.add_argument("--tol", type=float, default=TrainConfig.tol,
                      help="relative objective change declaring convergence")
 
 
@@ -223,8 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     train_p = subs.add_parser(
         "train", help="fit a model and save it",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_corpus_args(train_p, "training seed (also seeds --synthetic)")
-    _add_coupling_args(train_p)
+    _add_corpus_args(train_p, "--seed", "seeds --synthetic; training reads no seed")
+    train_p.add_argument("--lambda", dest="lam", type=float, default=None,
+                         help="interpolation knob in [0, 1]; 0 = generative only, "
+                              "1 = discriminative only")
+    train_p.add_argument("--gamma", type=float, default=None,
+                         help="explicit coupling strength: the beta concentration or "
+                              "the gauss precision (mutually exclusive with --lambda)")
+    _add_coupling_family_args(train_p)
     _add_trainer_args(train_p)
     train_p.add_argument("--out", required=True, metavar="PATH",
                          help="where to save the trained model")
@@ -242,12 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = subs.add_parser(
         "sweep", help="lambda x unlabeled-count x seed experiment grid",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    sweep_p.add_argument("--corpus", metavar="PATH", default=None,
-                         help="corpus file to load")
-    sweep_p.add_argument("--synthetic", metavar="K,M,SEP,DOCS_PER_CLASS", default=None,
-                         help="generate a synthetic corpus instead of loading one")
-    sweep_p.add_argument("--corpus-seed", type=int, default=0,
-                         help="seed for --synthetic corpus generation")
+    _add_corpus_args(sweep_p, "--corpus-seed", "seed for --synthetic corpus generation")
     sweep_p.add_argument("--lambdas", required=True, metavar="F[,F...]",
                          help="lambda grid")
     sweep_p.add_argument("--unlabeled", required=True, metavar="N[,N...]",
@@ -280,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     curves_p = subs.add_parser(
         "prior-curves", help="export coupling prior / matched normal curves",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    curves_p.add_argument("--theta-mean", dest="theta_mean", type=float, default=0.2,
+    curves_p.add_argument("--theta-mean", dest="theta_mean", type=float,
+                          default=DEFAULT_CURVE_THETA_MEAN,
                           help="prior center on the mean axis, in (0, 1)")
     curves_p.add_argument("--gammas", default=",".join(str(g) for g in DEFAULT_CURVE_GAMMAS),
                           help="comma-separated coupling concentrations")
-    curves_p.add_argument("--grid", type=int, default=2001,
+    curves_p.add_argument("--grid", type=int, default=DEFAULT_CURVE_GRID_POINTS,
                           help="points per curve per axis")
     curves_p.add_argument("--out", required=True, metavar="PATH",
                           help="CSV file to write")

@@ -3,10 +3,10 @@ and coupling-prior curve export.
 
 A sweep evaluates every (lambda, unlabeled count, seed) cell of a grid.
 Each cell draws its own protocol split and trains one hybrid model; the
-cell seed mixes the per-seed base with the lambda index and count index
-through the same 64-bit hash the trainer uses, so cells are decoupled
-but reproducible. Failed cells (numeric errors) are flagged and the
-sweep carries on.
+split's seed mixes the sweep seed with the lambda index and count index
+through rng.derive_seed, so cells are decoupled but reproducible; the
+training itself reads no seed. Failed cells (numeric errors) are flagged
+and the sweep carries on.
 
 wall_ms is 0.0 unless timing is requested: output files are meant to be
 byte-identical across reruns of the same configuration, and wall-clock
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,8 @@ import numpy as np
 from .data import SplitSpec, generate_synthetic, load_corpus, sample_split
 from .errors import ConfigError, NumericError, QueryError
 from .expfam import beta_prior_log_density, beta_prior_moments, logit
-from .model import CouplingConfig, CouplingKind, Dataset, lr_scores_matrix, nb_scores_matrix
+from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset, lr_scores_matrix,
+                    nb_scores_matrix)
 from .rng import derive_seed, seed_in_range
 from .trainer import TrainConfig, train
 
@@ -33,7 +34,9 @@ RESULTS_HEADER = "lambda,unlabeled,seed,accuracy,gen_accuracy,outer_iters,conver
 AGGREGATE_HEADER = "lambda,unlabeled,mean_acc,std_acc,n_seeds"
 CURVES_HEADER = "gamma,axis_space,x,beta_density,normal_density"
 
+DEFAULT_CURVE_THETA_MEAN = 0.2
 DEFAULT_CURVE_GAMMAS = (0.1, 1.0, 10.0, 100.0)
+DEFAULT_CURVE_GRID_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,9 @@ class SweepSpec:
 
     Exactly one of corpus_path / synthetic supplies the corpus. The
     lambda grid and unlabeled counts are sorted ascending; seeds keep
-    their given order but rows are emitted sorted. Every cell reuses
-    ``train`` with its cell seed substituted into train_config, whose own
-    seed must therefore be left at 0.
+    their given order but rows are emitted sorted. Every cell draws its
+    protocol split from its sweep seed and grid position and runs
+    ``train`` with train_config as given.
     """
 
     lambdas: tuple
@@ -67,7 +70,7 @@ class SweepSpec:
     labeled_per_class: int
     seeds: tuple = (1, 2, 3, 4, 5)
     coupling_kind: CouplingKind = CouplingKind.BETA
-    disc_prior_sigma2: float = 100.0
+    disc_prior_sigma2: float = _DISC_PRIOR_SIGMA2
     corpus_path: Optional[str] = None
     synthetic: Optional[SyntheticSpec] = None
     train_config: TrainConfig = field(default_factory=TrainConfig)
@@ -101,9 +104,6 @@ class SweepSpec:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if (self.corpus_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of corpus_path / synthetic must be given")
-        if self.train_config.seed != 0:
-            raise ConfigError(f"train_config.seed must be 0, got {self.train_config.seed}: "
-                              f"each cell is seeded from its sweep seed and grid position")
 
     def load_corpus(self) -> Dataset:
         if self.corpus_path is not None:
@@ -149,10 +149,9 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
               base_seed: int, measure_time: bool) -> ResultRow:
     lam = spec.lambdas[lambda_index]
     count = spec.unlabeled_counts[count_index]
-    seed = derive_seed(base_seed, lambda_index, count_index)
     try:
-        split = SplitSpec(labeled_per_class=spec.labeled_per_class,
-                          unlabeled_total=count, seed=seed)
+        split = SplitSpec(labeled_per_class=spec.labeled_per_class, unlabeled_total=count,
+                          seed=derive_seed(base_seed, lambda_index, count_index))
         train_set, test_set = sample_split(corpus, split)
         if len(test_set) == 0:
             raise ConfigError(f"the split leaves no test document: {count} unlabeled and "
@@ -160,9 +159,8 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
                               f"labeled document of the corpus")
         coupling = CouplingConfig.from_lambda(lam, spec.coupling_kind,
                                               spec.disc_prior_sigma2)
-        cfg = replace(spec.train_config, seed=seed)
         t0 = time.perf_counter()
-        gen, disc, report = train(train_set, coupling, cfg)
+        gen, disc, report = train(train_set, coupling, spec.train_config)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
         labels = test_set.labels
         return ResultRow(
@@ -263,8 +261,8 @@ def write_aggregate_csv(aggregates, path) -> None:
                      f"{a.std_acc:.6f},{a.n_seeds}\n")
 
 
-def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
-                     grid_points: int = 2001) -> list:
+def prior_curve_rows(theta_mean: float = DEFAULT_CURVE_THETA_MEAN, gammas=DEFAULT_CURVE_GAMMAS,
+                     grid_points: int = DEFAULT_CURVE_GRID_POINTS) -> list:
     """Tabulate the coupling prior against its matched normal.
 
     For each coupling strength gamma the prior is centered at the natural
@@ -314,10 +312,10 @@ def prior_curve_rows(theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
     return rows
 
 
-def export_prior_curves(path, theta_mean: float = 0.2, gammas=DEFAULT_CURVE_GAMMAS,
-                        grid_points: int = 2001) -> int:
-    """Write prior_curve_rows as CSV; returns the number of data rows."""
-    rows = prior_curve_rows(theta_mean, gammas, grid_points)
+def export_prior_curves(path, **curve_args) -> int:
+    """Write prior_curve_rows(**curve_args) as CSV; returns the number of
+    data rows."""
+    rows = prior_curve_rows(**curve_args)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CURVES_HEADER + "\n")
         for gamma, space, x, bd, nd in rows:

@@ -293,6 +293,8 @@ class EndpointMode(enum.Enum):
 
 # lam within this distance of 0 or 1 trains the standalone endpoint model.
 _LAMBDA_CLAMP = 1e-3
+# The gaussian prior variance sigma^2 of the discriminative weights, unless set.
+_DISC_PRIOR_SIGMA2 = 100.0
 
 
 def _endpoint_mode(lam: float) -> EndpointMode:
@@ -320,7 +322,7 @@ class CouplingConfig:
     kind: CouplingKind
     lam: float = 0.5
     gamma: Optional[float] = None
-    disc_prior_sigma2: float = 100.0
+    disc_prior_sigma2: float = _DISC_PRIOR_SIGMA2
 
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
@@ -346,7 +348,7 @@ class CouplingConfig:
 
     @classmethod
     def from_lambda(cls, lam: float, kind: CouplingKind = CouplingKind.BETA,
-                    disc_prior_sigma2: float = 100.0) -> "CouplingConfig":
+                    disc_prior_sigma2: float = _DISC_PRIOR_SIGMA2) -> "CouplingConfig":
         lam = float(lam)
         gamma = None
         if _endpoint_mode(lam) is EndpointMode.HYBRID:

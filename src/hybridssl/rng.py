@@ -1,10 +1,11 @@
 """Deterministic 64-bit PRNG used for shuffling and seed derivation.
 
-All stochastic order inside the trainer (SGD epoch order) and all seed
-derivation in the sweep harness flow through this module so that runs are
-bit-identical across platforms and library versions. The generator is the
-splitmix64 sequence: state advances by the golden-ratio increment and the
-output is the standard 30/27/31 xor-multiply finalizer.
+The protocol split's per-class shuffles, the sweep harness's cell seeds
+and the BETA hybrid's fixed SGD epoch order all flow through this module,
+so that runs are bit-identical across platforms and library versions.
+The generator is the splitmix64 sequence: state advances by the
+golden-ratio increment and the output is the standard 30/27/31
+xor-multiply finalizer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def derive_seed(*parts: int) -> int:
     """Fold integer key parts into a single 64-bit seed.
 
     h_0 = 0, h_{i+1} = mix64(h_i + GOLDEN + part_i). Order-sensitive, so
-    (seed, outer_iter, epoch) and (seed, epoch, outer_iter) differ.
+    (sweep seed, lambda index, count index) and (sweep seed, count index,
+    lambda index) differ.
     """
     h = 0
     for p in parts:

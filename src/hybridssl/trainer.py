@@ -71,9 +71,9 @@ full-batch L-BFGS ascent (_lbfgs_ascent) over the features of the
 labeled documents, two L-BFGS iterations per outer iteration, instead of
 SGD epochs.
 
-Determinism: SGD epoch order is drawn from the splitmix64 stream seeded by
-(cfg.seed, outer_iter, epoch), so cfg.seed affects BETA hybrid fits only;
-identical inputs give bit-identical parameters and traces.
+Determinism: no trainer reads a seed. The BETA hybrid's SGD epochs run in
+one fixed order (_SGD_SEED), so a fit depends only on its data, coupling and
+TrainConfig; identical inputs give bit-identical parameters and traces.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ import numpy as np
 
 from . import expfam
 from .errors import ConfigError, DomainError, NumericError
-from .model import (CouplingConfig, CouplingKind, Dataset, DiscriminativeParams,
-                    EndpointMode, GenerativeParams, _coupling_gradient, _disc_terms,
-                    _gauss_delta_scale, _gauss_m_step_terms, _normalize, log_joint_blocks,
-                    nb_scores_matrix, uniform_generative_params)
-from .rng import SplitMix64, derive_seed, seed_in_range
+from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset,
+                    DiscriminativeParams, EndpointMode, GenerativeParams, _coupling_gradient,
+                    _disc_terms, _gauss_delta_scale, _gauss_m_step_terms, _normalize,
+                    log_joint_blocks, nb_scores_matrix, uniform_generative_params)
+from .rng import SplitMix64, derive_seed
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
 _EM_SMOOTHING = 1e-2
@@ -102,6 +102,8 @@ _GAUSS_MAX_STEPS = 100
 # learning rate decays with the global example-update count t as
 # eta_t = _LEARNING_RATE0 / (1 + t / _LR_DECAY_STEPS).
 _SGD_EPOCHS = 5
+# The SGD's epoch orders: SplitMix64(derive_seed(_SGD_SEED, outer_iter, epoch)).
+_SGD_SEED = 0
 _LEARNING_RATE0 = 0.1
 _LR_DECAY_STEPS = 1000.0
 # The lam = 1 endpoint's L-BFGS ascent keeps the last _LBFGS_MEMORY
@@ -125,21 +127,17 @@ class TrainConfig:
     |L_k - L_{k-1}| / max(1, |L_{k-1}|, |L_k|) < tol. An outer iteration
     is one round of the hybrid, one EM step at lam = 0 and two L-BFGS
     iterations at lam = 1; tol also stops the GAUSSIAN hybrid's inner
-    ascent. seed keys the BETA hybrid's SGD shuffles; no other trainer
-    reads it.
+    ascent.
     """
 
     max_outer_iters: int = 200
     tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (self.tol > 0.0):
             raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if not seed_in_range(self.seed):
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -216,30 +214,38 @@ def _gauss_newton(counts, class_mass, v, t):
     bisection, starting from t.
 
     The derivative c - n_y sigmoid(t) - t / v falls strictly. Its root lies
-    between v (c - n_y) and v c, and between 0 and logit(c / n_y), where
-    c - n_y sigmoid(t) changes sign. A Newton step that leaves the bracket,
-    which shrinks around the root as the iterates move, is replaced by
-    bisection. Stops once no step exceeds _GAUSS_TOL * (1 + |t|), after
-    taking it; raises NumericError (with the last iterate attached) after
-    _GAUSS_MAX_STEPS steps.
+    between v (c - n_y) and v c, between 0 and logit(c / n_y), where
+    c - n_y sigmoid(t) changes sign, and within L = max(1, log(n_y v)) of 0,
+    as n_y sigmoid(-L) <= 1 / v <= L / v. A Newton step that leaves the
+    bracket, which shrinks around the root as the iterates move, or that
+    exceeds both the tolerance and half the step before it (far in the
+    tail Newton moves about 1 per step), is replaced by bisection. Stops
+    once no step exceeds _GAUSS_TOL * (1 + |t|), after taking it; raises
+    NumericError (with the last iterate attached) after _GAUSS_MAX_STEPS
+    steps.
     """
     n = class_mass[:, None]
-    with np.errstate(divide="ignore"):  # logit(c / n_y) is -inf at c = 0, inf at c = n_y
+    reach = np.maximum(1.0, np.log(n) + math.log(v))
+    # logit(c / n_y) is -inf at c = 0 and inf at c = n_y; v c may overflow to inf
+    with np.errstate(divide="ignore", over="ignore"):
         root = np.log(counts) - np.log(np.maximum(n - counts, 0.0))
-    lo = np.maximum(v * (counts - n), np.minimum(root, 0.0))
-    hi = np.minimum(v * counts, np.maximum(root, 0.0))
+        lo = np.maximum(np.maximum(v * (counts - n), np.minimum(root, 0.0)), -reach)
+        hi = np.minimum(np.minimum(v * counts, np.maximum(root, 0.0)), reach)
     t = np.clip(t, lo, hi)
+    last = np.full_like(t, np.inf)
     for _ in range(_GAUSS_MAX_STEPS):
         s = expfam.sigmoid(t)
         grad = counts - n * s - t / v
         np.copyto(lo, t, where=grad > 0.0)
         np.copyto(hi, t, where=grad < 0.0)
         t_new = t + grad / (n * s * (1.0 - s) + 1.0 / v)
-        outside = ~((t_new >= lo) & (t_new <= hi))
-        t_new[outside] = 0.5 * (lo[outside] + hi[outside])
-        done = np.abs(t_new - t) <= _GAUSS_TOL * (1.0 + np.abs(t))
+        tol = _GAUSS_TOL * (1.0 + np.abs(t))
+        step = np.abs(t_new - t)
+        bisect = ~((t_new >= lo) & (t_new <= hi)) | ((step > tol) & (step > 0.5 * last))
+        t_new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        last = np.abs(t_new - t)
         t = t_new
-        if done.all():
+        if (last <= tol).all():
             return t
     raise NumericError(
         f"gaussian M-step Newton did not converge within {_GAUSS_MAX_STEPS} steps "
@@ -328,7 +334,7 @@ def _sgd_cells(data):
             for ids, y in data.labeled]
 
 
-def _sgd_epochs(x, docs, gen, coupling, seed, outer_iter):
+def _sgd_epochs(x, docs, gen, coupling, outer_iter):
     """Run _SGD_EPOCHS SGD epochs in place on x = [w.ravel(), b], the
     documents docs being _sgd_cells' list.
 
@@ -367,7 +373,7 @@ def _sgd_epochs(x, docs, gen, coupling, seed, outer_iter):
     step = outer_iter * _SGD_EPOCHS * n_docs
     add, maximum, exp, subtract = np.add, np.maximum, np.exp, np.subtract
     for epoch in range(_SGD_EPOCHS):
-        SplitMix64(derive_seed(seed, outer_iter, epoch)).shuffle(order)
+        SplitMix64(derive_seed(_SGD_SEED, outer_iter, epoch)).shuffle(order)
         etas = _learning_rate(np.arange(step, step + n_docs)).tolist()
         for i, eta in zip(order, etas):
             cells, onehot = docs[i]
@@ -499,13 +505,14 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
     return gen, report
 
 
-def train_logreg(data: Dataset, cfg: TrainConfig, disc_prior_sigma2: float = 100.0):
+def train_logreg(data: Dataset, cfg: TrainConfig,
+                 disc_prior_sigma2: float = _DISC_PRIOR_SIGMA2):
     """Standalone L2-regularized logistic regression (the lam = 1 endpoint).
 
     Maximizes the labeled log-likelihood minus ||w||^2 / (2 sigma^2), which
     is concave and is model._disc_terms' value, by _lbfgs_ascent on the flat
     vector [w.ravel(), b], _LBFGS_ITERS_PER_STEP L-BFGS iterations per outer
-    iteration. The fit is deterministic and does not read cfg.seed.
+    iteration.
 
     A weight of a feature that no labeled document holds has gradient
     -w / sigma^2 and stays at its start, 0. So the ascent runs over the
@@ -606,7 +613,7 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
             # theta_tilde is freed before the new one is built
             gen = None
             gen = generative_update_beta(data, resp, disc, coupling.gamma)
-            _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
+            _sgd_epochs(x, docs, gen, coupling, it)
 
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
         # gen is final for this iteration, so the normalization that gives

@@ -290,7 +290,7 @@ def test_criterion_6_coordinate_ascent_trace():
         after = surrogate(gen, disc.w, resp, counts)
         worst = min(worst, after - before)
         assert after >= before - 1e-9
-        _sgd_epochs(x, docs, gen, coupling, cfg.seed, it)
+        _sgd_epochs(x, docs, gen, coupling, it)
         disc = DiscriminativeParams(b=b.copy(), w=w.copy())
         trace.append(log_joint_blocks(gen, disc, coupling, toy).total())
         resp = responsibilities(gen, toy)

@@ -72,7 +72,7 @@ def test_deleted_names_are_gone():
 def test_train_config_holds_only_the_outer_loop_knobs():
     # the SGD schedule is a set of trainer constants, not configuration
     assert tuple(f.name for f in dataclasses.fields(hybridssl.TrainConfig)) == (
-        "max_outer_iters", "tol", "seed")
+        "max_outer_iters", "tol")
     assert not hasattr(hybridssl.TrainConfig, "learning_rate")
 
 

@@ -85,6 +85,20 @@ def test_train_is_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_train_seed_seeds_only_the_synthetic_corpus(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, capsys)
+    models = {}
+    for source in (("--corpus", str(corpus)), ("--synthetic", SYN)):
+        for seed in ("0", "7"):
+            path = tmp_path / f"{source[0][2:]}-{seed}.model"
+            code, _, _ = run(capsys, "train", *source, "--lambda", "0.5", "--seed", seed,
+                             "--out", str(path))
+            assert code == 0
+            models[source[0], seed] = path.read_bytes()
+    assert models["--corpus", "0"] == models["--corpus", "7"]
+    assert models["--synthetic", "0"] != models["--synthetic", "7"]
+
+
 def test_train_endpoint_and_gauss_modes(tmp_path, capsys):
     corpus = make_corpus(tmp_path, capsys)
     code, _, err = run(capsys, "train", "--corpus", str(corpus),
@@ -443,6 +457,23 @@ def test_train_gauss_step_failure_names_the_coupling_variance(tmp_path, capsys):
     assert code == 0 and "mode=hybrid" in err
     disc = load_model(path)
     assert np.all(np.isfinite(disc.b)) and np.all(np.isfinite(disc.w))
+
+
+def test_train_gauss_at_a_vanishing_gamma_fits_a_feature_no_document_holds(tmp_path, capsys):
+    # sigma^2 + sigma_c2 = 1e45 or 1e300 puts the generative parameter of
+    # the empty feature 59 near -log(v n_y), about -100 or -690, far from
+    # the start, near logit(0.01 / 5) with 5 labeled documents per class
+    corpus = make_corpus(tmp_path, capsys, recipe="2,60,0.5,40")
+    header, *docs = corpus.read_text().replace(" 59:1", "").splitlines()
+    docs = [doc if i % 8 == 0 else "*" + doc[1:] for i, doc in enumerate(docs)]
+    corpus.write_text("\n".join([header, *docs]) + "\n")
+    for gamma in ("1e-45", "1e-300"):
+        path = tmp_path / f"m{gamma}.txt"
+        code, _, err = run(capsys, "train", "--corpus", str(corpus), "--coupling", "gauss",
+                           "--gamma", gamma, "--out", str(path))
+        assert code == 0 and "mode=hybrid" in err, (gamma, err)
+        disc = load_model(path)
+        assert np.all(np.isfinite(disc.b)) and np.all(np.isfinite(disc.w))
 
 
 def test_prior_curves_at_an_extreme_center_stay_finite(tmp_path, capsys):

@@ -18,10 +18,9 @@ from hybridssl.harness import (AGGREGATE_HEADER, CURVES_HEADER,
                                export_prior_curves,
                                prior_curve_rows, run_sweep,
                                write_aggregate_csv, write_results_csv)
-from hybridssl.model import CouplingConfig, CouplingKind, lr_scores_matrix
+from hybridssl.model import CouplingConfig, lr_scores_matrix, nb_scores_matrix
 from hybridssl.rng import derive_seed
 from hybridssl.trainer import TrainConfig, train
-from dataclasses import replace
 
 
 def quick_spec(**overrides):
@@ -81,13 +80,6 @@ def test_sweep_spec_sorts_grids():
     spec = quick_spec(lambdas=(1.0, 0.0, 0.5), unlabeled_counts=(20, 0))
     assert spec.lambdas == (0.0, 0.5, 1.0)
     assert spec.unlabeled_counts == (0, 20)
-
-
-def test_sweep_spec_refuses_a_training_seed():
-    # every cell trains with derive_seed(sweep seed, lambda index, count
-    # index) in place of train_config.seed, so any other value would be dropped
-    with pytest.raises(ConfigError, match="seeded from its sweep seed and grid position"):
-        quick_spec(train_config=TrainConfig(max_outer_iters=15, seed=1))
 
 
 def test_cell_seeds_of_a_grid_are_distinct():
@@ -151,24 +143,30 @@ def test_run_sweep_measure_time_populates_wall_ms():
     assert rows[0].wall_ms > 0.0
 
 
+def _direct_cell(spec, corpus, lam, count, seed):
+    """(gen, disc, report, test_set) of the cell trained outside the sweep:
+    the protocol split of its sweep seed and grid position, then train
+    with spec.train_config as given."""
+    split = SplitSpec(labeled_per_class=spec.labeled_per_class, unlabeled_total=count,
+                      seed=derive_seed(seed, spec.lambdas.index(lam),
+                                       spec.unlabeled_counts.index(count)))
+    train_set, test_set = sample_split(corpus, split)
+    return (*train(train_set, CouplingConfig.from_lambda(lam), spec.train_config), test_set)
+
+
+def _accuracy(scores, labels):
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
+
+
 def test_sweep_endpoint_cells_match_direct_training(tmp_path):
     # A lambda = 1 sweep cell must reproduce the standalone run with the
-    # same protocol split and the cell-derived seed. It fits no generative
-    # half, so its gen_accuracy is NaN.
+    # same protocol split. It fits no generative half, so its gen_accuracy
+    # is NaN.
     spec = quick_spec(lambdas=(0.0, 1.0))
     rows = run_sweep(spec)
-    corpus = spec.synthetic.build()
-
-    lam_index = spec.lambdas.index(1.0)
-    count_index = spec.unlabeled_counts.index(0)
-    seed = derive_seed(1, lam_index, count_index)
-    train_set, test_set = sample_split(
-        corpus, SplitSpec(labeled_per_class=5, unlabeled_total=0, seed=seed))
-    cfg = replace(spec.train_config, seed=seed)
-    gen, disc, report = train(train_set, CouplingConfig.from_lambda(1.0), cfg)
+    gen, disc, report, test_set = _direct_cell(spec, spec.synthetic.build(), 1.0, 0, 1)
     assert gen is None
-    preds = np.argmax(lr_scores_matrix(disc, test_set), axis=1)
-    want = float(np.mean(preds == test_set.labels))
+    want = _accuracy(lr_scores_matrix(disc, test_set), test_set.labels)
 
     got = [r for r in rows if r.lam == 1.0 and r.unlabeled == 0 and r.seed == 1]
     assert len(got) == 1
@@ -179,6 +177,18 @@ def test_sweep_endpoint_cells_match_direct_training(tmp_path):
     path = tmp_path / "r.csv"
     write_results_csv(got, path)
     assert path.read_text().splitlines()[1].split(",")[4] == "nan"
+
+    # So must a BETA hybrid cell, trained with spec.train_config as given:
+    # the sweep seed picks the split and nothing else. This is the
+    # criterion-7 grid's lambda = 0.25, u = 0 cell at sweep seed 1, whose SGD
+    # order shows in its accuracy.
+    spec = SweepSpec(lambdas=(0.0, 0.25), unlabeled_counts=(0,), labeled_per_class=10,
+                     seeds=(1,), synthetic=SyntheticSpec(2, 50, 0.5, 500, seed=0))
+    row = run_sweep(spec)[1]
+    gen, disc, report, test_set = _direct_cell(spec, spec.synthetic.build(), 0.25, 0, 1)
+    assert row.accuracy == _accuracy(lr_scores_matrix(disc, test_set), test_set.labels)
+    assert row.gen_accuracy == _accuracy(nb_scores_matrix(gen, test_set), test_set.labels)
+    assert (row.outer_iters, row.converged) == (report.outer_iters_run, report.converged)
 
 
 def test_run_sweep_flags_failed_cells_and_continues(monkeypatch):

@@ -4,7 +4,6 @@ Newton, the lam = 1 L-BFGS ascent, endpoint dispatch, and determinism."""
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,11 +41,6 @@ def test_train_config_validation():
         TrainConfig(max_outer_iters=0)
     with pytest.raises(ConfigError):
         TrainConfig(tol=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(seed=2 ** 64)  # the same SGD order as seed 0
-    assert TrainConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_learning_rate_decay():
@@ -191,38 +185,41 @@ def test_generative_update_gauss_extremes():
 
 
 def test_gauss_newton_matches_brute_force_maximizer():
+    # feature 3 holds no document of class 1: at v = 1e50 and 1e300 its root
+    # lies near -log(v n_y), about -690 at 1e300, and Newton alone moves
+    # about 1 per step there
     counts, mass = _newton_problem(4)
+    counts[1, 3] = 0.0
     start = np.random.default_rng(4).normal(0.0, 5.0, counts.shape)
-    for v in (9.0 + 100.0, 1.0 / 9.0 + 100.0, 0.5):
+    for v in (9.0 + 100.0, 1.0 / 9.0 + 100.0, 0.5, 1e50, 1e300):
         t = trainer._gauss_newton(counts, mass, v, start.copy())
-        for y, d in [(0, 0), (1, 4), (1, 9)]:
+        for y, d in [(0, 0), (1, 3), (1, 4), (1, 9)]:
             c, n = counts[y, d], mass[y]
 
             def surrogate(x):
                 return c * x - n * math.log1p(math.exp(x)) - x * x / (2.0 * v)
-            best = testkit.brute_force_theta_tilde(surrogate, -23.0, 23.0)
-            assert abs(best - t[y, d]) < 1e-6
+            best = testkit.brute_force_theta_tilde(surrogate, -800.0, 30.0)
+            assert abs(best - t[y, d]) < 1e-6, (v, y, d)
 
 
-def _exhaust_the_newton_budget():
-    # at v = 1e300 a column no document holds has its root near
-    # -log(v n_y), about -690, and from 0 each Newton step moves about 1
+def _exhaust_the_newton_budget(monkeypatch):
+    # one step reaches no root of _newton_problem's counts from 0
+    monkeypatch.setattr(trainer, "_GAUSS_MAX_STEPS", 1)
     counts, mass = _newton_problem()
-    counts[0, 0] = 0.0
     with pytest.raises(NumericError) as exc:
         trainer._gauss_newton(counts, mass, 1e300, np.zeros_like(counts))
     return counts, exc.value
 
 
-def test_generative_update_gauss_step_budget_error():
-    counts, err = _exhaust_the_newton_budget()
-    assert "within 100 steps" in str(err)
+def test_generative_update_gauss_step_budget_error(monkeypatch):
+    counts, err = _exhaust_the_newton_budget(monkeypatch)
+    assert "within 1 steps" in str(err)
     assert err.snapshot["theta_tilde"].shape == counts.shape
     assert np.all(np.isfinite(err.snapshot["theta_tilde"]))
 
 
-def test_generative_update_gauss_step_budget_error_names_the_coupling_variance():
-    _, err = _exhaust_the_newton_budget()
+def test_generative_update_gauss_step_budget_error_names_the_coupling_variance(monkeypatch):
+    _, err = _exhaust_the_newton_budget(monkeypatch)
     assert re.search(r"at sigma\^2 \+ sigma_c2 = 1e\+300$", str(err))
     assert err.snapshot["v"] == 1e300
 
@@ -569,8 +566,7 @@ def test_logreg_ascent_is_monotone_and_deterministic():
         disc, report = train_logreg(train_set, TrainConfig())
         assert np.all(np.diff(report.log_joint_trace) >= 0.0)
         assert report.outer_iters_run == len(report.log_joint_trace)
-        # the seed feeds no part of the fit
-        disc2, report2 = train_logreg(train_set, TrainConfig(seed=seed + 10))
+        disc2, report2 = train_logreg(train_set, TrainConfig())
         assert np.array_equal(disc.b, disc2.b)
         assert np.array_equal(disc.w, disc2.w)
         assert report.log_joint_trace == report2.log_joint_trace
@@ -868,8 +864,7 @@ def test_gauss_grid_traces_ascend_and_stop_on_tol():
                                   seed=derive_seed(seed, lam_index, count_index))
                 train_set, _ = sample_split(corpus, split)
                 coupling = CouplingConfig.from_lambda(lam, CouplingKind.GAUSSIAN)
-                cfg = replace(spec.train_config, seed=split.seed)
-                _, _, report = train(train_set, coupling, cfg)
+                _, _, report = train(train_set, coupling, spec.train_config)
                 cell = (seed, lam, count)
                 assert report.converged, cell
                 trace = report.log_joint_trace
@@ -911,17 +906,6 @@ def test_loose_gauss_couplings_fit():
     # a subnormal gamma leaves no finite coupling variance
     with pytest.raises(DomainError, match="sigma_c2 must be finite"):
         train(train_set, CouplingConfig(CouplingKind.GAUSSIAN, gamma=5e-324), TrainConfig())
-
-
-def test_gauss_hybrid_does_not_read_the_seed():
-    train_set, _ = small_corpus()
-    coupling = CouplingConfig.from_lambda(0.5, CouplingKind.GAUSSIAN)
-    gen1, disc1, rep1 = train(train_set, coupling, TrainConfig(seed=0))
-    gen2, disc2, rep2 = train(train_set, coupling, TrainConfig(seed=2 ** 64 - 1))
-    assert rep1.log_joint_trace == rep2.log_joint_trace
-    for a, b in ((gen1.pi, gen2.pi), (gen1.theta_tilde, gen2.theta_tilde),
-                 (disc1.b, disc2.b), (disc1.w, disc2.w)):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_hybrid_mid_lambda_requires_strength():
@@ -969,9 +953,11 @@ def _reference_shuffle(rng, seq):
         seq[i], seq[j] = seq[j], seq[i]
 
 
-def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
+def _reference_sgd_epochs(data, gen, disc, coupling, outer_iter):
     """_sgd_epochs as first written: per example, two fancy-index gathers,
-    an out-of-place softmax and a fancy-index scatter-add."""
+    an out-of-place softmax and a fancy-index scatter-add, visiting the
+    documents of each epoch in the order derive_seed(0, outer_iter, epoch)
+    keys."""
     b, w = disc.b, disc.w
     positions = data.labeled_positions
     labels = data.labels
@@ -981,7 +967,7 @@ def _reference_sgd_epochs(data, gen, disc, coupling, seed, outer_iter):
     grad = np.empty_like(w)
     step = outer_iter * trainer._SGD_EPOCHS * len(positions)
     for epoch in range(trainer._SGD_EPOCHS):
-        _reference_shuffle(SplitMix64(derive_seed(seed, outer_iter, epoch)), order)
+        _reference_shuffle(SplitMix64(derive_seed(0, outer_iter, epoch)), order)
         for i in order:
             idx = feats[i]
             scores = b + w[:, idx].sum(axis=1)
@@ -1020,9 +1006,10 @@ def _kernel_corpora():
     return {"toy": toy, "grid": grid_split, "k20": twenty, "empty-doc": empty_doc}
 
 
-def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
+def _assert_kernel_matches_reference(data, kind, start, outer_iters, w0=None):
     """Run both loops from the same (b, w), comparing the two states after
-    every outer iteration; w starts at w0 if given, else small and random.
+    every outer iteration; b starts small and random (numpy seed start), and
+    w at w0 if given, else small and random too.
 
     Finite states must agree in their raw bytes: np.array_equal takes -0.0
     and +0.0 as equal, and the kernel's onehot - p and the loop's -p; p[y]
@@ -1031,7 +1018,7 @@ def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
     check, and NaNs are compared by position only."""
     k, m = data.num_classes, data.num_features
     coupling = CouplingConfig.from_lambda(0.5, kind)
-    rng = np.random.default_rng(seed % 1000)
+    rng = np.random.default_rng(start)
     b0 = rng.normal(0.0, 0.1, k)
     w0 = rng.normal(0.0, 0.1, (k, m)) if w0 is None else w0
     x = np.concatenate([w0.ravel(), b0])
@@ -1041,8 +1028,8 @@ def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
     gen = uniform_generative_params(k, m)
     for it in range(outer_iters):
         gen = generative_update_beta(data, responsibilities(gen, data), disc, 1.0)
-        _sgd_epochs(x, docs, gen, coupling, seed, it)
-        _reference_sgd_epochs(data, gen, ref, coupling, seed, it)
+        _sgd_epochs(x, docs, gen, coupling, it)
+        _reference_sgd_epochs(data, gen, ref, coupling, it)
         if not np.isfinite(x).all():
             assert np.array_equal(disc.b, ref.b, equal_nan=True)
             assert np.array_equal(disc.w, ref.w, equal_nan=True)
@@ -1055,8 +1042,8 @@ def _assert_kernel_matches_reference(data, kind, seed, outer_iters, w0=None):
 @pytest.mark.parametrize("kind", [CouplingKind.BETA])
 def test_sgd_kernel_matches_the_per_example_loop_bit_for_bit(kind):
     for name, data in _kernel_corpora().items():
-        for seed in (0, 2 ** 64 - 1):
-            disc = _assert_kernel_matches_reference(data, kind, seed, outer_iters=4)
+        for start in (0, 615):
+            disc = _assert_kernel_matches_reference(data, kind, start, outer_iters=4)
             assert np.all(np.isfinite(disc.w)), name
 
 

@@ -2,7 +2,7 @@
 `hybridssl predict`, to show where a change moves their working set.
 
     PYTHONPATH=src python tools/peak_memory.py TRAIN_CORPUS TEST_CORPUS \
-        [--lambda 0.5] [--coupling beta] [--max-iters 3] [--seed 0]
+        [--lambda 0.5] [--coupling beta] [--max-iters 3]
 
 Both commands run through hybridssl.cli.main: train on TRAIN_CORPUS into a
 temporary model file, then predict TEST_CORPUS with it. Each line is
@@ -108,7 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--lambda", dest="lam", default="0.5")
     parser.add_argument("--coupling", default="beta")
     parser.add_argument("--max-iters", default="3")
-    parser.add_argument("--seed", default="0")
     args = parser.parse_args(argv)
     k, m = _header_shape(args.train_corpus)
     array_bytes = 8 * k * m
@@ -118,7 +117,7 @@ def main(argv=None) -> int:
         commands = (
             ("train", ["train", "--corpus", args.train_corpus, "--lambda", args.lam,
                        "--coupling", args.coupling, "--max-iters", args.max_iters,
-                       "--seed", args.seed, "--out", model]),
+                       "--out", model]),
             ("predict", ["predict", "--model", model, "--corpus", args.test_corpus]))
         for command, command_argv in commands:
             peaks = PhasePeaks()
