@@ -231,6 +231,8 @@ def generate_synthetic(num_classes: int, num_features: int, docs_per_class: int,
     """
     if docs_per_class < 1:
         raise ConfigError(f"docs_per_class must be >= 1, got {docs_per_class}")
+    if not seed_in_range(seed):
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     _, probs = synthetic_true_params(num_classes, num_features, class_separation)
     rng = np.random.default_rng(seed)
     draws = np.concatenate([rng.random((docs_per_class, num_features)) < probs[c]

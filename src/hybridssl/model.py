@@ -246,14 +246,6 @@ class GenerativeParams:
                           for row in self.theta_tilde])
 
 
-def uniform_generative_params(num_classes: int, num_features: int) -> GenerativeParams:
-    """Uniform pi, theta_tilde = 0 (all means 1/2): naive Bayes EM's start state."""
-    return GenerativeParams(
-        pi=np.full(num_classes, 1.0 / num_classes),
-        theta_tilde=np.zeros((num_classes, num_features)),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class DiscriminativeParams:
     """Logistic-regression intercepts b (K,) and weights w (K, M)."""

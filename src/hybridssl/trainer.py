@@ -1,17 +1,13 @@
 """Training of the coupled classifier pair.
 
-The hybrid starts from the naive Bayes M-step on the labeled documents
-alone (_smoothed_m_step, their one-hot labels the responsibilities), the
-usual start of semi-supervised EM (Nigam, McCallum, Thrun & Mitchell
-2000), with w = b = 0 (GAUSSIAN's first M-step ascent starts at
-w = theta_tilde instead); the first E-step reads the posteriors under that
-fit. From theta_tilde = 0 and uniform pi every document would get the same
-responsibilities, and EM would spend its first outer iterations breaking
-that symmetry.
-
-Every outer iteration of the hybrid starts from the responsibilities
-p(y | x), which come from the document scores of the previous iteration's
-objective (the E-step). What follows depends on the coupling family.
+Every fit with a generative half (the hybrid, and naive Bayes EM at
+lam = 0) runs one outer loop, _em, from _labeled_start: the naive Bayes
+M-step on the labeled documents alone, the usual start of semi-supervised
+EM (Nigam, McCallum, Thrun & Mitchell 2000), with w = b = 0 in the hybrid
+(GAUSSIAN's first M-step ascent starts at w = theta_tilde instead). At
+lam = 0 the M-step is _smoothed_m_step with the labeled documents'
+responsibilities their one-hot labels, an EM step (Dempster, Laird & Rubin
+1977); the hybrid's depends on the coupling family.
 
 GAUSSIAN: one M-step. With c the expected counts and n_y = sum_x p(y | x)
 the class masses,
@@ -22,9 +18,8 @@ the class masses,
 
 is jointly concave, and _gauss_m_step maximizes it, with pi_y = n_y /
 sum n_y: a Newton per untouched column, one L-BFGS ascent over the rest.
-Each outer iteration is then an EM step (Dempster, Laird & Rubin 1977),
-or a generalized one (Neal & Hinton 1998), so it cannot lower the log
-joint.
+Each outer iteration is then an EM step too, or a generalized one (Neal
+& Hinton 1998), so it cannot lower the log joint.
 
 BETA: coordinate ascent, which still divides by N, the total number of
 documents, where EM divides by n_y, and still runs SGD (ROADMAP items 1
@@ -55,12 +50,10 @@ and 2 replace both).
      low bits of every fit.
 
 model.py owns the objective's values and gradients; this module only
-ascends them. The hybrid normalizes its document scores once per outer
-iteration (model._normalize): the row log-sum-exps give log_joint_blocks'
-generative block and the probabilities the next E-step. Only the SGD kernel
-writes gradient terms out itself, for speed: each example's data term and
-the per-epoch step w += eta * (-w/sigma^2 + coupling gradient), applied
-in place one block at a time with the coupling term from
+ascends them. Only the SGD kernel writes gradient terms out itself, for
+speed: each example's data term and the per-epoch step
+w += eta * (-w/sigma^2 + coupling gradient), applied in place one block at
+a time with the coupling term from
 model._coupling_gradient, so that no K x M gradient array is built.
 
 CouplingConfig.mode decides the endpoints: lam within model._LAMBDA_CLAMP
@@ -89,7 +82,7 @@ from .errors import ConfigError, DomainError, NumericError
 from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset,
                     DiscriminativeParams, EndpointMode, GenerativeParams, _coupling_gradient,
                     _disc_terms, _gauss_delta_scale, _gauss_m_step_terms, _normalize,
-                    log_joint_blocks, nb_scores_matrix, uniform_generative_params)
+                    log_joint_blocks, nb_scores_matrix)
 from .rng import SplitMix64, derive_seed
 
 # Pseudo-count of the naive Bayes EM M-step (the lam = 0 endpoint).
@@ -183,6 +176,12 @@ def _smoothed_m_step(data: Dataset, resp: np.ndarray) -> GenerativeParams:
         expfam._blockwise(lambda c: expfam.natural_from_mean((c + _EM_SMOOTHING) / denominator),
                           row, out=row)
     return GenerativeParams(pi=_mixing_weights(class_mass), theta_tilde=counts)
+
+
+def _labeled_start(data: Dataset) -> GenerativeParams:
+    """The start of every fit with a generative half: _smoothed_m_step on
+    the labeled documents alone, their one-hot labels the responsibilities."""
+    return _smoothed_m_step(data.labeled, np.eye(data.num_classes)[data.labels])
 
 
 def generative_update_beta(data: Dataset, resp: np.ndarray,
@@ -472,37 +471,47 @@ def _ascend(step, cfg: TrainConfig, mode: EndpointMode) -> TrainReport:
                        converged=converged, endpoint_mode=mode)
 
 
+def _em(data: Dataset, gen: GenerativeParams, m_step, objective, cfg: TrainConfig,
+        mode: EndpointMode):
+    """The outer loop of every fit with a generative half, from the start
+    gen. Outer iteration it drops the previous fit, runs gen = m_step(resp,
+    it) on the posteriors resp under the last fit, and normalizes gen's
+    document scores once, for objective(scores, lse, gen) and the next resp.
+    Returns (gen, report); the trace's last value scores gen."""
+    resp = _normalize(nb_scores_matrix(gen, data))[1]
+
+    def step(it):
+        nonlocal gen, resp
+        gen = None
+        gen = m_step(resp, it)
+        scores = nb_scores_matrix(gen, data)
+        lse, resp = _normalize(scores)
+        value = objective(scores, lse, gen)
+        _check_finite(value, it, mode, theta_tilde=gen.theta_tilde)
+        return value
+
+    report = _ascend(step, cfg, mode)
+    return gen, report
+
+
 def train_nb_em(data: Dataset, cfg: TrainConfig):
     """Standalone semi-supervised naive Bayes EM (the lam = 0 endpoint).
 
-    Starts from uniform pi and theta_tilde = 0. Labeled documents
-    contribute hard (one-hot) responsibilities, unlabeled ones their
-    posterior; the M-step is _smoothed_m_step. The trace records sum over
-    labeled docs of log p(x, t) plus sum over unlabeled docs of
-    log sum_y p(x, y).
+    Labeled documents contribute hard (one-hot) responsibilities, unlabeled
+    ones their posterior; the M-step is _smoothed_m_step. The trace records,
+    for the fit each M-step returns, the sum over labeled docs of
+    log p(x, t) plus the sum over unlabeled docs of log sum_y p(x, y).
     """
-    k, n = data.num_classes, len(data)
-    gen = uniform_generative_params(k, data.num_features)
-    labeled_mask = np.zeros(n, dtype=bool)
-    labeled_mask[data.labeled_positions] = True
-    hard = np.eye(k)[data.labels]
+    def m_step(resp, it):
+        resp[data.labeled_positions] = np.eye(data.num_classes)[data.labels]
+        return _smoothed_m_step(data, resp)
 
-    def em_step(it):
-        nonlocal gen
-        scores = nb_scores_matrix(gen, data)
-        lse, resp = _normalize(scores)
-        objective = float(scores[data.labeled_positions, data.labels].sum()
-                          + lse[~labeled_mask].sum())
+    def objective(scores, lse, gen):
+        return float(scores[data.labeled_positions, data.labels].sum()
+                     + lse[data.row_labels < 0].sum())
 
-        resp[data.labeled_positions] = hard
-        gen = _smoothed_m_step(data, resp)
-
-        _check_finite(objective, it, EndpointMode.PURE_GENERATIVE,
-                      theta_tilde=gen.theta_tilde)
-        return objective
-
-    report = _ascend(em_step, cfg, EndpointMode.PURE_GENERATIVE)
-    return gen, report
+    return _em(data, _labeled_start(data), m_step, objective, cfg,
+               EndpointMode.PURE_GENERATIVE)
 
 
 def train_logreg(data: Dataset, cfg: TrainConfig,
@@ -578,51 +587,41 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
         return None, disc, report
 
     k, m = data.num_classes, data.num_features
-    # the start: the naive Bayes M-step on the labeled documents alone
-    gen = _smoothed_m_step(data.labeled, np.eye(k)[data.labels])
     gauss = coupling.kind is CouplingKind.GAUSSIAN
     if gauss:
-        # the M-step writes theta_tilde, w and z = [theta_tilde, delta, b] of
-        # the labeled documents' columns in place, and disc.b is a view of z;
-        # z starts at [the start's theta_tilde, 0, 0], that is w = theta_tilde
+        # the M-step writes theta_tilde (the start's), w and z = [theta_tilde,
+        # delta, b] of the labeled documents' columns in place, disc.b being
+        # a view of z; z starts at [the start's theta_tilde, 0, 0]: w = theta_tilde
+        start = _labeled_start(data)
         features, restricted = _labeled_columns(data)
         untouched = np.ones(m, dtype=bool)
         untouched[features] = False
         untouched = np.flatnonzero(untouched)
         z = np.zeros(2 * k * features.size + k)
-        z[:k * features.size] = gen.theta_tilde[:, features].ravel()
+        z[:k * features.size] = start.theta_tilde[:, features].ravel()
         disc = DiscriminativeParams(b=z[2 * k * features.size:], w=np.zeros((k, m)))
     else:
         # the SGD epochs update x in place, and disc.w, disc.b are views of it
         x = np.zeros(k * m + k)
         disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
         docs = _sgd_cells(data)
-    resp = _normalize(nb_scores_matrix(gen, data))[1]
 
-    def hybrid_step(it):
-        """Outer iteration it: the M-step (GAUSSIAN) or the generative step
-        and the SGD epochs (BETA) from resp, then the objective, whose one
-        normalization of the document scores also gives the next resp.
-        Under BETA coupling at most one theta_tilde is alive."""
-        nonlocal gen, resp
+    def m_step(resp, it):
+        """The M-step (GAUSSIAN), or the generative step, which reads only
+        resp and disc, and the SGD epochs (BETA)."""
         if gauss:
-            gen = _gauss_m_step(data, resp, restricted, features, untouched, z, gen.theta_tilde,
-                                disc.w, coupling, cfg.tol)
+            gen = _gauss_m_step(data, resp, restricted, features, untouched, z,
+                                start.theta_tilde, disc.w, coupling, cfg.tol)
         else:
-            # the closed form reads only resp and disc, so the previous
-            # theta_tilde is freed before the new one is built
-            gen = None
             gen = generative_update_beta(data, resp, disc, coupling.gamma)
             _sgd_epochs(x, docs, gen, coupling, it)
-
         _check_finite(0.0, it, EndpointMode.HYBRID, b=disc.b, w=disc.w)
-        # gen is final for this iteration, so the normalization that gives
-        # the objective's generative block gives the next E-step too
-        lse, resp = _normalize(nb_scores_matrix(gen, data))
-        objective = log_joint_blocks(gen, disc, coupling, data, lse).total()
-        _check_finite(objective, it, EndpointMode.HYBRID,
-                      theta_tilde=gen.theta_tilde)
-        return objective
+        return gen
 
-    report = _ascend(hybrid_step, cfg, EndpointMode.HYBRID)
+    def objective(scores, lse, gen):
+        return log_joint_blocks(gen, disc, coupling, data, lse).total()
+
+    # under BETA coupling only _em holds the start: one theta_tilde is alive
+    gen, report = _em(data, start if gauss else _labeled_start(data), m_step, objective, cfg,
+                      EndpointMode.HYBRID)
     return gen, disc, report

@@ -3,6 +3,7 @@ codes, exercised in-process through main(argv)."""
 
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import numpy as np
 
 import hybridssl
 from hybridssl import cli
-from hybridssl.data import load_corpus
+from hybridssl.data import load_corpus, write_corpus
 from hybridssl.errors import NumericError
 from hybridssl.harness import ResultRow
 from hybridssl.model import DiscriminativeParams, load_model, lr_scores_matrix, save_model
+
+from helpers import oracle_corpus
 
 SYN = "2,10,0.6,30"
 
@@ -48,6 +51,17 @@ def test_synth_writes_loadable_corpus(tmp_path, capsys):
     assert data.num_classes == 3
     assert data.num_features == 12
     assert len(data) == 21
+
+
+def test_synthetic_seeds_outside_the_range_exit_2(tmp_path, capsys):
+    # every path that builds a synthetic corpus refuses the seed alike
+    out = str(tmp_path / "out")
+    for argv in (("synth", "--seed", str(2 ** 64)),
+                 ("synth", "--seed", "-1"),
+                 ("sweep", "--corpus-seed", str(2 ** 64), "--lambdas", "0.5", "--unlabeled", "0")):
+        code, _, err = run(capsys, *argv, "--synthetic", "2,6,0.5,2", "--out", out)
+        assert code == 2 and "seed must lie in [0, 2**64)" in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_bad_recipe_exits_2(tmp_path, capsys):
@@ -153,6 +167,26 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--corpus", str(bad),
                        "--lambda", "0.5", "--out", out_path)
     assert code == 2 and "line 2" in err
+
+
+def test_train_at_lambda_zero_prints_the_objective_of_the_model_it_saves(tmp_path, capsys):
+    # at lambda = 0 the saved (b, w) is the naive Bayes fit in linear form,
+    # so its scores are log p(x, y): the objective counts each labeled
+    # document's score for its label and each unlabeled one's log-sum-exp
+    corpus, model_path = tmp_path / "corpus.txt", tmp_path / "m.model"
+    for seed in range(3):
+        data = oracle_corpus(seed)
+        write_corpus(data, corpus)
+        for max_iters in ("1", "2", "3", "200"):
+            code, _, err = run(capsys, "train", "--corpus", str(corpus), "--lambda", "0",
+                               "--max-iters", max_iters, "--out", str(model_path))
+            assert code == 0
+            scores = lr_scores_matrix(load_model(model_path), data)
+            expected = (scores[data.labeled_positions, data.labels].sum()
+                        + np.logaddexp.reduce(scores[data.row_labels < 0], axis=1).sum())
+            printed = float(re.search(r"objective=(\S+)", err).group(1))
+            # printed to 6 decimals
+            assert abs(printed - expected) <= 5e-7 + 1e-9 * abs(expected), (seed, max_iters)
 
 
 def test_train_disc_sigma2_with_an_overflowing_inverse_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hybridssl import cli, expfam
 from hybridssl.data import (SplitSpec, generate_synthetic, load_corpus,
                             sample_split, synthetic_true_params, write_corpus)
 from hybridssl.errors import BoundsError, ConfigError, ParseError
+from hybridssl.harness import SyntheticSpec
 from hybridssl.model import (DiscriminativeParams, GenerativeParams, load_model,
                              nb_scores_matrix, save_model)
 
@@ -289,6 +290,14 @@ def test_synthetic_params_validation():
         synthetic_true_params(2, 10, 1.5)
     with pytest.raises(ConfigError):
         generate_synthetic(2, 10, 0, 0.5, seed=1)
+
+
+def test_synthetic_seeds_outside_the_range_are_refused():
+    # numpy would accept both; the seeds range over [0, 2**64) everywhere
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SyntheticSpec(2, 10, 0.5, 5, seed=seed).build()
+    generate_synthetic(2, 10, 5, 0.5, seed=2 ** 64 - 1)
 
 
 def test_synthetic_deterministic_in_seed():

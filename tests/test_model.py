@@ -13,9 +13,9 @@ from hybridssl.errors import ConfigError, DomainError, ParseError
 from hybridssl.model import (CouplingConfig, CouplingKind, Dataset,
                              DiscriminativeParams, EndpointMode, GenerativeParams, load_model,
                              log_joint_blocks, lr_scores_matrix,
-                             nb_scores_matrix, save_model, uniform_generative_params)
+                             nb_scores_matrix, save_model)
 
-from helpers import make_dataset
+from helpers import make_dataset, uniform_params
 
 
 def tiny_dataset():
@@ -154,7 +154,7 @@ def nb_row(gen, ids):
 
 
 def test_nb_log_joint_uniform_hand_value():
-    gen = uniform_generative_params(2, 1)
+    gen = uniform_params(2, 1)
     # pi = 1/2, success probability 1/2: p(y, x={0}) = 0.25
     assert_allclose(nb_row(gen, [0])[0], math.log(0.25), rtol=1e-15)
     assert_allclose(nb_row(gen, [])[1], math.log(0.25), rtol=1e-15)
@@ -206,7 +206,7 @@ def test_normalize_is_bit_for_bit_the_softmax_and_logsumexp_it_replaced(k):
 
 
 def test_nb_posterior_uniform_is_one_over_k():
-    gen = uniform_generative_params(4, 3)
+    gen = uniform_params(4, 3)
     assert_allclose(model._normalize(nb_row(gen, [0, 2]))[1], np.full(4, 0.25), rtol=1e-15)
 
 

@@ -17,13 +17,13 @@ from hybridssl.errors import ConfigError, DomainError, NumericError
 from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
 from hybridssl.model import (CouplingConfig, CouplingKind, DiscriminativeParams,
                              GenerativeParams, log_joint_blocks, lr_scores_matrix,
-                             nb_scores_matrix, uniform_generative_params)
+                             nb_scores_matrix)
 from hybridssl.rng import SplitMix64, derive_seed, mix64
 from hybridssl.trainer import (EndpointMode, TrainConfig, generative_update_beta, train,
                                train_logreg, train_nb_em)
 from hybridssl.trainer import _mixing_weights, _sgd_cells, _sgd_epochs
 
-from helpers import make_dataset, responsibilities
+from helpers import make_dataset, oracle_corpus, responsibilities, uniform_params
 
 
 def small_corpus(seed=3):
@@ -78,7 +78,7 @@ def test_generative_update_beta_worked_example():
     # class. With gamma=2 and w=0 the pseudo-count is 1, and
     # v = (0.5 + 1) / (2 + 2) = 0.375 for every (class, feature).
     toy = make_dataset([([0], None), ([], None)], num_classes=2, num_features=1)
-    gen0 = uniform_generative_params(2, 1)
+    gen0 = uniform_params(2, 1)
     disc0 = DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 1)))
     gen1 = generative_update_beta(toy, responsibilities(gen0, toy), disc0, 2.0)
     assert_allclose(expfam.sigmoid(gen1.theta_tilde), 0.375, rtol=1e-12)
@@ -111,7 +111,7 @@ def test_generative_update_beta_coordinate_maximizes_surrogate():
     # s(t) = (c + alpha) t - (N + gamma) A(t); cross-check against the
     # derivative-free bracketing oracle.
     train_set, _ = small_corpus()
-    gen0 = uniform_generative_params(2, 10)
+    gen0 = uniform_params(2, 10)
     disc = DiscriminativeParams(b=np.zeros(2), w=np.full((2, 10), 0.4))
     gamma = 2.0
     resp = responsibilities(gen0, train_set)
@@ -492,6 +492,19 @@ def test_nb_em_trace_is_nondecreasing_and_converges():
     assert np.all(diffs >= -1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_nb_em_trace_scores_the_fit_it_returns(seed):
+    # the trace's last value is the marginal log likelihood of the returned
+    # fit, as the exhaustive oracle scores it by plain products, whether the
+    # run stops on its cap or converges
+    data = oracle_corpus(seed)
+    for cfg in (TrainConfig(max_outer_iters=1), TrainConfig(max_outer_iters=2),
+                TrainConfig(max_outer_iters=3), TrainConfig()):
+        gen, report = train_nb_em(data, cfg)
+        assert_allclose(report.log_joint_trace[-1],
+                        testkit.enumerate_data_log_likelihood(gen, data), rtol=1e-9)
+
+
 def test_logreg_endpoint_fits_separable_data():
     train_set, test_set = small_corpus()
     disc, report = train_logreg(train_set, TrainConfig())
@@ -631,17 +644,23 @@ def test_lambda_one_equals_standalone_logreg():
 
 
 def test_lambda_one_fits_no_generative_half(monkeypatch):
-    built = []
-    monkeypatch.setattr(trainer, "uniform_generative_params",
-                        lambda *shape: built.append(shape) or uniform_generative_params(*shape))
+    m_steps = []
+
+    def spy(data, resp):
+        m_steps.append(len(data))
+        return smoothed_m_step(data, resp)
+
+    smoothed_m_step = trainer._smoothed_m_step
+    monkeypatch.setattr(trainer, "_smoothed_m_step", spy)
     train_set, _ = small_corpus()
     gen, disc, report = train(train_set, CouplingConfig.from_lambda(1.0), TrainConfig())
-    assert gen is None and built == []
+    assert gen is None and m_steps == []
     assert report.endpoint_mode is EndpointMode.PURE_DISCRIMINATIVE
-    # the counter sees the start state of naive Bayes EM, the one trainer
-    # that still starts from it
-    train(train_set, CouplingConfig.from_lambda(0.0), TrainConfig(max_outer_iters=2))
-    assert built == [(2, 10)]
+    # naive Bayes EM runs it for the start, on the labeled documents alone,
+    # and then for every M-step, on all of them
+    _, _, report = train(train_set, CouplingConfig.from_lambda(0.0),
+                         TrainConfig(max_outer_iters=2))
+    assert m_steps == [train_set.n_labeled] + [len(train_set)] * report.outer_iters_run
 
 
 @pytest.mark.parametrize("kind", [CouplingKind.BETA, CouplingKind.GAUSSIAN])
@@ -1025,7 +1044,7 @@ def _assert_kernel_matches_reference(data, kind, start, outer_iters, w0=None):
     disc = DiscriminativeParams(b=x[k * m:], w=x[:k * m].reshape(k, m))
     ref = DiscriminativeParams(b=b0.copy(), w=w0.copy())
     docs = _sgd_cells(data)
-    gen = uniform_generative_params(k, m)
+    gen = uniform_params(k, m)
     for it in range(outer_iters):
         gen = generative_update_beta(data, responsibilities(gen, data), disc, 1.0)
         _sgd_epochs(x, docs, gen, coupling, it)

@@ -7,7 +7,7 @@ Run it against each checkout's sources and compare the printed lines:
 
 Each line is "<name> <sha256>". Sweep rows are digested as repr(rows);
 the "-json" lines digest the two benchmark grids' rows as the benchmark
-does, json.dumps of their dicts with sorted keys (da2cb235b8019573... for
+does, json.dumps of their dicts with sorted keys (8cdc9af1f78de1b9... for
 the criterion-7 grid, 60a92cbd3080ea3f... for grid-gauss at seed 0).
 A fit is digested as pi and theta_tilde where it has a generative half
 (every fit but lam = 1), then b and w (dtype, shape and raw bytes, since

@@ -12,11 +12,12 @@ temporary model file, then predict TEST_CORPUS with it. Each line is
 The command line is that command's whole peak; a phase line is the
 highest traced memory while the phase ran, counting what was already
 allocated when it began. Train's phases are load_corpus, the start (the
-hybrid's naive Bayes M-step on the labeled documents, and every M-step
-of the lam = 0 fit), the BETA generative step, the GAUSSIAN M-step, the
-SGD epochs, the E-step scoring (every nb_scores_matrix call the trainer
-makes: the initial responsibilities and, each outer iteration, the
-scores that the log joint and the next E-step share), the log joint,
+naive Bayes M-step on the labeled documents that every fit with a
+generative half starts from, and every M-step of the lam = 0 fit), the
+BETA generative step, the GAUSSIAN M-step, the SGD epochs, the E-step
+scoring (every nb_scores_matrix call the trainer makes: the initial
+responsibilities and, each outer iteration, the scores that the
+objective and the next E-step share), the log joint,
 train_logreg (the whole lam = 1 fit) and save_model; predict's are
 load_model, load_corpus and scoring (lr_scores_matrix). The moments that
 set a command's peak lie inside these phases, so its line matches its
