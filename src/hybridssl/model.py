@@ -201,7 +201,8 @@ def _csr_scores(indptr: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.nd
 def _csr_counts(indptr: np.ndarray, indices: np.ndarray, r: np.ndarray,
                 num_features: int) -> np.ndarray:
     """r.T @ X for X in compressed rows: one bincount per column of r,
-    accumulating documents in order."""
+    accumulating documents in order, each weighed through an nnz-long
+    np.repeat of the column, a temporary the size of indices (ROADMAP item 12)."""
     lengths = np.diff(indptr)
     out = np.empty((r.shape[1], num_features))
     for k in range(r.shape[1]):
@@ -582,7 +583,8 @@ def _parse_row(row, name: str, cols: int, lineno: int) -> np.ndarray:
 def load_model(path) -> DiscriminativeParams:
     """Read save_model's file back into the classifier (b, w), one row at a
     time into one array per section; lines end where str.splitlines() ends
-    them. A file of any other version, v1 included, is refused at line 1.
+    them. A file of any other version, v1 included, is refused at line 1;
+    a line after the last w row is refused at its line.
 
     The header's K and M are untrusted. A section is allocated once its
     first row has parsed, and only when the bytes left in the file could
@@ -619,4 +621,6 @@ def load_model(path) -> DiscriminativeParams:
                     block[r] = values
                 left -= len(row)
             parsed[name] = block
+        if next(lines, None) is not None:
+            raise ParseError("unexpected line after section 'w'", line=lineno + 1)
     return DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])

@@ -5,7 +5,8 @@ and the BETA hybrid's fixed SGD epoch order all flow through this module,
 so that runs are bit-identical across platforms and library versions.
 The generator is the splitmix64 sequence: state advances by the
 golden-ratio increment and the output is the standard 30/27/31
-xor-multiply finalizer.
+xor-multiply finalizer. randbelow holds the one rejection rule, which
+a shuffle with a rejected draw runs through.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # mix64's shifts and multipliers as uint64 scalars for SplitMix64.shuffle's
 # arrays; a Python int operand would be converted again on every call
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_U_MUL1, _U_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U_MUL1, _U_MUL2 = np.uint64(_MUL1), np.uint64(_MUL2)
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: avalanching bijection on 64-bit ints."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -69,35 +71,25 @@ class SplitMix64:
                 return u % n
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle.
-
-        Swaps seq[i] with seq[randbelow(i + 1)] for i from the end down to
-        1, with the permutation and the final state of those calls. The
-        draws are computed at once as uint64 arrays, on which numpy wraps
-        mod 2**64: the state before the draw of step p is the state before
-        step 0 plus (p + 1) * golden as long as no draw was rejected. A
-        draw above randbelow's limit is rejected, and the draws are made
-        again from that step on, one state further.
-        """
+        """In-place Fisher-Yates shuffle: swaps seq[i] with
+        seq[randbelow(i + 1)] for i from the end down to 1. The draws are
+        mixed at once as a uint64 array (numpy wraps mod 2**64), step p's
+        from the state plus (p + 1) * golden; if any is above randbelow's
+        limit, the shuffle calls randbelow step by step instead."""
         offsets, sizes, limits = _shuffle_tables(len(seq))
-        draws = []
-        state = self._state
-        while len(draws) < sizes.size:
-            p = len(draws)
-            z = offsets[:sizes.size - p] + np.uint64(state)
-            z ^= z >> _U30
-            z *= _U_MUL1
-            z ^= z >> _U27
-            z *= _U_MUL2
-            z ^= z >> _U31
-            rejected = z > limits[p:]
-            take = int(rejected.argmax()) if rejected.any() else z.size
-            draws += (z[:take] % sizes[p:p + take]).tolist()
-            # a rejected draw consumes its state too
-            state = (state + (take + (take < z.size)) * _GOLDEN) & _MASK64
+        z = offsets + np.uint64(self._state)
+        z ^= z >> _U30
+        z *= _U_MUL1
+        z ^= z >> _U27
+        z *= _U_MUL2
+        z ^= z >> _U31
+        if (z > limits).any():
+            draws = [self.randbelow(n) for n in range(len(seq), 1, -1)]
+        else:
+            draws = (z % sizes).tolist()
+            self._state = (self._state + sizes.size * _GOLDEN) & _MASK64
         for i, j in zip(range(len(seq) - 1, 0, -1), draws):
             seq[i], seq[j] = seq[j], seq[i]
-        self._state = state
 
 
 @lru_cache(maxsize=64)
@@ -107,10 +99,10 @@ def _shuffle_tables(length: int) -> tuple:
     the n = length - p that step p draws below, and randbelow(n)'s
     largest accepted draw. The cache hands the same arrays to every
     caller, so they are read-only."""
-    sizes = list(range(length, 1, -1))
-    offsets = [(p + 1) * _GOLDEN & _MASK64 for p in range(len(sizes))]
-    limits = [_MASK64 - (_MASK64 + 1) % n for n in sizes]
-    tables = tuple(np.array(a, dtype=np.uint64) for a in (offsets, sizes, limits))
-    for table in tables:
+    sizes = np.arange(length, 1, -1, dtype=np.uint64)
+    offsets = np.arange(1, sizes.size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    # 2**64 mod n is (mask mod n + 1) mod n, whose sum cannot wrap
+    limits = np.uint64(_MASK64) - (np.uint64(_MASK64) % sizes + np.uint64(1)) % sizes
+    for table in (offsets, sizes, limits):
         table.flags.writeable = False
-    return tables
+    return offsets, sizes, limits

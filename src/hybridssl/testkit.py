@@ -95,13 +95,18 @@ def _success_probs(theta_tilde: np.ndarray) -> np.ndarray:
     return out
 
 
+def _joint(pi, probs, bits, y) -> float:
+    """p(y, x) of the binary vector bits, as a plain product."""
+    p = float(pi[y])
+    for d, bit in enumerate(bits):
+        p *= probs[y, d] if bit else (1.0 - probs[y, d])
+    return p
+
+
 def _product_likelihood(pi, probs, bits) -> float:
     total = 0.0
     for y in range(len(pi)):
-        p = float(pi[y])
-        for d, bit in enumerate(bits):
-            p *= probs[y, d] if bit else (1.0 - probs[y, d])
-        total += p
+        total += _joint(pi, probs, bits, y)
     return total
 
 
@@ -133,12 +138,7 @@ def enumerate_posterior(gen, present) -> np.ndarray:
         raise DomainError(f"present ids must lie in [0, {m})")
     probs = _success_probs(tt)
     bits = [1 if d in present else 0 for d in range(m)]
-    joint = np.empty(len(pi))
-    for y in range(len(pi)):
-        p = float(pi[y])
-        for d, bit in enumerate(bits):
-            p *= probs[y, d] if bit else (1.0 - probs[y, d])
-        joint[y] = p
+    joint = np.array([_joint(pi, probs, bits, y) for y in range(len(pi))])
     denom = joint.sum()
     if denom <= 0.0 or not np.isfinite(denom):
         raise OracleError(f"degenerate joint mass {denom}")
@@ -156,13 +156,8 @@ def enumerate_data_log_likelihood(gen: GenerativeParams, data: Dataset) -> float
     for ids, y in zip(np.split(data.indices, data.indptr[1:-1]), data.row_labels.tolist()):
         present = set(ids.tolist())
         bits = [1 if d in present else 0 for d in range(m)]
-        if y < 0:
-            total += math.log(_product_likelihood(gen.pi, probs, bits))
-        else:
-            p = float(gen.pi[y])
-            for d, bit in enumerate(bits):
-                p *= probs[y, d] if bit else (1.0 - probs[y, d])
-            total += math.log(p)
+        total += math.log(_product_likelihood(gen.pi, probs, bits) if y < 0
+                          else _joint(gen.pi, probs, bits, y))
     return total
 
 

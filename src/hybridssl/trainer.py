@@ -192,8 +192,7 @@ def generative_update_beta(data: Dataset, resp: np.ndarray,
     takes them from the document scores of the previous outer iteration's
     objective evaluation.
     """
-    if not (gamma > 0.0) or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    gamma = expfam._check_gamma(gamma)
     n = len(data)
 
     def theta_tilde(c, w):
@@ -576,11 +575,10 @@ def train(data: Dataset, coupling: CouplingConfig, cfg: TrainConfig):
     mode = coupling.mode
     if mode is EndpointMode.PURE_GENERATIVE:
         gen, report = train_nb_em(data, cfg)
-        # The linear form of the naive Bayes decision rule: w = theta_tilde
-        # and b absorbing both the class prior and the per-class absence
-        # mass, so `hybridssl predict` reproduces the generative argmax exactly.
-        disc = DiscriminativeParams(b=gen.log_pi + gen.absence_base,
-                                    w=gen.theta_tilde.copy())
+        # The linear form of the naive Bayes decision rule: w is theta_tilde,
+        # the same array, and b absorbs both the class prior and the per-class
+        # absence mass, so `hybridssl predict` reproduces the generative argmax.
+        disc = DiscriminativeParams(b=gen.log_pi + gen.absence_base, w=gen.theta_tilde)
         return gen, disc, report
     if mode is EndpointMode.PURE_DISCRIMINATIVE:
         disc, report = train_logreg(data, cfg, coupling.disc_prior_sigma2)

@@ -610,6 +610,15 @@ def _replace(at, row):
     pytest.param(lambda lines: "\n".join(lines[:4]), 5, "section 'w' truncated",
                  id="no-w-rows"),
     pytest.param(lambda lines: "", 1, "empty model file", id="empty-file"),
+    # nothing follows the last w row
+    pytest.param(lambda lines: "\n".join(lines + ["0 0 0"]) + "\n", 7,
+                 "unexpected line after section 'w'", id="third-w-row"),
+    pytest.param(lambda lines: "\n".join(lines + ["b", "0 0"]) + "\n", 7,
+                 "unexpected line after section 'w'", id="second-b-section"),
+    pytest.param(lambda lines: "\n".join(lines + ["garbage"]) + "\n", 7,
+                 "unexpected line after section 'w'", id="garbage-word"),
+    pytest.param(lambda lines: "\n".join(lines) + "\n\n", 7,
+                 "unexpected line after section 'w'", id="blank-line"),
 ])
 def test_load_model_error_lines(tmp_path, edit, line, message):
     save_model(DiscriminativeParams(b=np.zeros(2), w=np.zeros((2, 3))),

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from hybridssl import expfam, model, testkit, trainer
+from hybridssl import expfam, model, rng, testkit, trainer
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, DomainError, NumericError
 from hybridssl.harness import SweepSpec, SyntheticSpec, run_sweep
@@ -625,7 +625,9 @@ def test_lambda_zero_equals_nb_em_with_score_exact_linear_form():
     assert np.array_equal(gen.theta_tilde, gen_ref.theta_tilde)
     assert report.log_joint_trace == report_ref.log_joint_trace
 
-    # the discriminative slot reproduces naive Bayes scores exactly
+    # the discriminative slot reproduces naive Bayes scores exactly, with
+    # theta_tilde itself as w
+    assert disc.w is gen.theta_tilde
     assert np.array_equal(disc.w, gen.theta_tilde)
     assert np.array_equal(disc.b, gen.log_pi + gen.absence_base)
     assert_allclose(lr_scores_matrix(disc, test_set), nb_scores_matrix(gen, test_set),
@@ -1149,3 +1151,46 @@ def test_shuffle_equals_randbelow_fisher_yates(seed):
         _reference_shuffle(reference, want)
         assert got == want, n
         assert inlined.next_u64() == reference.next_u64(), n
+
+
+@pytest.mark.parametrize("seed, length, rejected_n", [(_REJECTING_SEED, 3, 3),
+                                                      (_MID_REJECTING_SEED, 1000, 900)])
+def test_a_rejected_draw_hands_the_shuffle_to_randbelow(monkeypatch, seed, length, rejected_n):
+    want, reference = list(range(length)), SplitMix64(seed)
+    _reference_shuffle(reference, want)
+    calls, randbelow = [], SplitMix64.randbelow
+
+    def spy(self, n):
+        calls.append(n)
+        return randbelow(self, n)
+
+    monkeypatch.setattr(SplitMix64, "randbelow", spy)
+    got, inlined = list(range(length)), SplitMix64(seed)
+    inlined.shuffle(got)
+    assert rejected_n in calls
+    assert got == want
+    assert inlined.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2 ** 64 - 1])
+def test_a_shuffle_without_a_rejected_draw_never_calls_randbelow(monkeypatch, seed):
+    # the array path: a 500-item shuffle takes about 35 us, and calling
+    # randbelow per draw about 510 us (timeit minima, 2-vCPU x86 machine)
+    def refuse(self, n):
+        raise AssertionError(f"randbelow({n}) called")
+
+    monkeypatch.setattr(SplitMix64, "randbelow", refuse)
+    for n in [*range(65), 500, 1000]:
+        SplitMix64(seed).shuffle(list(range(n)))
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 20, 500, 1000, 4097])
+def test_shuffle_tables_equal_the_tables_built_in_python_ints(length):
+    sizes = list(range(length, 1, -1))
+    offsets = [(p + 1) * 0x9E3779B97F4A7C15 & _MASK64 for p in range(len(sizes))]
+    limits = [_MASK64 - (_MASK64 + 1) % n for n in sizes]
+    tables = rng._shuffle_tables(length)
+    assert rng._shuffle_tables(length) is tables
+    for table, want in zip(tables, (offsets, sizes, limits)):
+        assert table.dtype == np.uint64 and table.tolist() == want
+        assert not table.flags.writeable

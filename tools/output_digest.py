@@ -16,6 +16,10 @@ The "-model-file" line digests the bytes save_model writes for the
 compressed beta fit, so a change of the model file format shows too.
 The "prior-curves-" lines digest the beta_density and normal_density
 columns of prior_curve_rows() at its default arguments, one line each.
+The "protocol-splits" line digests indptr, indices and row_labels of the
+train and test sets sample_split draws at every criterion-7 cell's seed and
+unlabeled count, and "shuffle-streams" the permutation of range(n) and the
+next draw of SplitMix64(seed).shuffle at SHUFFLE_SEEDS and SHUFFLE_LENGTHS.
 The script uses only names every recent version of the package exports,
 and takes under ten seconds on a 2-core x86 machine.
 
@@ -44,9 +48,15 @@ from hybridssl import model
 from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.harness import SweepSpec, SyntheticSpec, prior_curve_rows, run_sweep
 from hybridssl.model import CouplingConfig, CouplingKind, Dataset
+from hybridssl.rng import SplitMix64, derive_seed
 from hybridssl.trainer import TrainConfig, train
 
 LAMBDAS = (0.0, 0.5, 1.0)
+# the last two are tests/test_trainer.py's _REJECTING_SEED and
+# _MID_REJECTING_SEED: the shuffle rejects the first draw of 3 items and
+# the draw at step 100 of 1,000 items
+SHUFFLE_SEEDS = (0, 1, 0xDEADBEEF, 2 ** 64 - 1, 0x31628AF67B2131AB, 0x63B6FE80C208B977)
+SHUFFLE_LENGTHS = (*range(65), 500, 1000)
 
 
 def digest(*parts) -> str:
@@ -100,6 +110,31 @@ def compressed_corpus(k: int = 3, n_labeled: int = 30) -> Dataset:
     return data
 
 
+def protocol_splits_digest(spec: SweepSpec) -> str:
+    """sha256 of the train and test sets of every cell of spec's grid."""
+    corpus, parts = spec.synthetic.build(), []
+    for base_seed in spec.seeds:
+        for lambda_index in range(len(spec.lambdas)):
+            for count_index, count in enumerate(spec.unlabeled_counts):
+                split = SplitSpec(labeled_per_class=spec.labeled_per_class,
+                                  unlabeled_total=count,
+                                  seed=derive_seed(base_seed, lambda_index, count_index))
+                for part in sample_split(corpus, split):
+                    parts += [part.indptr, part.indices, part.row_labels]
+    return digest(*parts)
+
+
+def shuffle_streams_digest() -> str:
+    """sha256 of each shuffled range(n) and the draw after it."""
+    parts = []
+    for seed in SHUFFLE_SEEDS:
+        for n in SHUFFLE_LENGTHS:
+            rng, order = SplitMix64(seed), list(range(n))
+            rng.shuffle(order)
+            parts += [order, rng.next_u64()]
+    return digest(*parts)
+
+
 def model_file_digest(disc) -> str:
     """sha256 of the bytes save_model writes for the fit."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,9 +162,12 @@ def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(Co
 
 def digest_lines():
     """(name, sha256) of every output, in print order."""
-    rows = run_sweep(grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5)))
+    criterion_7 = grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5))
+    rows = run_sweep(criterion_7)
     yield "criterion-7-rows", digest(rows)
     yield "criterion-7-rows-json", json_digest(rows)
+    yield "protocol-splits", protocol_splits_digest(criterion_7)
+    yield "shuffle-streams", shuffle_streams_digest()
     rows = run_sweep(grid(CouplingKind.GAUSSIAN, (0.25, 0.5), tuple(range(1, 11))))
     yield "grid-gauss-seed0-rows", digest(rows)
     yield "grid-gauss-seed0-rows-json", json_digest(rows)
