@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from .data import load_corpus, write_corpus
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, QueryError
 from .harness import (DEFAULT_CURVE_GAMMAS, DEFAULT_CURVE_GRID_POINTS, DEFAULT_CURVE_THETA_MEAN,
                       SweepSpec, SyntheticSpec, aggregate, best_lambda, export_prior_curves,
                       run_sweep, write_aggregate_csv, write_results_csv)
 from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, _normalize, load_model,
                     lr_scores_matrix, save_model)
-from .rng import seed_in_range
+from .rng import check_seed
 from .trainer import TrainConfig, train
 
 
@@ -38,16 +38,12 @@ def _parse_list(text: str, cast, kind: str) -> tuple:
 
 
 def _parse_synthetic(text: str, seed: int) -> SyntheticSpec:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--synthetic takes K,M,SEP,DOCS_PER_CLASS, got {text!r}")
     try:
-        k, m, docs = int(parts[0]), int(parts[1]), int(parts[3])
-        sep = float(parts[2])
+        k, m, sep, docs = text.split(",")
+        return SyntheticSpec(num_classes=int(k), num_features=int(m), separation=float(sep),
+                             docs_per_class=int(docs), seed=seed)
     except ValueError:
         raise ConfigError(f"--synthetic takes K,M,SEP,DOCS_PER_CLASS, got {text!r}") from None
-    return SyntheticSpec(num_classes=k, num_features=m, separation=sep,
-                         docs_per_class=docs, seed=seed)
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -61,14 +57,13 @@ def _parse_seeds(text: str) -> tuple:
     return values
 
 
-def _load_training_corpus(args):
+def _corpus_source(args, seed: int):
+    """The SyntheticSpec of --synthetic, or None when --corpus names the
+    corpus file; refuses both or neither, and a seed out of range."""
     if (args.corpus is None) == (args.synthetic is None):
         raise ConfigError("exactly one of --corpus / --synthetic must be given")
-    if not seed_in_range(args.seed):
-        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
-    if args.corpus is not None:
-        return load_corpus(args.corpus)
-    return _parse_synthetic(args.synthetic, args.seed).build()
+    check_seed(seed)
+    return None if args.synthetic is None else _parse_synthetic(args.synthetic, seed)
 
 
 def _build_coupling(args) -> CouplingConfig:
@@ -87,9 +82,10 @@ def cmd_train(args) -> int:
     """Fit one model and save its classifier (b, w): at every lambda the
     trained (b, w) is what predict scores with, so the generative half is
     not written."""
-    data = _load_training_corpus(args)
+    synthetic = _corpus_source(args, args.seed)
     coupling = _build_coupling(args)
     cfg = TrainConfig(max_outer_iters=args.max_iters, tol=args.tol)
+    data = load_corpus(args.corpus) if synthetic is None else synthetic.build()
     disc, report = train(data, coupling, cfg)[1:]  # theta_tilde is freed here
     save_model(disc, args.out)
     print(f"mode={report.endpoint_mode.value} outer_iters={report.outer_iters_run} "
@@ -123,11 +119,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    synthetic = None
-    if args.synthetic is not None:
-        synthetic = _parse_synthetic(args.synthetic, args.corpus_seed)
-    elif args.corpus is None:
-        raise ConfigError("exactly one of --corpus / --synthetic must be given")
+    synthetic = _corpus_source(args, args.corpus_seed)
     spec = SweepSpec(
         lambdas=_parse_list(args.lambdas, float, "floats"),
         unlabeled_counts=_parse_list(args.unlabeled, int, "integers"),
@@ -139,22 +131,20 @@ def cmd_sweep(args) -> int:
         synthetic=synthetic,
         train_config=TrainConfig(max_outer_iters=args.max_iters, tol=args.tol))
     rows = run_sweep(spec, jobs=args.jobs, measure_time=args.measure_time)
+    aggregates = aggregate(rows)
     write_results_csv(rows, args.out + ".results.csv")
-    write_aggregate_csv(aggregate(rows), args.out + ".aggregate.csv")
+    write_aggregate_csv(aggregates, args.out + ".aggregate.csv")
     print(f"wrote {args.out}.results.csv and {args.out}.aggregate.csv", file=sys.stderr)
 
-    failures = [r for r in rows if r.failed]
-    usable = [r for r in rows if not r.failed]
     for count in spec.unlabeled_counts:
-        at_count = [r for r in usable if r.unlabeled == count]
-        if not at_count:
-            continue
-        if len({r.lam for r in at_count}) >= 2:
-            lam, acc = best_lambda(usable, count)
+        try:
+            lam, acc = best_lambda(rows, count)
             print(f"unlabeled={count} best_lambda={lam:.6f} mean_acc={acc:.6f}")
-        else:
-            for agg in aggregate(at_count):
-                print(f"unlabeled={count} lambda={agg.lam:.6f} mean_acc={agg.mean_acc:.6f}")
+        except QueryError:  # fewer than two lambdas with results: list the one there is
+            for agg in aggregates:
+                if agg.unlabeled == count and agg.n_seeds > 0:
+                    print(f"unlabeled={count} lambda={agg.lam:.6f} mean_acc={agg.mean_acc:.6f}")
+    failures = [r for r in rows if r.failed]
     for r in failures:
         print(f"cell lambda={r.lam:.6f} unlabeled={r.unlabeled} seed={r.seed} "
               f"failed: {r.error}", file=sys.stderr)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoundsError, ConfigError, DomainError, ParseError
 from .model import _DIGITS_RE, Dataset
-from .rng import SplitMix64, derive_seed, seed_in_range
+from .rng import SplitMix64, check_seed, derive_seed
 
 _HEADER_RE = re.compile(r"^#\s+hybridssl-corpus\s+v1\s+K=([0-9]+)\s+M=([0-9]+)\s*$",
                         re.ASCII)
@@ -47,10 +47,10 @@ def load_corpus(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
 
-    if not lines or _HEADER_RE.match(lines[0]) is None:
+    header = _HEADER_RE.match(lines[0])
+    if header is None:
         raise ParseError(
             "expected header '# hybridssl-corpus v1 K=<digits> M=<digits>'", line=1)
-    header = _HEADER_RE.match(lines[0])
     num_classes = int(header.group(1))
     num_features = int(header.group(2))
     if num_classes < 2:
@@ -154,8 +154,7 @@ class SplitSpec:
             raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
         if self.unlabeled_total < 0:
             raise ConfigError(f"unlabeled_total must be >= 0, got {self.unlabeled_total}")
-        if not seed_in_range(self.seed):
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 def sample_split(full: Dataset, spec: SplitSpec):
@@ -231,8 +230,7 @@ def generate_synthetic(num_classes: int, num_features: int, docs_per_class: int,
     """
     if docs_per_class < 1:
         raise ConfigError(f"docs_per_class must be >= 1, got {docs_per_class}")
-    if not seed_in_range(seed):
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    check_seed(seed)
     _, probs = synthetic_true_params(num_classes, num_features, class_separation)
     rng = np.random.default_rng(seed)
     draws = np.concatenate([rng.random((docs_per_class, num_features)) < probs[c]

@@ -24,10 +24,10 @@ import numpy as np
 
 from .data import SplitSpec, generate_synthetic, load_corpus, sample_split
 from .errors import ConfigError, NumericError, QueryError
-from .expfam import beta_prior_log_density, beta_prior_moments, logit
+from .expfam import _check_gamma, beta_prior_log_density, beta_prior_moments, logit
 from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset, lr_scores_matrix,
                     nb_scores_matrix)
-from .rng import derive_seed, seed_in_range
+from .rng import check_seed, derive_seed
 from .trainer import TrainConfig, train
 
 RESULTS_HEADER = "lambda,unlabeled,seed,accuracy,gen_accuracy,outer_iters,converged,wall_ms"
@@ -54,6 +54,20 @@ class SyntheticSpec:
                                   self.docs_per_class, self.separation, self.seed)
 
 
+def _grid(values, what: str, cast, check, sort: bool = True) -> tuple:
+    """The tuple of cast(value) for values, sorted ascending if sort. An
+    empty grid raises ConfigError, then check(value) raises for a bad
+    value, then a grid with duplicates raises ConfigError."""
+    values = tuple(cast(v) for v in values)
+    if not values:
+        raise ConfigError(f"{what} is empty")
+    for value in values:
+        check(value)
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{what} contains duplicates")
+    return tuple(sorted(values)) if sort else values
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Full description of one sweep.
@@ -63,6 +77,10 @@ class SweepSpec:
     their given order but rows are emitted sorted. Every cell draws its
     protocol split from its sweep seed and grid position and runs
     ``train`` with train_config as given.
+
+    Construction refuses a bad input before any corpus is read or built:
+    no grid may be empty or repeat a value, each lambda must build its
+    CouplingConfig, each count a SplitSpec, and each seed pass check_seed.
     """
 
     lambdas: tuple
@@ -76,32 +94,15 @@ class SweepSpec:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(sorted(float(v) for v in self.lambdas)))
-        object.__setattr__(self, "unlabeled_counts",
-                           tuple(sorted(int(v) for v in self.unlabeled_counts)))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.lambdas:
-            raise ConfigError("lambda grid is empty")
-        for lam in self.lambdas:
-            if not (0.0 <= lam <= 1.0):
-                raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-        if len(set(self.lambdas)) != len(self.lambdas):
-            raise ConfigError("lambda grid contains duplicates")
-        if not self.unlabeled_counts:
-            raise ConfigError("unlabeled count grid is empty")
-        for count in self.unlabeled_counts:
-            if count < 0:
-                raise ConfigError(f"unlabeled count must be >= 0, got {count}")
-        if len(set(self.unlabeled_counts)) != len(self.unlabeled_counts):
-            raise ConfigError("unlabeled count grid contains duplicates")
-        if not self.seeds:
-            raise ConfigError("seed list is empty")
-        if not all(map(seed_in_range, self.seeds)):
-            raise ConfigError("seeds must lie in [0, 2**64)")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seed list contains duplicates")
-        if self.labeled_per_class < 1:
-            raise ConfigError(f"labeled_per_class must be >= 1, got {self.labeled_per_class}")
+        object.__setattr__(self, "lambdas", _grid(
+            self.lambdas, "lambda grid", float,
+            lambda lam: CouplingConfig.from_lambda(lam, self.coupling_kind,
+                                                   self.disc_prior_sigma2)))
+        object.__setattr__(self, "unlabeled_counts", _grid(
+            self.unlabeled_counts, "unlabeled count grid", int,
+            lambda count: SplitSpec(self.labeled_per_class, count, seed=0)))
+        object.__setattr__(self, "seeds", _grid(self.seeds, "seed list", int, check_seed,
+                                                sort=False))
         if (self.corpus_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of corpus_path / synthetic must be given")
 
@@ -274,14 +275,13 @@ def prior_curve_rows(theta_mean: float = DEFAULT_CURVE_THETA_MEAN, gammas=DEFAUL
     at v = sigmoid(theta_tilde). Trapezoid integration therefore recovers
     1 on the mean axis directly and on the natural axis after multiplying
     by the Jacobian dv/dt = v (1 - v).
-    Rows are (gamma, axis_space, x, beta_density, normal_density); a
-    density that is not finite raises NumericError.
+    Rows are (gamma, axis_space, x, beta_density, normal_density), the
+    gammas in their given order, which may not repeat one; a density that
+    is not finite raises NumericError.
     """
     if grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
-    gammas = tuple(float(g) for g in gammas)
-    if not gammas:
-        raise ConfigError("gamma list is empty")
+    gammas = _grid(gammas, "gamma list", float, _check_gamma, sort=False)
     theta = logit(theta_mean)
     mean_grid = np.linspace(1e-6, 1.0 - 1e-6, grid_points)
     nat_from_mean = logit(mean_grid)

@@ -327,8 +327,10 @@ class CouplingConfig:
         if (self.gamma is not None) != coupled:
             raise ConfigError(f"a {self.kind.name} config in mode {self.mode.value} "
                               f"{'needs' if coupled else 'takes no'} gamma, got {self.gamma}")
-        if coupled and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if coupled and not (self.gamma > 0.0 and math.isfinite(self.gamma) and (
+                self.kind is CouplingKind.BETA or math.isfinite(1.0 / self.gamma))):
+            raise ConfigError(f"gamma must be finite and > 0, with a finite inverse under "
+                              f"GAUSSIAN coupling, got {self.gamma}")
 
     @property
     def mode(self) -> EndpointMode:

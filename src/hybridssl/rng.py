@@ -6,7 +6,8 @@ so that runs are bit-identical across platforms and library versions.
 The generator is the splitmix64 sequence: state advances by the
 golden-ratio increment and the output is the standard 30/27/31
 xor-multiply finalizer. randbelow holds the one rejection rule, which
-a shuffle with a rejected draw runs through.
+a shuffle with a rejected draw runs through. Every seed the package
+takes is refused outside [0, 2**64) by check_seed, with one message.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,9 +48,11 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
-def seed_in_range(seed: int) -> bool:
-    """Whether seed lies in [0, 2**64), the seeds derive_seed tells apart."""
-    return 0 <= seed <= _MASK64
+def check_seed(seed: int) -> int:
+    """seed, if it lies in [0, 2**64), the seeds derive_seed tells apart."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 class SplitMix64:

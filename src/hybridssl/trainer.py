@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expfam
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, NumericError
 from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset,
                     DiscriminativeParams, EndpointMode, GenerativeParams, _coupling_gradient,
                     _disc_terms, _gauss_delta_scale, _gauss_m_step_terms, _normalize,
@@ -178,10 +178,15 @@ def _smoothed_m_step(data: Dataset, resp: np.ndarray) -> GenerativeParams:
     return GenerativeParams(pi=_mixing_weights(class_mass), theta_tilde=counts)
 
 
+def _one_hot(data: Dataset) -> np.ndarray:
+    """The labeled documents' labels as one-hot rows, shape (n_labeled, K)."""
+    return (data.labels[:, None] == np.arange(data.num_classes)).astype(np.float64)
+
+
 def _labeled_start(data: Dataset) -> GenerativeParams:
     """The start of every fit with a generative half: _smoothed_m_step on
     the labeled documents alone, their one-hot labels the responsibilities."""
-    return _smoothed_m_step(data.labeled, np.eye(data.num_classes)[data.labels])
+    return _smoothed_m_step(data.labeled, _one_hot(data))
 
 
 def generative_update_beta(data: Dataset, resp: np.ndarray,
@@ -283,8 +288,6 @@ def _gauss_m_step(data: Dataset, resp: np.ndarray, restricted: Dataset, features
     theta_tilde.
     """
     sigma2, sigma_c2 = coupling.disc_prior_sigma2, coupling.sigma_c2
-    if not math.isfinite(sigma_c2):
-        raise DomainError(f"sigma_c2 must be finite and > 0, got {sigma_c2}")
     class_mass = np.maximum(resp.sum(axis=0), _PI_FLOOR)
     counts = data.counts(resp)
 
@@ -323,13 +326,12 @@ def _sgd_cells(data):
     """Each labeled document's cells in x = [w.ravel(), b], in corpus order:
     (cells, onehot), cells an (n + 1, K) array whose row j holds the flat
     ids of w[:, d_j] for its j-th feature d_j and whose last row holds b's,
-    and onehot the document's one-hot label row."""
+    and onehot the document's row of _one_hot."""
     k, m = data.num_classes, data.num_features
     offsets = np.arange(k) * m
     b_cells = k * m + np.arange(k)
-    onehot = np.eye(k)
-    return [(np.vstack((ids[:, None] + offsets, b_cells)), onehot[y])
-            for ids, y in data.labeled]
+    return [(np.vstack((ids[:, None] + offsets, b_cells)), onehot)
+            for (ids, _), onehot in zip(data.labeled, _one_hot(data))]
 
 
 def _sgd_epochs(x, docs, gen, coupling, outer_iter):
@@ -502,7 +504,7 @@ def train_nb_em(data: Dataset, cfg: TrainConfig):
     log p(x, t) plus the sum over unlabeled docs of log sum_y p(x, y).
     """
     def m_step(resp, it):
-        resp[data.labeled_positions] = np.eye(data.num_classes)[data.labels]
+        resp[data.labeled_positions] = _one_hot(data)
         return _smoothed_m_step(data, resp)
 
     def objective(scores, lse, gen):

@@ -436,6 +436,23 @@ def test_sweep_duplicate_seeds_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run.results.csv").exists()
 
 
+def test_sweep_checks_the_corpus_seed_beside_a_corpus_file(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, capsys)
+    code, _, err = run(capsys, "sweep", "--corpus", str(corpus), "--corpus-seed", str(2 ** 64),
+                       "--lambdas", "0.5", "--unlabeled", "0", "--labeled-per-class", "5",
+                       "--out", str(tmp_path / "run"))
+    assert code == 2 and f"seed must lie in [0, 2**64), got {2 ** 64}" in err
+    assert not (tmp_path / "run.results.csv").exists()
+
+
+def test_train_refuses_the_coupling_before_reading_the_corpus(tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--corpus", str(tmp_path / "missing.txt"),
+                       "--coupling", "gauss", "--gamma", "1e-310",
+                       "--out", str(tmp_path / "m.txt"))
+    assert code == 2 and "gamma must be finite and > 0" in err and "1e-310" in err
+    assert "missing.txt" not in err
+
+
 def test_sweep_missing_corpus_source_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--lambdas", "0,1", "--unlabeled", "0",
                        "--out", str(tmp_path / "run"))
@@ -453,6 +470,13 @@ def test_prior_curves_export(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma,axis_space,x,beta_density,normal_density"
     assert len(lines) == 169
+
+
+def test_prior_curves_duplicate_gammas_exit_2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    code, _, err = run(capsys, "prior-curves", "--gammas", "1,1", "--out", str(path))
+    assert code == 2 and "gamma list contains duplicates" in err
+    assert not path.exists()
 
 
 def test_prior_curves_non_finite_density_exits_3(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hybridssl import harness, trainer
-from hybridssl.data import SplitSpec, sample_split
+from hybridssl.data import SplitSpec, generate_synthetic, sample_split
 from hybridssl.errors import ConfigError, QueryError
 from hybridssl.harness import (AGGREGATE_HEADER, CURVES_HEADER,
                                DEFAULT_CURVE_GAMMAS, RESULTS_HEADER,
@@ -48,32 +48,35 @@ def row(lam, unlabeled, seed, acc, failed=False):
 # spec validation
 
 def test_sweep_spec_validation():
-    with pytest.raises(ConfigError):
-        quick_spec(lambdas=())
-    with pytest.raises(ConfigError):
-        quick_spec(lambdas=(0.0, 1.5))
-    with pytest.raises(ConfigError):
-        quick_spec(lambdas=(0.5, 0.5))
-    with pytest.raises(ConfigError):
-        quick_spec(unlabeled_counts=())
-    with pytest.raises(ConfigError):
-        quick_spec(unlabeled_counts=(0, 0))
-    with pytest.raises(ConfigError):
-        quick_spec(unlabeled_counts=(-1,))
-    with pytest.raises(ConfigError):
-        quick_spec(seeds=())
-    with pytest.raises(ConfigError):
-        quick_spec(seeds=(1, 1))
-    with pytest.raises(ConfigError):
-        quick_spec(seeds=(-1,))  # the same cells as seed 2**64 - 1
-    with pytest.raises(ConfigError):
-        quick_spec(seeds=(2 ** 64,))  # the same cells as seed 0
-    with pytest.raises(ConfigError):
-        quick_spec(labeled_per_class=0)
-    with pytest.raises(ConfigError):
-        quick_spec(corpus_path="also.txt")  # two corpus sources
-    with pytest.raises(ConfigError):
-        quick_spec(synthetic=None)  # no corpus source
+    for bad, message in (
+            (dict(lambdas=()), "lambda grid is empty"),
+            (dict(lambdas=(0.0, 1.5)), r"lambda must lie in \[0, 1\], got 1.5"),
+            (dict(lambdas=(0.5, 0.5)), "lambda grid contains duplicates"),
+            (dict(disc_prior_sigma2=0.0), "disc_prior_sigma2 must be > 0"),
+            (dict(unlabeled_counts=()), "unlabeled count grid is empty"),
+            (dict(unlabeled_counts=(0, 0)), "unlabeled count grid contains duplicates"),
+            (dict(unlabeled_counts=(-1,)), "unlabeled_total must be >= 0, got -1"),
+            (dict(seeds=()), "seed list is empty"),
+            (dict(seeds=(1, 1)), "seed list contains duplicates"),
+            # -1 gives the same cells as seed 2**64 - 1, and 2**64 as seed 0
+            (dict(seeds=(-1,)), r"seed must lie in \[0, 2\*\*64\), got -1"),
+            (dict(seeds=(2 ** 64,)),
+             r"seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+            (dict(labeled_per_class=0), "labeled_per_class must be >= 1"),
+            (dict(corpus_path="also.txt"), "exactly one"),  # two corpus sources
+            (dict(synthetic=None), "exactly one")):  # no corpus source
+        with pytest.raises(ConfigError, match=message):
+            quick_spec(**bad)
+
+
+def test_sweep_spec_refuses_a_bad_prior_variance_before_building_the_corpus(monkeypatch):
+    # each lambda builds its CouplingConfig when the spec is made
+    built = []
+    monkeypatch.setattr(harness, "generate_synthetic",
+                        lambda *args: built.append(args) or generate_synthetic(*args))
+    with pytest.raises(ConfigError, match="disc_prior_sigma2 must be > 0"):
+        run_sweep(quick_spec(disc_prior_sigma2=0.0))
+    assert built == []
 
 
 def test_sweep_spec_sorts_grids():
@@ -291,8 +294,10 @@ def test_prior_curve_rows_shape_and_axes():
     assert_allclose(nat_x[-1], logit(0.2) + 50.0, rtol=1e-12)
     with pytest.raises(ConfigError):
         prior_curve_rows(grid_points=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="gamma list is empty"):
         prior_curve_rows(gammas=())
+    with pytest.raises(ConfigError, match="gamma list contains duplicates"):
+        prior_curve_rows(gammas=(1.0, 10.0, 1.0))
 
 
 def test_prior_curves_integrate_to_one_on_both_axes():

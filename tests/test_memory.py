@@ -1,9 +1,9 @@
 """Memory guards: the model file is streamed one row at a time into one
 array per section, the K x M coupling kernels work in blocks instead of
-full-size temporaries, a hybrid fit holds few K x M arrays at once, the
-lam = 0 fit one theta_tilde, which is also its linear form's w, the
-lam = 1 fit keeps a sparse labeled set in compressed rows, and predict
-holds one K x M array, w.
+full-size temporaries, a hybrid fit holds few K x M arrays at once and
+no fit a K x K one, the lam = 0 fit one theta_tilde, which is also its
+linear form's w, the lam = 1 fit keeps a sparse labeled set in
+compressed rows, and predict holds one K x M array, w.
 
 The peaks are tracemalloc's traced peaks, which count numpy's buffers
 along with Python objects and do not depend on the machine."""
@@ -147,6 +147,21 @@ def test_nb_em_fit_peaks_below_one_and_a_half_k_by_m_arrays():
     for cfg in (TrainConfig(max_outer_iters=2), TrainConfig()):
         _, peak, _ = _traced(lambda: train(data, CouplingConfig.from_lambda(0.0), cfg))
         assert peak < 1.5 * 8 * data.num_classes * data.num_features
+
+
+@pytest.mark.parametrize("coupling", [CouplingConfig.from_lambda(0.0),
+                                      CouplingConfig.from_lambda(0.5),
+                                      CouplingConfig.from_lambda(0.5, CouplingKind.GAUSSIAN)],
+                         ids=["lam0", "beta", "gauss"])
+def test_one_hot_labels_take_no_k_by_k_array(coupling):
+    # The labeled documents' one-hot labels are an n_labeled x K array. At
+    # K = 2,000 a K x K identity is 32 MB, and indexing it took 32.1 MB at
+    # lam = 0, 64.2 MB under BETA (whose SGD kept it alive) and 32.0 MB
+    # under GAUSSIAN; the one-hot rows take 0.38, 1.34 and 3.39 MB.
+    data = Dataset(np.array([0, 2, 3, 4, 6]), np.array([0, 2, 1, 0, 1, 2]),
+                   np.array([0, 1999, -1, 7]), 2000, 3)
+    _, peak, _ = _traced(lambda: train(data, coupling, TrainConfig(max_outer_iters=2)))
+    assert peak < 8e6
 
 
 def test_logreg_fit_holds_no_dense_x():

@@ -100,6 +100,17 @@ def test_coupling_config_validation():
     CouplingConfig(kind=CouplingKind.BETA, lam=1.0)
 
 
+def test_gauss_gamma_needs_a_finite_coupling_variance():
+    # GAUSSIAN reads sigma_c2 = 1 / gamma, which overflows below about
+    # 5.6e-309; a BETA concentration has no inverse to take
+    for gamma in (5e-324, 1e-310):
+        with pytest.raises(ConfigError, match="gamma must be finite and > 0, with a finite "
+                                              "inverse under GAUSSIAN coupling"):
+            CouplingConfig(CouplingKind.GAUSSIAN, gamma=gamma)
+        assert CouplingConfig(CouplingKind.BETA, gamma=gamma).gamma == gamma
+    assert math.isfinite(CouplingConfig(CouplingKind.GAUSSIAN, gamma=6e-309).sigma_c2)
+
+
 def test_coupling_config_rejects_a_gamma_training_ignores():
     # the endpoint trainers read no coupling strength
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Smoke test of the scripts in tools/: each imports against the package as
-it stands, and tools/peak_memory.py, which hooks trainer and cli functions
-by name, runs every phase it measures."""
+it stands, tools/output_digest.py's thread-free lines match the pinned
+file, and tools/peak_memory.py, which hooks trainer and cli functions by
+name, runs every phase it measures."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +23,17 @@ def _import_tool(name):
 @pytest.mark.parametrize("name", ["output_digest", "peak_memory", "storage_crossover"])
 def test_tool_imports(name):
     assert callable(_import_tool(name).main)
+
+
+def test_thread_free_digest_lines_match_the_pinned_file():
+    # the protocol splits, the shuffle streams and the prior curves call no
+    # BLAS routine, so their pins hold at any thread count
+    with open(TOOLS / "output_digests.txt", encoding="ascii") as fh:
+        pinned = dict(line.split() for line in fh if line.strip())
+    lines = dict(_import_tool("output_digest").thread_free_lines())
+    assert sorted(lines) == ["prior-curves-beta", "prior-curves-normal", "protocol-splits",
+                             "shuffle-streams"]
+    assert lines == {name: pinned[name] for name in lines}
 
 
 PREDICT_PHASES = ["-", "load_model", "load_corpus", "scoring"]

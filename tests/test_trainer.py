@@ -924,9 +924,9 @@ def test_loose_gauss_couplings_fit():
         predictions.append(lr_scores_matrix(disc, test_set).argmax(axis=1))
         assert (predictions[-1] == test_set.labels).mean() >= 0.95, gamma
     assert all(np.array_equal(p, predictions[0]) for p in predictions)
-    # a subnormal gamma leaves no finite coupling variance
-    with pytest.raises(DomainError, match="sigma_c2 must be finite"):
-        train(train_set, CouplingConfig(CouplingKind.GAUSSIAN, gamma=5e-324), TrainConfig())
+    # a subnormal gamma leaves no finite coupling variance: refused before any fit
+    with pytest.raises(ConfigError, match="gamma must be finite and > 0, with a finite inverse"):
+        CouplingConfig(CouplingKind.GAUSSIAN, gamma=5e-324)
 
 
 def test_hybrid_mid_lambda_requires_strength():

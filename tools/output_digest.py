@@ -20,6 +20,9 @@ The "protocol-splits" line digests indptr, indices and row_labels of the
 train and test sets sample_split draws at every criterion-7 cell's seed and
 unlabeled count, and "shuffle-streams" the permutation of range(n) and the
 next draw of SplitMix64(seed).shuffle at SHUFFLE_SEEDS and SHUFFLE_LENGTHS.
+thread_free_lines() yields the protocol-splits, shuffle-streams and
+prior-curves lines, which no BLAS call computes, in about 0.1 s; the
+tier-1 suite (tests/test_tools.py) compares them with the pinned file.
 The script uses only names every recent version of the package exports,
 and takes under ten seconds on a 2-core x86 machine.
 
@@ -160,14 +163,29 @@ def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(Co
                 yield fit + "-model-file", model_file_digest(disc)
 
 
+def criterion_7() -> SweepSpec:
+    return grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5))
+
+
+def thread_free_lines():
+    """(name, sha256) of the outputs that no BLAS call computes, so that
+    they read the same at any thread count: the protocol splits, the
+    shuffle streams and the two prior-curve columns. They take about a
+    tenth of a second; tests/test_tools.py checks them against the pinned
+    file."""
+    yield "protocol-splits", protocol_splits_digest(criterion_7())
+    yield "shuffle-streams", shuffle_streams_digest()
+    rows = prior_curve_rows()
+    yield "prior-curves-beta", digest(np.array([r[3] for r in rows]))
+    yield "prior-curves-normal", digest(np.array([r[4] for r in rows]))
+
+
 def digest_lines():
     """(name, sha256) of every output, in print order."""
-    criterion_7 = grid(CouplingKind.BETA, (0.0, 0.25, 0.5, 0.75, 1.0), (1, 2, 3, 4, 5))
-    rows = run_sweep(criterion_7)
+    yield from thread_free_lines()
+    rows = run_sweep(criterion_7())
     yield "criterion-7-rows", digest(rows)
     yield "criterion-7-rows-json", json_digest(rows)
-    yield "protocol-splits", protocol_splits_digest(criterion_7)
-    yield "shuffle-streams", shuffle_streams_digest()
     rows = run_sweep(grid(CouplingKind.GAUSSIAN, (0.25, 0.5), tuple(range(1, 11))))
     yield "grid-gauss-seed0-rows", digest(rows)
     yield "grid-gauss-seed0-rows-json", json_digest(rows)
@@ -182,9 +200,6 @@ def digest_lines():
     # are a 60 x 2,342 set at 1.7% density, which the storage rule decides.
     yield from fits("compressed-k20-fit", compressed_corpus(20, 60), (0.0, 0.5, 1.0), 3,
                     (CouplingKind.BETA,))
-    rows = prior_curve_rows()
-    yield "prior-curves-beta", digest(np.array([r[3] for r in rows]))
-    yield "prior-curves-normal", digest(np.array([r[4] for r in rows]))
 
 
 def check(path) -> int:
