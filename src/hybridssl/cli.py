@@ -53,6 +53,7 @@ def _parse_seeds(text: str) -> tuple:
         n = values[0]
         if n < 1:
             raise ConfigError(f"seed count must be >= 1, got {n}")
+        check_seed(n)
         return tuple(range(1, n + 1))
     return values
 

@@ -157,6 +157,22 @@ class SplitSpec:
         check_seed(self.seed)
 
 
+def split_test_size(full: Dataset, labeled_per_class: int, unlabeled_total: int) -> int:
+    """How many labeled documents a split of full leaves for testing;
+    refuses an unlabeled_total that K does not divide or a class cannot fill."""
+    k = full.num_classes
+    if unlabeled_total % k != 0:
+        raise ConfigError(f"unlabeled_total {unlabeled_total} not divisible by K={k} classes")
+    need = labeled_per_class + unlabeled_total // k
+    sizes = np.bincount(full.row_labels[full.row_labels >= 0], minlength=k)
+    for c in range(k):
+        if sizes[c] < need:
+            raise ConfigError(
+                f"class {c} has {sizes[c]} labeled instances, protocol needs {need} "
+                f"({labeled_per_class} labeled + {unlabeled_total // k} unlabeled)")
+    return int(sizes.sum()) - k * need
+
+
 def sample_split(full: Dataset, spec: SplitSpec):
     """Draw a (train, test) pair from a labeled corpus.
 
@@ -168,20 +184,12 @@ def sample_split(full: Dataset, spec: SplitSpec):
     already unlabeled cannot enter the protocol and are ignored.
     Deterministic in spec.seed.
     """
+    split_test_size(full, spec.labeled_per_class, spec.unlabeled_total)
     k = full.num_classes
-    if spec.unlabeled_total % k != 0:
-        raise ConfigError(f"unlabeled_total {spec.unlabeled_total} not divisible by "
-                          f"K={k} classes")
-    per_class_unlabeled = spec.unlabeled_total // k
-
-    need = spec.labeled_per_class + per_class_unlabeled
+    need = spec.labeled_per_class + spec.unlabeled_total // k
     labeled_blocks, unlabeled_blocks = [], []
     for c in range(k):
         order = np.flatnonzero(full.row_labels == c).tolist()
-        if len(order) < need:
-            raise ConfigError(
-                f"class {c} has {len(order)} labeled instances, protocol needs "
-                f"{need} ({spec.labeled_per_class} labeled + {per_class_unlabeled} unlabeled)")
         SplitMix64(derive_seed(spec.seed, c)).shuffle(order)
         labeled_blocks.append(order[:spec.labeled_per_class])
         unlabeled_blocks.append(order[spec.labeled_per_class:need])

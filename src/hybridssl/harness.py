@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import SplitSpec, generate_synthetic, load_corpus, sample_split
+from .data import SplitSpec, generate_synthetic, load_corpus, sample_split, split_test_size
 from .errors import ConfigError, NumericError, QueryError
 from .expfam import _check_gamma, beta_prior_log_density, beta_prior_moments, logit
 from .model import (_DISC_PRIOR_SIGMA2, CouplingConfig, CouplingKind, Dataset, lr_scores_matrix,
@@ -154,10 +154,6 @@ def _run_cell(corpus: Dataset, spec: SweepSpec, lambda_index: int, count_index: 
         split = SplitSpec(labeled_per_class=spec.labeled_per_class, unlabeled_total=count,
                           seed=derive_seed(base_seed, lambda_index, count_index))
         train_set, test_set = sample_split(corpus, split)
-        if len(test_set) == 0:
-            raise ConfigError(f"the split leaves no test document: {count} unlabeled and "
-                              f"{spec.labeled_per_class} labeled per class take every "
-                              f"labeled document of the corpus")
         coupling = CouplingConfig.from_lambda(lam, spec.coupling_kind,
                                               spec.disc_prior_sigma2)
         t0 = time.perf_counter()
@@ -198,6 +194,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, measure_time: bool = False) -> lis
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     corpus = spec.load_corpus()
+    for count in spec.unlabeled_counts:
+        if split_test_size(corpus, spec.labeled_per_class, count) == 0:
+            raise ConfigError(f"the split leaves no test document: {count} unlabeled and "
+                              f"{spec.labeled_per_class} labeled per class take every "
+                              f"labeled document of the corpus")
     cells = [(spec, li, ci, seed, measure_time)
              for li in range(len(spec.lambdas))
              for ci in range(len(spec.unlabeled_counts))

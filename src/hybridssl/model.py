@@ -524,9 +524,12 @@ def save_model(disc: DiscriminativeParams, path) -> None:
 
     The rows go to "<path>.<pid>.tmp" in the same directory, which then
     replaces path, so a write that fails leaves any earlier file at path
-    whole. A symlink at path is replaced, not written through.
+    whole; a file or symlink a killed save left at that name, which no
+    live process shares, is removed first. Neither name is written through.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
     out = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with out:
@@ -588,41 +591,27 @@ def load_model(path) -> DiscriminativeParams:
     them. A file of any other version, v1 included, is refused at line 1;
     a line after the last w row is refused at its line.
 
-    The header's K and M are untrusted. A section is allocated once its
-    first row has parsed, and only when the bytes left in the file could
-    hold its rows * cols values, each a token and a blank or line end: at
-    least 2 bytes, less one for the file's last value. A section the file
-    cannot fill is still read row by row, unstored, up to the error that
-    ends it."""
+    The header's K and M are untrusted. Each of the K + K*M values takes at
+    least 2 bytes, a token and a blank or line end, less one for the last
+    value: a header declaring more than the file's size holds is refused at
+    line 1, and only then are b and w allocated, at most 4 bytes per byte
+    of the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        # a character takes at least one byte, so the size less the characters
-        # read bounds the bytes left from above
-        left = os.fstat(fh.fileno()).st_size
         lines = (piece for line in fh for piece in line.splitlines())
         header = next(lines, None)
         if header is None:
             raise ParseError("empty model file", line=1)
         k, m = _parse_header(header)
-        left -= len(header)
-
-        lineno = 1
-        parsed = {}
-        for name, (rows, cols) in (("b", (1, k)), ("w", (k, m))):
-            lineno += 1
-            line = next(lines, None)
-            if line is None or line.strip() != name:
+        if 2 * (k + k * m) - 1 > os.fstat(fh.fileno()).st_size:
+            raise ParseError(f"model declares K={k} M={m}, more values than the file holds",
+                             line=1)
+        b, w = np.empty((1, k)), np.empty((k, m))
+        # the layout numbers the lines: the header 1, b 2 and 3, w 4 to k + 4
+        for name, block, lineno in (("b", b, 2), ("w", w, 4)):
+            if next(lines, "").strip() != name:
                 raise ParseError(f"expected section '{name}'", line=lineno)
-            left -= len(line)
-            for r in range(rows):
-                lineno += 1
-                row = next(lines, None)
-                values = _parse_row(row, name, cols, lineno)
-                if r == 0:  # cols is now known to fit in one line of the file
-                    block = np.empty((rows if 2 * rows * cols <= left + 1 else 0, cols))
-                if r < len(block):
-                    block[r] = values
-                left -= len(row)
-            parsed[name] = block
+            for row_lineno, row in enumerate(block, start=lineno + 1):
+                row[:] = _parse_row(next(lines, None), name, row.size, row_lineno)
         if next(lines, None) is not None:
-            raise ParseError("unexpected line after section 'w'", line=lineno + 1)
-    return DiscriminativeParams(b=parsed["b"][0], w=parsed["w"])
+            raise ParseError("unexpected line after section 'w'", line=k + 5)
+    return DiscriminativeParams(b=b[0], w=w)

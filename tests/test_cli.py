@@ -10,13 +10,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hybridssl
-from hybridssl import cli
+from hybridssl import cli, harness
 from hybridssl.data import load_corpus, write_corpus
 from hybridssl.errors import NumericError
 from hybridssl.harness import ResultRow
 from hybridssl.model import DiscriminativeParams, load_model, lr_scores_matrix, save_model
+from hybridssl.trainer import train
 
 from helpers import oracle_corpus
 
@@ -169,6 +171,16 @@ def test_train_argument_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_train_on_a_corpus_with_no_labeled_document_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "unlabeled.txt"
+    corpus.write_text("# hybridssl-corpus v1 K=2 M=3\n* 0:1 2:1\n* 1:1\n")
+    code, out, err = run(capsys, "train", "--corpus", str(corpus), "--lambda", "0.5",
+                         "--out", str(tmp_path / "m.model"))
+    assert code == 2 and out == ""
+    assert "training requires at least one labeled instance" in err
+    assert not (tmp_path / "m.model").exists()
+
+
 def test_train_at_lambda_zero_prints_the_objective_of_the_model_it_saves(tmp_path, capsys):
     # at lambda = 0 the saved (b, w) is the naive Bayes fit in linear form,
     # so its scores are log p(x, y): the objective counts each labeled
@@ -305,7 +317,8 @@ def test_predict_oversized_model_header_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "predict", "--model", str(model_path),
                          "--corpus", str(corpus))
     assert code == 2 and out == ""
-    assert "section 'w' row has 2 values, expected 1000000000000 (line 5)" in err
+    assert ("model declares K=2 M=1000000000000, more values than the file holds (line 1)"
+            in err)
 
 
 def test_predict_refuses_a_v1_model_file(tmp_path, capsys):
@@ -434,6 +447,38 @@ def test_sweep_duplicate_seeds_exit_2(tmp_path, capsys):
                        "--out", str(tmp_path / "run"))
     assert code == 2 and "seed list contains duplicates" in err
     assert not (tmp_path / "run.results.csv").exists()
+
+
+@pytest.mark.parametrize("count, message", [
+    ("0", "seed count must be >= 1, got 0"),
+    (str(2 ** 64), f"seed must lie in [0, 2**64), got {2 ** 64}"),
+], ids=["zero", "past-the-seed-range"])
+def test_sweep_bad_seed_count_exits_2(tmp_path, capsys, count, message):
+    code, out, err = run(capsys, "sweep", "--synthetic", SYN, "--lambdas", "0.5",
+                         "--unlabeled", "0", "--seeds", count, "--out", str(tmp_path / "run"))
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--synthetic", "2,50,0.5,500", "--lambdas", "0.25,0.5,0.75", "--unlabeled", "0,3",
+      "--seeds", "3"], "unlabeled_total 3 not divisible by K=2 classes"),
+    (["--synthetic", "2,50,0.5,30", "--lambdas", "0.25,0.5", "--unlabeled", "0,60",
+      "--seeds", "2"], "class 0 has 30 labeled instances, protocol needs 40 "
+                       "(10 labeled + 30 unlabeled)"),
+    (["--synthetic", "2,10,0.5,20", "--lambdas", "0.5", "--unlabeled", "0,20",
+      "--seeds", "1"], "the split leaves no test document: 20 unlabeled and 10 labeled "
+                       "per class take every labeled document of the corpus"),
+], ids=["indivisible", "class-too-small", "no-test-document"])
+def test_sweep_refuses_an_unlabeled_count_before_training_any_cell(tmp_path, capsys,
+                                                                   monkeypatch, argv, message):
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args: trained.append(args) or train(*args))
+    code, out, err = run(capsys, "sweep", *argv, "--out", str(tmp_path / "run"))
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+    assert trained == [] and list(tmp_path.iterdir()) == []
 
 
 def test_sweep_checks_the_corpus_seed_beside_a_corpus_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 and text serialization."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -595,6 +596,25 @@ def test_save_replaces_a_symlink_instead_of_writing_through_it(tmp_path):
     assert np.array_equal(load_model(link).w, disc.w)
 
 
+@pytest.mark.parametrize("stale", ["file", "symlink"])
+def test_save_removes_a_temp_file_a_killed_save_left(tmp_path, stale):
+    # a process killed mid-save leaves <path>.<pid>.tmp, and a later
+    # process may have the same pid
+    path, victim = tmp_path / "m.model", tmp_path / "victim.txt"
+    victim.write_text("kept\n", encoding="utf-8")
+    tmp = tmp_path / f"m.model.{os.getpid()}.tmp"
+    if stale == "file":
+        tmp.write_text("hybridssl-model v2 K=2 M=3\nb\n", encoding="utf-8")
+    else:
+        tmp.symlink_to(victim)
+    disc = DiscriminativeParams(b=np.array([0.5, -0.5]), w=np.arange(6.0).reshape(2, 3))
+    save_model(disc, path)
+    got = load_model(path)
+    assert np.array_equal(got.b, disc.b) and np.array_equal(got.w, disc.w)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model", "victim.txt"]
+    assert victim.read_text(encoding="utf-8") == "kept\n"
+
+
 def load_text(tmp_path, text):
     """load_model on a file holding text."""
     path = tmp_path / "text.model"
@@ -681,16 +701,28 @@ def test_load_model_refuses_a_header_it_cannot_serve(tmp_path, header, message):
     assert str(exc.value) == f"{message} (line 1)"
 
 
-@pytest.mark.parametrize("header, line", [("K=2 M=1000000000000", 5),
-                                          ("K=1000000000000 M=2", 3),
-                                          ("K=2 M=1" + "0" * 23, 5),
-                                          ("K=1" + "0" * 23 + " M=2", 3)])
-def test_load_model_allocates_only_rows_it_has_read(tmp_path, header, line):
+@pytest.mark.parametrize("header", ["K=2 M=1000000000000", "K=1000000000000 M=2",
+                                    "K=2 M=1" + "0" * 23, "K=1" + "0" * 23 + " M=2"])
+def test_load_model_refuses_a_header_the_file_cannot_hold(tmp_path, header):
     # the header's sizes alone would ask for terabytes
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, f"hybridssl-model v2 {header}\nb\n0.5 0.5\nw\n0 0\n")
-    assert exc.value.line == line
-    assert "row has 2 values, expected 1000000000000" in str(exc.value)
+    assert exc.value.line == 1
+    assert str(exc.value) == f"model declares {header}, more values than the file holds (line 1)"
+
+
+@pytest.mark.parametrize("m, message, line", [
+    (10, "section 'b' row has 1 values, expected 2", 3),
+    (11, "model declares K=2 M=11, more values than the file holds", 1),
+], ids=["fits", "one-more-column"])
+def test_model_file_size_rule_edge(tmp_path, m, message, line):
+    """A file of exactly 2 * (K + K*M) - 1 bytes passes the size rule and
+    fails at its short b row; one more declared column is refused at line 1."""
+    text = "hybridssl-model v2 K=2 M=10\nb\n0\n"
+    text += "0" * (2 * (2 + 2 * 10) - 1 - len(text))
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, text.replace("M=10", f"M={m}"))
+    assert exc.value.line == line and str(exc.value) == f"{message} (line {line})"
 
 
 _LINES_MODEL = "hybridssl-model v2 K=2 M=2\nb\n0 0\nw\n"

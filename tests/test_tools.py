@@ -26,13 +26,14 @@ def test_tool_imports(name):
 
 
 def test_thread_free_digest_lines_match_the_pinned_file():
-    # the protocol splits, the shuffle streams and the prior curves call no
-    # BLAS routine, so their pins hold at any thread count
+    # the protocol splits, the shuffle streams, the prior curves and the
+    # fixed model file call no BLAS routine, so their pins hold at any
+    # thread count
     with open(TOOLS / "output_digests.txt", encoding="ascii") as fh:
         pinned = dict(line.split() for line in fh if line.strip())
     lines = dict(_import_tool("output_digest").thread_free_lines())
-    assert sorted(lines) == ["prior-curves-beta", "prior-curves-normal", "protocol-splits",
-                             "shuffle-streams"]
+    assert sorted(lines) == ["model-file-bytes", "prior-curves-beta", "prior-curves-normal",
+                             "protocol-splits", "shuffle-streams"]
     assert lines == {name: pinned[name] for name in lines}
 
 

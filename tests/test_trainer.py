@@ -43,6 +43,15 @@ def test_train_config_validation():
         TrainConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("lam, kind", [(0.0, CouplingKind.BETA), (0.5, CouplingKind.BETA),
+                                       (0.5, CouplingKind.GAUSSIAN), (1.0, CouplingKind.BETA)],
+                         ids=["lam0", "beta", "gauss", "lam1"])
+def test_train_refuses_a_corpus_with_no_labeled_document(lam, kind):
+    data = make_dataset([([0, 2], None), ([1], None), ([0, 1, 2], None)], 2, 3)
+    with pytest.raises(ConfigError, match="^training requires at least one labeled instance$"):
+        train(data, CouplingConfig.from_lambda(lam, kind), TrainConfig(max_outer_iters=2))
+
+
 def test_learning_rate_decay():
     assert trainer._learning_rate(0) == 0.1
     assert_allclose(trainer._learning_rate(1000), 0.05, rtol=1e-15)

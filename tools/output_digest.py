@@ -13,16 +13,19 @@ A fit is digested as pi and theta_tilde where it has a generative half
 (every fit but lam = 1), then b and w (dtype, shape and raw bytes, since
 an array's repr elides its middle), then repr(report).
 The "-model-file" line digests the bytes save_model writes for the
-compressed beta fit, so a change of the model file format shows too.
+compressed beta fit, so a change of the model file format shows too;
+"model-file-bytes" digests the bytes it writes for a fixed (b, w) and the
+arrays load_model reads back from them, at any BLAS thread count.
 The "prior-curves-" lines digest the beta_density and normal_density
 columns of prior_curve_rows() at its default arguments, one line each.
 The "protocol-splits" line digests indptr, indices and row_labels of the
 train and test sets sample_split draws at every criterion-7 cell's seed and
 unlabeled count, and "shuffle-streams" the permutation of range(n) and the
 next draw of SplitMix64(seed).shuffle at SHUFFLE_SEEDS and SHUFFLE_LENGTHS.
-thread_free_lines() yields the protocol-splits, shuffle-streams and
-prior-curves lines, which no BLAS call computes, in about 0.1 s; the
-tier-1 suite (tests/test_tools.py) compares them with the pinned file.
+thread_free_lines() yields the protocol-splits, shuffle-streams,
+prior-curves and model-file-bytes lines, which no BLAS call computes, in
+about 0.1 s; the tier-1 suite (tests/test_tools.py) compares them with
+the pinned file.
 The script uses only names every recent version of the package exports,
 and takes under ten seconds on a 2-core x86 machine.
 
@@ -147,6 +150,21 @@ def model_file_digest(disc) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def model_file_bytes_digest() -> str:
+    """sha256 of the bytes save_model writes for a fixed (b, w) at K=3,
+    M=2,000, with signed zeros, the least subnormal and extreme magnitudes
+    in w, and of the arrays load_model reads back from them."""
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(3, 2000))
+    w[0, :5] = (0.0, -0.0, 5e-324, 1e-300, 1e308)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        model.save_model(model.DiscriminativeParams(b=rng.normal(size=3), w=w), path)
+        back = model.load_model(path)
+        with open(path, "rb") as fh:
+            return digest(np.frombuffer(fh.read(), np.uint8), back.b, back.w)
+
+
 def fits(name: str, data: Dataset, lambdas, max_outer_iters: int, kinds=tuple(CouplingKind),
          model_files=()):
     """A line per fit; the fits of the kinds in model_files are followed by
@@ -170,14 +188,15 @@ def criterion_7() -> SweepSpec:
 def thread_free_lines():
     """(name, sha256) of the outputs that no BLAS call computes, so that
     they read the same at any thread count: the protocol splits, the
-    shuffle streams and the two prior-curve columns. They take about a
-    tenth of a second; tests/test_tools.py checks them against the pinned
-    file."""
+    shuffle streams, the two prior-curve columns and a fixed model file.
+    They take about a tenth of a second; tests/test_tools.py checks them
+    against the pinned file."""
     yield "protocol-splits", protocol_splits_digest(criterion_7())
     yield "shuffle-streams", shuffle_streams_digest()
     rows = prior_curve_rows()
     yield "prior-curves-beta", digest(np.array([r[3] for r in rows]))
     yield "prior-curves-normal", digest(np.array([r[4] for r in rows]))
+    yield "model-file-bytes", model_file_bytes_digest()
 
 
 def digest_lines():
